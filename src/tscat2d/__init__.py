@@ -22,20 +22,13 @@ from .formulations import (
     IncidentWave,
     TransmissionConfig,
     assemble,
-    assemble_classical,
-    assemble_gcsie_composed,
-    assemble_gcsie_explicit,
+    combined_source_blocks,
     incident_traces,
-    regularizer_blocks,
+    smoothed_regularizer,
 )
 from .geometry import Curve, NodeGrid, grid, make_circle, make_curve, make_ellipse, make_kite
 from .operators import (
     BoundaryOperators,
-    DenseOp,
-    assemble_K,
-    assemble_KT,
-    assemble_N,
-    assemble_S,
     boundary_operator_set,
     fourier_coeffs,
     fourier_modes,

@@ -6,6 +6,8 @@ problem, the rotation-invariant symbols of the four boundary operators,
 the exterior/interior Dirichlet-to-Neumann symbols, the exact and
 smoothed admittance-block symbols, and least-squares log-log slope fits
 used to measure how fast symbol differences decay with the mode number.
+The smoothed regularizer and the combined-source block algebra are the
+ones in ``formulations``, applied to per-mode symbols.
 
 Conventions (all verified against the Nystrom assembly):
 
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .formulations import combined_source_blocks, smoothed_regularizer
+from .operators import BoundaryOperators
 
 
 class InteriorPoleError(ValueError):
@@ -106,12 +110,18 @@ def approx_admittance_symbols(
     """Per-mode blocks of the smoothed admittance map built from S and N.
 
     R11 = nu/(1+nu), R12 = -2 S_kappa/(1+nu), R21 = 2 nu N_kappa/(1+nu),
-    R22 = 1/(1+nu).
+    R22 = 1/(1+nu), from ``formulations.smoothed_regularizer``.
     """
     s = circle_operator_symbol("S", radius, kappa, n)
     nn = circle_operator_symbol("N", radius, kappa, n)
-    c = 1.0 + nu
-    return nu / c, -2.0 / c * s, 2.0 * nu / c * nn, 1.0 / c
+    return smoothed_regularizer(s, nn, nu)
+
+
+def _symbol_set(radius: float, k: complex, n: int) -> BoundaryOperators:
+    """S, K, KT and N symbols of mode n as 1x1 arrays."""
+    return BoundaryOperators(
+        *(np.array([[circle_operator_symbol(tag, radius, k, n)]]) for tag in ("S", "K", "KT", "N"))
+    )
 
 
 def combined_source_symbol_matrix(
@@ -125,27 +135,20 @@ def combined_source_symbol_matrix(
 ) -> np.ndarray:
     """2x2 per-mode symbol of the combined-source system matrix.
 
-    Composes the operator symbols exactly as the block assembly does.
-    With regularizer="exact" the admittance blocks make the matrix the
-    identity; with "smoothed" it is identity plus decaying blocks.
+    Runs ``formulations.combined_source_blocks``, the block algebra of the
+    assembled system, on 1x1 symbol arrays.  With regularizer="exact" the
+    admittance blocks make the matrix the identity; with "smoothed" it is
+    identity plus decaying blocks.
     """
     if regularizer == "exact":
-        r11, r12, r21, r22 = exact_admittance_symbols(radius, k1, k2, nu, n)
+        r = [np.array([[x]]) for x in exact_admittance_symbols(radius, k1, k2, nu, n)]
     elif regularizer == "smoothed":
-        r11, r12, r21, r22 = approx_admittance_symbols(radius, kappa, nu, n)
+        ok = _symbol_set(radius, kappa, n)
+        r = smoothed_regularizer(ok.s, ok.n, nu)
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
-    s1 = circle_operator_symbol("S", radius, k1, n)
-    s2 = circle_operator_symbol("S", radius, k2, n)
-    kk1 = circle_operator_symbol("K", radius, k1, n)
-    kk2 = circle_operator_symbol("K", radius, k2, n)
-    n1 = circle_operator_symbol("N", radius, k1, n)
-    n2 = circle_operator_symbol("N", radius, k2, n)
-    d11 = 0.5 - kk2 + (kk1 + kk2) * r11 - (s1 + s2 / nu) * r21
-    d12 = s2 / nu + (kk1 + kk2) * r12 - (s1 + s2 / nu) * r22
-    d21 = -nu * n2 + (n1 + nu * n2) * r11 - (kk1 + kk2) * r21
-    d22 = 0.5 + kk2 + (n1 + nu * n2) * r12 - (kk1 + kk2) * r22
-    return np.array([[d11, d12], [d21, d22]], dtype=complex)
+    d = combined_source_blocks(_symbol_set(radius, k1, n), _symbol_set(radius, k2, n), r, nu)
+    return np.block([[d[0], d[1]], [d[2], d[3]]])
 
 
 def smoothing_order(samples) -> float:

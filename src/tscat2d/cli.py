@@ -22,9 +22,10 @@ from .formulations import (
     IncidentWave,
     TransmissionConfig,
     assemble,
+    operator_sets,
 )
 from .geometry import grid, make_curve
-from .operators import boundary_operator_set, fourier_modes
+from .operators import fourier_modes
 from .postprocess import far_field
 from .solver import gmres, lu_solve, norm2_estimate, sigma_min_estimate
 
@@ -109,7 +110,10 @@ def validate_config(cfg: dict):
     if kappa is not None:
         if not isinstance(kappa, dict) or set(kappa) - {"re", "im"}:
             raise ConfigError("kappa", "must be an object with fields 're' and 'im'")
-        kappa = complex(kappa.get("re", 0.0), kappa.get("im", 0.0))
+        parts = [kappa.get(part, 0.0) for part in ("re", "im")]
+        if not all(isinstance(v, (int, float)) for v in parts):
+            raise ConfigError("kappa", f"'re' and 'im' must be numbers, got {kappa!r}")
+        kappa = complex(*parts)
 
     n = cfg.get("N")
     if not isinstance(n, int) or n % 2 != 0 or n < 4:
@@ -121,6 +125,8 @@ def validate_config(cfg: dict):
         )
 
     sv = cfg.get("solver", {})
+    if not isinstance(sv, dict):
+        raise ConfigError("solver", f"must be an object, got {sv!r}")
     if sv.get("type") not in ("gmres", "lu"):
         raise ConfigError("solver.type", f"must be 'gmres' or 'lu', got {sv.get('type')!r}")
     tol = sv.get("tol")
@@ -240,10 +246,7 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
         tcfg = validate_config(run_cfg)
         g = grid(n)
         wave = IncidentWave(angle=wave_angle, k1=tcfg.k1)
-        ops = {
-            complex(k): boundary_operator_set(tcfg.curve, g, k)
-            for k in (tcfg.k1, tcfg.k2, tcfg.kappa)
-        }
+        ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
         composed = assemble(tcfg, g, wave, "gcsie", ops=ops)
         explicit = assemble(tcfg, g, wave, "gcsie-explicit", ops=ops)
         diff = np.block(
@@ -306,10 +309,7 @@ def run_compare(cfg: dict) -> int:
     g = grid(tcfg.n_nodes)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
     tol = cfg["solver"]["tol"]
-    ops = {
-        complex(k): boundary_operator_set(tcfg.curve, g, k)
-        for k in (tcfg.k1, tcfg.k2, tcfg.kappa)
-    }
+    ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
     lines = ["formulation,N,gmres_iterations,residual_target,converged"]
     for form in ("gcsie", "classical"):
         system = assemble(tcfg, g, wave, form, ops=ops)

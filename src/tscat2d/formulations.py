@@ -31,11 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import Curve, NodeGrid
-from .operators import (
-    BoundaryOperators,
-    DenseOp,
-    boundary_operator_set,
-)
+from .operators import BoundaryOperators, boundary_operator_set
 
 FORMULATIONS = ("gcsie", "gcsie-explicit", "classical")
 
@@ -67,9 +63,9 @@ class TransmissionConfig:
             object.__setattr__(self, "kappa", complex(self.k1, 0.5 * self.k1))
         kap = complex(self.kappa)
         object.__setattr__(self, "kappa", kap)
-        if kap.real < 0 or kap.imag <= 0:
+        if not np.isfinite(kap) or kap.real < 0 or kap.imag <= 0:
             raise ValueError(
-                f"kappa must satisfy Re kappa >= 0 and Im kappa > 0, got {kap}"
+                f"kappa must be finite with Re kappa >= 0 and Im kappa > 0, got {kap}"
             )
         if self.delta1 != 0 or self.delta2 != 0:
             raise ValueError("only delta1 = delta2 = 0 is supported")
@@ -127,15 +123,17 @@ class BlockSystem:
         return x[:n], x[n:]
 
 
-def _operator_sets(
+def operator_sets(
     config: TransmissionConfig,
     grid: NodeGrid,
     wavenumbers,
-    ops: Mapping[complex, BoundaryOperators] | None,
-):
+    ops: Mapping[complex, BoundaryOperators] | None = None,
+) -> dict[complex, BoundaryOperators]:
+    """Operator sets keyed by wavenumber, reusing those in ``ops``."""
     out = {}
-    for k in wavenumbers:
-        k = complex(k)
+    for k in map(complex, wavenumbers):
+        if k in out:
+            continue
         if ops is not None and k in ops:
             out[k] = ops[k]
         else:
@@ -143,60 +141,37 @@ def _operator_sets(
     return out
 
 
-def regularizer_blocks(
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    ops: Mapping[complex, BoundaryOperators] | None = None,
-):
-    """Smoothed admittance blocks (R11, R12, R21, R22) as dense operators."""
-    ok = _operator_sets(config, grid, [config.kappa], ops)[complex(config.kappa)]
-    nu = config.nu
+def smoothed_regularizer(s_kappa, n_kappa, nu: float):
+    """Smoothed admittance blocks (R11, R12, R21, R22) from S_kappa and N_kappa.
+
+    R11 = nu/(1+nu) and R22 = 1/(1+nu) are multiples of I and returned as
+    scalars; R12 = -2 S_kappa/(1+nu) and R21 = 2 nu N_kappa/(1+nu) have
+    the type of their arguments (matrices, or per-mode circle symbols).
+    """
     c = 1.0 + nu
-    eye = np.eye(grid.n)
-    mk = lambda m, tag: DenseOp(
-        matrix=m, grid=grid, curve=config.curve, wavenumber=complex(config.kappa), tag=tag
-    )
-    return (
-        mk(nu / c * eye, "R11"),
-        mk(-2.0 / c * ok.s.matrix, "R12"),
-        mk(2.0 * nu / c * ok.n.matrix, "R21"),
-        mk(1.0 / c * eye, "R22"),
-    )
+    return nu / c, -2.0 / c * s_kappa, 2.0 * nu / c * n_kappa, 1.0 / c
 
 
-def combined_source_blocks(
-    o1: BoundaryOperators,
-    o2: BoundaryOperators,
-    ok: BoundaryOperators,
-    nu: float,
-):
+def combined_source_blocks(o1: BoundaryOperators, o2: BoundaryOperators, r, nu: float):
     """Composed form of the combined-source blocks.
 
     D11 = I/2 - K2 + (K1 + K2) R11 - (S1 + S2/nu) R21, and analogously
-    for the other three blocks, with the smoothed admittance blocks
-    substituted directly.
+    for the other three blocks.  The operators are square arrays: Nystrom
+    matrices, or 1x1 per-mode symbols on the circle.  R12 and R21 are
+    applied with ``@``; R11 and R22 are applied with ``*``, so they are
+    scalars (multiples of I) or, on the circle, 1x1 symbols.
     """
-    n = o1.s.matrix.shape[0]
-    eye = np.eye(n)
-    c = 1.0 + nu
-    s1, k1m, kt1, n1 = o1.s.matrix, o1.k.matrix, o1.kt.matrix, o1.n.matrix
-    s2, k2m, kt2, n2 = o2.s.matrix, o2.k.matrix, o2.kt.matrix, o2.n.matrix
-    sk, nk = ok.s.matrix, ok.n.matrix
+    r11, r12, r21, r22 = r
+    eye = np.eye(o1.s.shape[0])
+    sum_s = o1.s + o2.s / nu
+    sum_k = o1.k + o2.k
+    sum_kt = o1.kt + o2.kt
+    sum_n = o1.n + nu * o2.n
 
-    r11 = nu / c
-    r22 = 1.0 / c
-    r12 = -2.0 / c * sk
-    r21 = 2.0 * nu / c * nk
-
-    sum_s = s1 + s2 / nu
-    sum_k = k1m + k2m
-    sum_kt = kt1 + kt2
-    sum_n = n1 + nu * n2
-
-    d11 = 0.5 * eye - k2m + r11 * sum_k - sum_s @ r21
-    d12 = s2 / nu + sum_k @ r12 - r22 * sum_s
-    d21 = -nu * n2 + r11 * sum_n - sum_kt @ r21
-    d22 = 0.5 * eye + kt2 + sum_n @ r12 - r22 * sum_kt
+    d11 = 0.5 * eye - o2.k + r11 * sum_k - sum_s @ r21
+    d12 = o2.s / nu + sum_k @ r12 - r22 * sum_s
+    d21 = -nu * o2.n + r11 * sum_n - sum_kt @ r21
+    d22 = 0.5 * eye + o2.kt + sum_n @ r12 - r22 * sum_kt
     return d11, d12, d21, d22
 
 
@@ -211,12 +186,11 @@ def combined_source_blocks_explicit(
     Equal to the composed form for the exact operators; the discrete
     difference is the residual of the discrete Calderon identities.
     """
-    n = o1.s.matrix.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(o1.s.shape[0])
     c = 1.0 + nu
-    s1, k1m, kt1, n1 = o1.s.matrix, o1.k.matrix, o1.kt.matrix, o1.n.matrix
-    s2, k2m, kt2, n2 = o2.s.matrix, o2.k.matrix, o2.kt.matrix, o2.n.matrix
-    sk, nk, ktk = ok.s.matrix, ok.n.matrix, ok.kt.matrix
+    s1, k1m, kt1, n1 = o1
+    s2, k2m, kt2, n2 = o2
+    sk, nk, ktk = ok.s, ok.n, ok.kt
 
     d11 = (
         eye
@@ -242,88 +216,12 @@ def combined_source_blocks_explicit(
 
 def classical_blocks(o1: BoundaryOperators, o2: BoundaryOperators, nu: float):
     """Direct second-kind blocks in the interior Cauchy data (phi, psi)."""
-    n = o1.s.matrix.shape[0]
-    eye = np.eye(n)
-    d11 = eye - o1.k.matrix + o2.k.matrix
-    d12 = nu * o1.s.matrix - o2.s.matrix
-    d21 = o2.n.matrix - o1.n.matrix
-    d22 = 0.5 * (1.0 + nu) * eye + nu * o1.kt.matrix - o2.kt.matrix
+    eye = np.eye(o1.s.shape[0])
+    d11 = eye - o1.k + o2.k
+    d12 = nu * o1.s - o2.s
+    d21 = o2.n - o1.n
+    d22 = 0.5 * (1.0 + nu) * eye + nu * o1.kt - o2.kt
     return d11, d12, d21, d22
-
-
-def _assemble_combined(
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    incident: IncidentWave,
-    ops,
-    explicit: bool,
-) -> BlockSystem:
-    sets = _operator_sets(config, grid, [config.k1, config.k2, config.kappa], ops)
-    o1, o2, ok = sets[complex(config.k1)], sets[complex(config.k2)], sets[complex(config.kappa)]
-    builder = combined_source_blocks_explicit if explicit else combined_source_blocks
-    d11, d12, d21, d22 = builder(o1, o2, ok, config.nu)
-    f, g = incident_traces(incident, config.curve, grid)
-    return BlockSystem(
-        d11=d11,
-        d12=d12,
-        d21=d21,
-        d22=d22,
-        rhs=np.concatenate([-f, -g]),
-        formulation="gcsie-explicit" if explicit else "gcsie",
-        grid=grid,
-    )
-
-
-def assemble_gcsie_composed(
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    incident: IncidentWave,
-    ops: Mapping[complex, BoundaryOperators] | None = None,
-) -> BlockSystem:
-    """Combined-source system, blocks built by operator composition."""
-    return _assemble_combined(config, grid, incident, ops, explicit=False)
-
-
-def assemble_gcsie_explicit(
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    incident: IncidentWave,
-    ops: Mapping[complex, BoundaryOperators] | None = None,
-) -> BlockSystem:
-    """Combined-source system in the Calderon-simplified explicit form."""
-    return _assemble_combined(config, grid, incident, ops, explicit=True)
-
-
-def assemble_classical(
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    incident: IncidentWave,
-    ops: Mapping[complex, BoundaryOperators] | None = None,
-) -> BlockSystem:
-    """Direct second-kind system in the interior Cauchy data.
-
-    Row one adds the exterior and interior Dirichlet trace relations,
-    row two the Neumann ones:
-
-        (I - K1 + K2) phi + (nu S1 - S2) psi = (I/2 - K1) f + S1 g
-        (N2 - N1) phi + ((1+nu)/2 I + nu K1^T - K2^T) psi
-                                             = -N1 f + (I/2 + K1^T) g
-    """
-    sets = _operator_sets(config, grid, [config.k1, config.k2], ops)
-    o1, o2 = sets[complex(config.k1)], sets[complex(config.k2)]
-    d11, d12, d21, d22 = classical_blocks(o1, o2, config.nu)
-    f, g = incident_traces(incident, config.curve, grid)
-    rhs1 = 0.5 * f - o1.k.matrix @ f + o1.s.matrix @ g
-    rhs2 = -(o1.n.matrix @ f) + 0.5 * g + o1.kt.matrix @ g
-    return BlockSystem(
-        d11=d11,
-        d12=d12,
-        d21=d21,
-        d22=d22,
-        rhs=np.concatenate([rhs1, rhs2]),
-        formulation="classical",
-        grid=grid,
-    )
 
 
 def assemble(
@@ -333,11 +231,37 @@ def assemble(
     formulation: str,
     ops: Mapping[complex, BoundaryOperators] | None = None,
 ) -> BlockSystem:
-    """Dispatch on the formulation tag (gcsie | gcsie-explicit | classical)."""
-    if formulation == "gcsie":
-        return assemble_gcsie_composed(config, grid, incident, ops)
-    if formulation == "gcsie-explicit":
-        return assemble_gcsie_explicit(config, grid, incident, ops)
+    """Block system of one formulation (gcsie | gcsie-explicit | classical).
+
+    The combined-source right-hand side is minus the incident traces.
+    The classical system adds the exterior and interior Dirichlet trace
+    relations in row one and the Neumann ones in row two:
+
+        (I - K1 + K2) phi + (nu S1 - S2) psi = (I/2 - K1) f + S1 g
+        (N2 - N1) phi + ((1+nu)/2 I + nu K1^T - K2^T) psi
+                                             = -N1 f + (I/2 + K1^T) g
+    """
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    k1, k2, kappa = complex(config.k1), complex(config.k2), complex(config.kappa)
+    wavenumbers = [k1, k2] if formulation == "classical" else [k1, k2, kappa]
+    sets = operator_sets(config, grid, wavenumbers, ops)
+    o1, o2 = sets[k1], sets[k2]
+    f, g = incident_traces(incident, config.curve, grid)
     if formulation == "classical":
-        return assemble_classical(config, grid, incident, ops)
-    raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+        blocks = classical_blocks(o1, o2, config.nu)
+        rhs1 = 0.5 * f - o1.k @ f + o1.s @ g
+        rhs2 = -(o1.n @ f) + 0.5 * g + o1.kt @ g
+        rhs = np.concatenate([rhs1, rhs2])
+    else:
+        ok = sets[kappa]
+        if formulation == "gcsie":
+            r = smoothed_regularizer(ok.s, ok.n, config.nu)
+            blocks = combined_source_blocks(o1, o2, r, config.nu)
+        else:
+            blocks = combined_source_blocks_explicit(o1, o2, ok, config.nu)
+        rhs = np.concatenate([-f, -g])
+    d11, d12, d21, d22 = blocks
+    return BlockSystem(
+        d11=d11, d12=d12, d21=d21, d22=d22, rhs=rhs, formulation=formulation, grid=grid
+    )

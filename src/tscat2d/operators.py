@@ -30,7 +30,7 @@ split; Im k >= 0 is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,29 +41,6 @@ _QUARTER_I = 0.25j
 _INV_4PI = 1.0 / (4.0 * np.pi)
 
 DEFAULT_OVERSAMPLE = 2
-
-
-@dataclass(frozen=True, eq=False)
-class DenseOp:
-    """Dense Nystrom matrix of one boundary operator on one grid.
-
-    Acting on nodal values approximates the operator applied to the
-    trigonometric interpolant of the density.
-    """
-
-    matrix: np.ndarray
-    grid: NodeGrid
-    curve: Curve
-    wavenumber: complex
-    tag: str
-
-    def apply(self, density: np.ndarray) -> np.ndarray:
-        density = np.asarray(density)
-        if density.shape[-1] != self.grid.n:
-            raise ValueError(
-                f"density length {density.shape[-1]} does not match grid size {self.grid.n}"
-            )
-        return self.matrix @ density
 
 
 def kress_log_weights(n: int) -> np.ndarray:
@@ -211,47 +188,20 @@ def _compress(mat: np.ndarray, prolong: np.ndarray, factor: int) -> np.ndarray:
     return (mat @ prolong)[::factor, :]
 
 
-def _assemble_one(curve, grid, k, kind, oversample):
-    k = _check_wavenumber(k)
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    builders = {"S": _s_matrix, "K": _k_matrix, "KT": _kt_matrix, "N": _n_matrix}
-    fine = grid if oversample == 1 else make_grid(oversample * grid.n)
-    data = _KernelData(curve, fine, k)
-    mat = builders[kind](data)
-    if oversample > 1:
-        mat = _compress(mat, prolongation_matrix(grid.n, oversample), oversample)
-    return DenseOp(matrix=mat, grid=grid, curve=curve, wavenumber=k, tag=kind)
+class BoundaryOperators(NamedTuple):
+    """Nystrom matrices of S, K, KT and N for one wavenumber on one grid.
 
+    s is the single layer (kernel (i/4) H_0(k|x - y|), with Jacobian), k
+    the double layer (normal derivative at the source point), kt its
+    adjoint (normal derivative at the target point) and n the
+    hypersingular operator.  Acting on nodal values approximates the
+    operator applied to the trigonometric interpolant of the density.
+    """
 
-def assemble_S(curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE) -> DenseOp:
-    """Single layer operator S_k (kernel (i/4) H_0(k|x - y|), with Jacobian)."""
-    return _assemble_one(curve, grid, k, "S", oversample)
-
-
-def assemble_K(curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE) -> DenseOp:
-    """Double layer operator K_k (normal derivative at the source point)."""
-    return _assemble_one(curve, grid, k, "K", oversample)
-
-
-def assemble_KT(curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE) -> DenseOp:
-    """Adjoint double layer K_k^T (normal derivative at the target point)."""
-    return _assemble_one(curve, grid, k, "KT", oversample)
-
-
-def assemble_N(curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE) -> DenseOp:
-    """Hypersingular operator N_k in tangential-derivative form."""
-    return _assemble_one(curve, grid, k, "N", oversample)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryOperators:
-    """The four operators of one wavenumber on one grid."""
-
-    s: DenseOp
-    k: DenseOp
-    kt: DenseOp
-    n: DenseOp
+    s: np.ndarray
+    k: np.ndarray
+    kt: np.ndarray
+    n: np.ndarray
 
 
 def boundary_operator_set(
@@ -259,19 +209,15 @@ def boundary_operator_set(
 ) -> BoundaryOperators:
     """Assemble S, K, KT and N for one wavenumber, sharing the kernel data."""
     k = _check_wavenumber(k)
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     fine = grid if oversample == 1 else make_grid(oversample * grid.n)
     data = _KernelData(curve, fine, k)
-    mats = {
-        "S": _s_matrix(data),
-        "K": _k_matrix(data),
-        "KT": _kt_matrix(data),
-        "N": _n_matrix(data),
-    }
+    mats = [_s_matrix(data), _k_matrix(data), _kt_matrix(data), _n_matrix(data)]
     if oversample > 1:
         p = prolongation_matrix(grid.n, oversample)
-        mats = {tag: _compress(m, p, oversample) for tag, m in mats.items()}
-    mk = lambda tag: DenseOp(matrix=mats[tag], grid=grid, curve=curve, wavenumber=k, tag=tag)
-    return BoundaryOperators(s=mk("S"), k=mk("K"), kt=mk("KT"), n=mk("N"))
+        mats = [_compress(m, p, oversample) for m in mats]
+    return BoundaryOperators(*mats)
 
 
 def spectral_derivative_matrix(n: int) -> np.ndarray:

@@ -20,9 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .formulations import IncidentWave, TransmissionConfig, incident_traces
+from .formulations import (
+    IncidentWave,
+    TransmissionConfig,
+    incident_traces,
+    operator_sets,
+    smoothed_regularizer,
+)
 from .geometry import NodeGrid
-from .operators import DenseOp, boundary_operator_set
 
 MIN_EVAL_DISTANCE = 0.1
 
@@ -75,14 +80,11 @@ def double_layer_potential(curve, grid: NodeGrid, k: complex, density, points) -
 def _regularized_densities(a, b, config: TransmissionConfig, grid: NodeGrid, ops=None):
     """Double- and single-layer densities of the combined-source ansatz."""
     kap = complex(config.kappa)
-    if ops is not None and kap in ops:
-        ok = ops[kap]
-    else:
-        ok = boundary_operator_set(config.curve, grid, kap)
-    c = 1.0 + config.nu
-    dl = config.nu / c * a - 2.0 / c * (ok.s.matrix @ b)
-    sl = 2.0 * config.nu / c * (ok.n.matrix @ a) + b / c
-    return dl, sl
+    ok = operator_sets(config, grid, [kap], ops)[kap]
+    # the blocks are linear in S_kappa and N_kappa: fed S b and N a, the
+    # regularizer returns R12 b and R21 a without scaling whole matrices
+    r11, r12_b, r21_a, r22 = smoothed_regularizer(ok.s @ b, ok.n @ a, config.nu)
+    return r11 * a + r12_b, r21_a + r22 * b
 
 
 def exterior_densities(
@@ -163,16 +165,16 @@ def far_field(
     return far_field_from_densities(config.curve, grid, config.k1, dl, sl, angles)
 
 
-def quadratic_form(op: DenseOp, density) -> complex:
+def quadratic_form(matrix: np.ndarray, curve, grid: NodeGrid, density) -> complex:
     """Discrete boundary pairing int (A phi) conj(phi) dsigma.
 
-    Trapezoid rule with the arc-length Jacobian of the curve the operator
+    Trapezoid rule with the arc-length Jacobian of the curve the matrix
     was assembled on.
     """
     density = np.asarray(density)
-    if density.shape != (op.grid.n,):
+    if density.shape != (grid.n,):
         raise ValueError(
-            f"density shape {density.shape} does not match grid size {op.grid.n}"
+            f"density shape {density.shape} does not match grid size {grid.n}"
         )
-    jac = op.curve.jacobian(op.grid.nodes)
-    return complex(op.grid.weight * np.sum(op.apply(density) * np.conj(density) * jac))
+    jac = curve.jacobian(grid.nodes)
+    return complex(grid.weight * np.sum((matrix @ density) * np.conj(density) * jac))

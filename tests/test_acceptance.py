@@ -11,14 +11,7 @@ import pytest
 from tscat2d import analytic, specfun
 from tscat2d.formulations import IncidentWave, TransmissionConfig, assemble
 from tscat2d.geometry import grid, make_circle, make_kite
-from tscat2d.operators import (
-    DenseOp,
-    assemble_K,
-    assemble_KT,
-    assemble_N,
-    assemble_S,
-    boundary_operator_set,
-)
+from tscat2d.operators import boundary_operator_set
 from tscat2d.postprocess import far_field, quadratic_form
 from tscat2d.solver import gmres, lu_solve, sigma_min_estimate
 from conftest import band_limited_density
@@ -88,17 +81,11 @@ def test_criterion_01_special_functions():
           ok and worst <= 1e-10, f"wronskian rel dev {worst:.2e}")
 
 
-def test_criterion_02_operator_symbols():
-    circle = make_circle(1.0)
+def test_criterion_02_operator_symbols(op_cache):
     g = grid(128)
     worst = 0.0
     for k in (2.0, 4 + 2j):
-        mats = {
-            "S": assemble_S(circle, g, k).matrix,
-            "K": assemble_K(circle, g, k).matrix,
-            "KT": assemble_KT(circle, g, k).matrix,
-            "N": assemble_N(circle, g, k).matrix,
-        }
+        mats = dict(zip(("S", "K", "KT", "N"), op_cache("circle", 128, k)))
         for tag, mat in mats.items():
             for n in (0, 1, 4, 8, 16):
                 e = np.exp(1j * n * g.nodes)
@@ -109,15 +96,11 @@ def test_criterion_02_operator_symbols():
           worst <= 1e-9, f"max rel err {worst:.2e}")
 
 
-def test_criterion_03_calderon_identity():
+def test_criterion_03_calderon_identity(op_cache):
     kap = 4 + 1j
-    kite = make_kite()
     res = {}
     for n in (256, 512):
-        g = grid(n)
-        s = assemble_S(kite, g, kap).matrix
-        kk = assemble_K(kite, g, kap).matrix
-        nn = assemble_N(kite, g, kap).matrix
+        s, kk, _, nn = op_cache("kite", n, kap)
         phi = band_limited_density(n, 64)
         res[n] = float(
             np.linalg.norm(s @ (nn @ phi) + 0.25 * phi - kk @ (kk @ phi)) / np.linalg.norm(phi)
@@ -213,7 +196,7 @@ def test_criterion_07_mesh_independence_and_agreement(kite_systems):
           f"iters {iters}, shrink {r1:.0f}x then {r2:.0f}x")
 
 
-def test_criterion_08_well_posedness_evidence(kite_systems):
+def test_criterion_08_well_posedness_evidence(kite_systems, op_cache):
     circle = make_circle(1.0)
     wave = IncidentWave(angle=0.0, k1=4.0)
     smin = {}
@@ -225,27 +208,24 @@ def test_criterion_08_well_posedness_evidence(kite_systems):
 
     kite = make_kite()
     g = grid(128)
-    s_op = assemble_S(kite, g, 4 + 2j)
-    n_op = assemble_N(kite, g, 4 + 2j)
+    ok = op_cache("kite", 128, 4 + 2j)
     rng = np.random.default_rng(42)
     pos_ok = True
     for _ in range(50):
         phi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        pos_ok &= np.imag(quadratic_form(s_op, phi)) > 0
-        pos_ok &= np.imag(quadratic_form(n_op, phi)) > 0
+        pos_ok &= np.imag(quadratic_form(ok.s, kite, g, phi)) > 0
+        pos_ok &= np.imag(quadratic_form(ok.n, kite, g, phi)) > 0
 
     g2 = grid(256)
-    prod = DenseOp(
-        assemble_S(kite, g2, 1j).matrix @ assemble_KT(kite, g2, 1j).matrix,
-        g2, kite, 1j, "SKT",
-    )
-    eye_op = DenseOp(np.eye(256), g2, kite, 1j, "I")
+    o_eps = op_cache("kite", 256, 1j)
+    prod = o_eps.s @ o_eps.kt
     herm_worst = 0.0
     for _ in range(20):
         b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         herm_worst = max(
             herm_worst,
-            abs(np.imag(quadratic_form(prod, b))) / np.real(quadratic_form(eye_op, b)),
+            abs(np.imag(quadratic_form(prod, kite, g2, b)))
+            / np.real(quadratic_form(np.eye(256), kite, g2, b)),
         )
     check(8, "sigma_min stable; Im<S.,.> and Im<N.,.> positive; imaginary-k product self-adjoint",
           stable and pos_ok and herm_worst <= 1e-8,

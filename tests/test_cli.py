@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tscat2d.cli import main
 
 # first zero of J_0: forces an interior Dirichlet pole at mode 0
@@ -60,6 +62,20 @@ def test_invalid_nu_names_field(tmp_path, capsys):
     code = run(["solve", "--nu", -1, "--out", tmp_path / "x"])
     assert code == 2
     assert "nu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kappa", {"re": "8", "im": 4}),
+    ("kappa", {"re": None, "im": 4}),
+    ("kappa", {"re": float("nan"), "im": 4}),
+    ("solver", "lu"),
+])
+def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    code = run(["solve", "--config", cfg, "--out", tmp_path / "x"])
+    assert code == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
 
 
 def test_invalid_config_file_key(tmp_path, capsys):

@@ -13,12 +13,9 @@ from tscat2d.formulations import (
     IncidentWave,
     TransmissionConfig,
     assemble,
-    assemble_classical,
-    assemble_gcsie_composed,
-    assemble_gcsie_explicit,
     combined_source_blocks_explicit,
     incident_traces,
-    regularizer_blocks,
+    smoothed_regularizer,
 )
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set
@@ -35,6 +32,8 @@ def test_config_validation():
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=0.0)
     with pytest.raises(ValueError, match="kappa"):
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, kappa=2.0 + 0.0j)
+    with pytest.raises(ValueError, match="kappa"):
+        TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, kappa=complex(np.nan, 1.0))
     with pytest.raises(ValueError, match="delta"):
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, delta1=1)
     with pytest.raises(ValueError, match="n_nodes"):
@@ -72,24 +71,21 @@ def test_incident_field_satisfies_helmholtz():
         assert abs(lap + wave.k1**2 * u(p)) <= 1e-6 * wave.k1**2
 
 
-def test_regularizer_blocks_unit_contrast():
-    circle = make_circle(1.0)
-    cfg = TransmissionConfig(curve=circle, k1=2.0, k2=3.0, nu=1.0, kappa=2 + 1j, n_nodes=32)
-    g = grid(32)
-    r11, r12, r21, r22 = regularizer_blocks(cfg, g)
-    assert np.allclose(r11.matrix, 0.5 * np.eye(32))
-    assert np.allclose(r22.matrix, 0.5 * np.eye(32))
-    assert r12.tag == "R12" and r21.tag == "R21"
+def test_regularizer_blocks_unit_contrast(op_cache):
+    ok = op_cache("circle", 32, 2 + 1j)
+    r11, r12, r21, r22 = smoothed_regularizer(ok.s, ok.n, 1.0)
+    assert np.allclose(r11 * np.eye(32), 0.5 * np.eye(32))
+    assert np.allclose(r22 * np.eye(32), 0.5 * np.eye(32))
+    assert r12.shape == (32, 32) and r21.shape == (32, 32)
 
 
-def test_regularizer_single_layer_block_symbol():
-    circle = make_circle(1.0)
-    cfg = TransmissionConfig(curve=circle, k1=4.0, k2=8.0, nu=2.0, kappa=4 + 2j, n_nodes=128)
+def test_regularizer_single_layer_block_symbol(op_cache):
     g = grid(128)
-    _, r12, _, _ = regularizer_blocks(cfg, g)
+    ok = op_cache("circle", 128, 4 + 2j)
+    _, r12, _, _ = smoothed_regularizer(ok.s, ok.n, 2.0)
     e = np.exp(8j * g.nodes)
     ref = -(2.0 / 3.0) * analytic.circle_operator_symbol("S", 1.0, 4 + 2j, 8)
-    assert np.abs(r12.matrix @ e - ref * e).max() <= 1e-9
+    assert np.abs(r12 @ e - ref * e).max() <= 1e-9
 
 
 def test_rhs_is_negative_incident_trace():
@@ -97,7 +93,7 @@ def test_rhs_is_negative_incident_trace():
     cfg = TransmissionConfig(curve=circle, k1=2.0, k2=4.0, nu=1.5, n_nodes=32)
     g = grid(32)
     wave = IncidentWave(angle=0.0, k1=2.0)
-    system = assemble_gcsie_composed(cfg, g, wave)
+    system = assemble(cfg, g, wave, "gcsie")
     f, _ = incident_traces(wave, circle, g)
     assert np.allclose(system.rhs[:32], -f)
 
@@ -122,7 +118,7 @@ def test_classical_null_contrast_solution_is_incident_trace():
     cfg = TransmissionConfig(curve=circle, k1=3.0, k2=3.0, nu=1.0, n_nodes=128)
     g = grid(128)
     wave = IncidentWave(angle=0.3, k1=3.0)
-    system = assemble_classical(cfg, g, wave)
+    system = assemble(cfg, g, wave, "classical")
     f, gg = incident_traces(wave, circle, g)
     exact = np.concatenate([f, gg])
     residual = np.linalg.norm(system.matrix @ exact - system.rhs) / np.linalg.norm(system.rhs)
@@ -135,9 +131,9 @@ def test_classical_diagonal_scaling():
     cfg = TransmissionConfig(curve=kite, k1=2.0, k2=4.0, nu=nu, n_nodes=64)
     g = grid(64)
     ops = {complex(k): boundary_operator_set(kite, g, k) for k in (2.0, 4.0)}
-    system = assemble_classical(cfg, g, IncidentWave(0.0, 2.0), ops=ops)
+    system = assemble(cfg, g, IncidentWave(0.0, 2.0), "classical", ops=ops)
     # the identity coefficient of the psi block is (1 + nu)/2 exactly
-    off = system.d22 - (nu * ops[2.0 + 0j].kt.matrix - ops[4.0 + 0j].kt.matrix)
+    off = system.d22 - (nu * ops[2.0 + 0j].kt - ops[4.0 + 0j].kt)
     assert np.allclose(off, 0.5 * (1 + nu) * np.eye(64))
 
 
@@ -148,7 +144,7 @@ def test_explicit_collapse_at_equal_wavenumbers():
     g = grid(64)
     ops = boundary_operator_set(kite, g, 3.0)
     d11, d12, d21, d22 = combined_source_blocks_explicit(ops, ops, ops, 1.0)
-    target = -2.0 * (ops.k.matrix @ ops.s.matrix)
+    target = -2.0 * (ops.k @ ops.s)
     assert np.abs(d12 - target).max() <= 1e-12
 
 
@@ -163,8 +159,8 @@ def test_composed_equals_explicit_on_resolved_content():
         cfg = TransmissionConfig(curve=kite, k1=4.0, k2=6.0, nu=2.0, kappa=4 + 2j, n_nodes=n)
         g = grid(n)
         ops = {complex(k): boundary_operator_set(kite, g, k) for k in (4.0, 6.0, 4 + 2j)}
-        s1 = assemble_gcsie_composed(cfg, g, wave, ops=ops)
-        s2 = assemble_gcsie_explicit(cfg, g, wave, ops=ops)
+        s1 = assemble(cfg, g, wave, "gcsie", ops=ops)
+        s2 = assemble(cfg, g, wave, "gcsie-explicit", ops=ops)
         diff = s1.matrix - s2.matrix
         phi = band_limited_density(n, 16, seed=7)
         x = np.concatenate([phi, phi])
@@ -194,13 +190,31 @@ def test_exact_regularizer_gives_identity_symbol():
         assert np.abs(m - np.eye(2)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("formulation", ["gcsie", "gcsie-explicit"])
+def test_assembled_blocks_match_symbol_matrix(formulation, op_cache):
+    # the block algebra shared with the circle symbols, checked against
+    # the discretised operators acting on single Fourier modes
+    cfg = TransmissionConfig(
+        curve=make_circle(1.0), k1=4.0, k2=8.0, nu=2.0, kappa=4 + 2j, n_nodes=128
+    )
+    g = grid(128)
+    ops = {complex(k): op_cache("circle", 128, k) for k in (4.0, 8.0, 4 + 2j)}
+    system = assemble(cfg, g, IncidentWave(0.0, 4.0), formulation, ops=ops)
+    blocks = {(0, 0): system.d11, (0, 1): system.d12, (1, 0): system.d21, (1, 1): system.d22}
+    for m in (0, 1, 4, 8, 16, 32):
+        e = np.exp(1j * m * g.nodes)
+        sym = analytic.combined_source_symbol_matrix(1.0, 4.0, 8.0, 2.0, 4 + 2j, m)
+        for ij, block in blocks.items():
+            assert np.abs(block @ e - sym[ij] * e).max() <= 1e-9, (m, ij)
+
+
 def test_diagonal_block_norm_estimate_mesh_stable():
     kite = make_kite()
     wave = IncidentWave(0.0, 4.0)
     est = {}
     for n in (128, 256):
         cfg = TransmissionConfig(curve=kite, k1=4.0, k2=6.0, nu=2.0, kappa=4 + 2j, n_nodes=n)
-        system = assemble_gcsie_explicit(cfg, grid(n), wave)
+        system = assemble(cfg, grid(n), wave, "gcsie-explicit")
         est[n] = norm2_estimate(system.d11, shift=1.0)
     assert np.isfinite(est[128])
     assert abs(est[256] - est[128]) <= 0.05 * est[128]

@@ -12,10 +12,7 @@ import pytest
 from tscat2d import analytic, specfun
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import (
-    assemble_K,
-    assemble_KT,
-    assemble_N,
-    assemble_S,
+    boundary_operator_set,
     fourier_coeffs,
     fourier_modes,
     kress_log_weights,
@@ -75,19 +72,17 @@ def test_kress_rule_exact_on_degree_three():
 # ---------------------------------------------------------------------------
 # circle symbols
 # ---------------------------------------------------------------------------
-def test_single_layer_constant_mode():
-    c = make_circle(1.0)
+def test_single_layer_constant_mode(op_cache):
     g = grid(64)
-    s = assemble_S(c, g, 1.0)
-    lam = eigenvalue_on_mode(s.matrix, g.nodes, 0)
+    s = op_cache("circle", 64, 1.0).s
+    lam = eigenvalue_on_mode(s, g.nodes, 0)
     assert abs(lam - S0_K1) < 1e-10 * abs(S0_K1)
 
 
-def test_single_layer_mode_four():
-    c = make_circle(1.0)
+def test_single_layer_mode_four(op_cache):
     g = grid(128)
-    s = assemble_S(c, g, 2.0)
-    lam = eigenvalue_on_mode(s.matrix, g.nodes, 4)
+    s = op_cache("circle", 128, 2.0).s
+    lam = eigenvalue_on_mode(s, g.nodes, 4)
     ref = analytic.circle_operator_symbol("S", 1.0, 2.0, 4)
     assert abs(lam - ref) < 1e-10 * abs(ref)
 
@@ -96,17 +91,16 @@ def test_single_layer_kernel_symmetry():
     # A_ij / |x'(t_j)| is symmetric for the S kernel
     k = make_kite()
     g = grid(96)
-    s = assemble_S(k, g, 2.0, oversample=1)
+    s = boundary_operator_set(k, g, 2.0, oversample=1).s
     jac = k.jacobian(g.nodes)
-    sym = s.matrix / jac[None, :]
+    sym = s / jac[None, :]
     assert np.abs(sym - sym.T).max() < 1e-12
 
 
-def test_double_layer_constant_mode():
-    c = make_circle(1.0)
+def test_double_layer_constant_mode(op_cache):
     g = grid(64)
-    kk = assemble_K(c, g, 1.0)
-    lam = eigenvalue_on_mode(kk.matrix, g.nodes, 0)
+    kk = op_cache("circle", 64, 1.0).k
+    lam = eigenvalue_on_mode(kk, g.nodes, 0)
     assert abs(lam - K0_K1) < 1e-10
 
 
@@ -123,53 +117,46 @@ def test_double_layer_symbol_forms_agree():
         assert abs(a - b) < 1e-12
 
 
-def test_k_and_kt_share_circle_symbols():
-    c = make_circle(1.0)
+def test_k_and_kt_share_circle_symbols(op_cache):
     g = grid(128)
-    kk = assemble_K(c, g, 2.0)
-    kt = assemble_KT(c, g, 2.0)
+    ops = op_cache("circle", 128, 2.0)
     for n in (0, 1, 4, 8):
         e = np.exp(1j * n * g.nodes)
-        assert np.linalg.norm(kk.matrix @ e - kt.matrix @ e) <= 1e-10 * np.linalg.norm(e)
+        assert np.linalg.norm(ops.k @ e - ops.kt @ e) <= 1e-10 * np.linalg.norm(e)
 
 
-def test_hypersingular_mode_two():
-    c = make_circle(1.0)
+def test_hypersingular_mode_two(op_cache):
     g = grid(128)
-    nn = assemble_N(c, g, 1.0)
-    lam = eigenvalue_on_mode(nn.matrix, g.nodes, 2)
+    nn = op_cache("circle", 128, 1.0).n
+    lam = eigenvalue_on_mode(nn, g.nodes, 2)
     assert abs(lam - N2_K1) < 1e-9 * abs(N2_K1)
 
 
-def test_hypersingular_small_wavenumber_constant():
-    c = make_circle(1.0)
+def test_hypersingular_small_wavenumber_constant(op_cache):
     g = grid(128)
-    nn = assemble_N(c, g, 0.1)
-    lam = eigenvalue_on_mode(nn.matrix, g.nodes, 0)
+    nn = op_cache("circle", 128, 0.1).n
+    lam = eigenvalue_on_mode(nn, g.nodes, 0)
     assert abs(lam - N0_K01) < 1e-9
 
 
 @pytest.mark.parametrize("k", [2.0, 4 + 2j])
-@pytest.mark.parametrize("tag,assembler", [
-    ("S", assemble_S), ("K", assemble_K), ("KT", assemble_KT), ("N", assemble_N),
-])
-def test_all_symbols_at_both_wavenumbers(tag, assembler, k):
-    c = make_circle(1.0)
+# the ids predate the operator-set API and are kept so test names stay stable
+@pytest.mark.parametrize("tag", ["S", "K", "KT", "N"], ids=lambda t: f"{t}-assemble_{t}")
+def test_all_symbols_at_both_wavenumbers(tag, k, op_cache):
     g = grid(128)
-    op = assembler(c, g, k)
+    op = getattr(op_cache("circle", 128, k), tag.lower())
     for n in (0, 1, 4, 8, 16):
-        lam = eigenvalue_on_mode(op.matrix, g.nodes, n)
+        lam = eigenvalue_on_mode(op, g.nodes, n)
         ref = analytic.circle_operator_symbol(tag, 1.0, k, n)
         assert abs(lam - ref) <= 1e-9 * max(abs(ref), 1e-3)
 
 
-def test_rotation_invariance_off_mode_leakage():
-    c = make_circle(1.0)
+def test_rotation_invariance_off_mode_leakage(op_cache):
     g = grid(128)
-    op = assemble_N(c, g, 2.0)
+    op = op_cache("circle", 128, 2.0).n
     for n in (0, 5, 16):
         e = np.exp(1j * n * g.nodes)
-        out = fourier_coeffs(op.matrix @ e)
+        out = fourier_coeffs(op @ e)
         modes = fourier_modes(128)
         leak = np.abs(out[modes != n]).max()
         assert leak < 1e-9
@@ -179,32 +166,22 @@ def test_wavenumber_validation():
     c = make_circle(1.0)
     g = grid(16)
     with pytest.raises(ValueError):
-        assemble_S(c, g, 0.0)
+        boundary_operator_set(c, g, 0.0)
     with pytest.raises(ValueError):
-        assemble_K(c, g, 1 - 1j)
-
-
-def test_apply_checks_length():
-    c = make_circle(1.0)
-    g = grid(16)
-    s = assemble_S(c, g, 1.0)
-    with pytest.raises(ValueError):
-        s.apply(np.ones(17))
+        boundary_operator_set(c, g, 1 - 1j)
+    with pytest.raises(ValueError, match="oversample"):
+        boundary_operator_set(c, g, 1.0, oversample=0)
 
 
 # ---------------------------------------------------------------------------
 # Calderon identity and convergence
 # ---------------------------------------------------------------------------
-def test_calderon_identity_on_kite():
+def test_calderon_identity_on_kite(op_cache):
     # || (S N + I/4 - K^2) phi || / ||phi|| for band-limited phi
     kap = 4 + 1j
-    kite = make_kite()
     res = {}
     for n in (256, 512):
-        g = grid(n)
-        s = assemble_S(kite, g, kap).matrix
-        kk = assemble_K(kite, g, kap).matrix
-        nn = assemble_N(kite, g, kap).matrix
+        s, kk, _, nn = op_cache("kite", n, kap)
         phi = band_limited_density(n, 64)
         res[n] = np.linalg.norm(s @ (nn @ phi) + 0.25 * phi - kk @ (kk @ phi)) / np.linalg.norm(phi)
     assert res[256] <= 1e-8
@@ -217,23 +194,20 @@ def test_single_layer_spectral_convergence():
     vals = {}
     for n in (64, 128, 512):
         g = grid(n)
-        s = assemble_S(kite, g, 2.0, oversample=1)
-        vals[n] = (s.matrix @ np.exp(1j * g.nodes))[0]
+        s = boundary_operator_set(kite, g, 2.0, oversample=1).s
+        vals[n] = (s @ np.exp(1j * g.nodes))[0]
     e64 = abs(vals[64] - vals[512])
     e128 = abs(vals[128] - vals[512])
     assert e64 / e128 >= 1e2
 
 
-def test_operator_difference_smoothing_orders():
+def test_operator_difference_smoothing_orders(op_cache):
     # symbols of S_{k1} - S_{k2} and N_{k1} - N_{k2} measured on the
     # assembled matrices: fitted log-log slopes -3 and -1
-    c = make_circle(1.0)
     g = grid(160)
     k1, k2 = 2.0, 3 + 1j
-    mats = {
-        "S": (assemble_S(c, g, k1).matrix, assemble_S(c, g, k2).matrix),
-        "N": (assemble_N(c, g, k1).matrix, assemble_N(c, g, k2).matrix),
-    }
+    o1, o2 = op_cache("circle", 160, k1), op_cache("circle", 160, k2)
+    mats = {"S": (o1.s, o2.s), "N": (o1.n, o2.n)}
     ns = np.arange(16, 65)
     for tag, target in (("S", -3.0), ("N", -1.0)):
         a, b = mats[tag]
@@ -245,15 +219,11 @@ def test_operator_difference_smoothing_orders():
         assert slope <= target + 0.3
 
 
-def test_mapping_order_slopes():
+def test_mapping_order_slopes(op_cache):
     # |S_n| ~ 1/(2n), |N_n| ~ n/2, |K_n| = O(n^-3) at real k
-    c = make_circle(1.0)
     g = grid(160)
-    ops = {
-        "S": assemble_S(c, g, 2.0).matrix,
-        "K": assemble_K(c, g, 2.0).matrix,
-        "N": assemble_N(c, g, 2.0).matrix,
-    }
+    o = op_cache("circle", 160, 2.0)
+    ops = {"S": o.s, "K": o.k, "N": o.n}
     ns = np.arange(16, 65)
     for tag, target in (("S", -1.0), ("K", -3.0), ("N", 1.0)):
         mags = []

@@ -11,7 +11,7 @@ import pytest
 from tscat2d import analytic
 from tscat2d.formulations import IncidentWave, TransmissionConfig, assemble, incident_traces
 from tscat2d.geometry import grid, make_circle, make_kite
-from tscat2d.operators import DenseOp, assemble_KT, assemble_N, assemble_S, boundary_operator_set
+from tscat2d.operators import boundary_operator_set
 from tscat2d.postprocess import (
     FarField,
     far_field,
@@ -145,57 +145,53 @@ def test_solution_satisfies_transmission_conditions(circle_solution):
     ops = {k: boundary_operator_set(curve, g, k) for k in (cfg.k1, cfg.k2, cfg.kappa)}
     ok = ops[cfg.kappa]
     c = 1.0 + cfg.nu
-    dl = cfg.nu / c * a - 2.0 / c * (ok.s.matrix @ b)
-    sl = 2.0 * cfg.nu / c * (ok.n.matrix @ a) + b / c
+    dl = cfg.nu / c * a - 2.0 / c * (ok.s @ b)
+    sl = 2.0 * cfg.nu / c * (ok.n @ a) + b / c
     o1, o2 = ops[cfg.k1], ops[cfg.k2]
     eye = np.eye(g.n)
     # exterior traces of u1 = DL1(dl) - SL1(sl)
-    u1_d = (0.5 * eye + o1.k.matrix) @ dl - o1.s.matrix @ sl
-    u1_n = o1.n.matrix @ dl - (-0.5 * eye + o1.kt.matrix) @ sl
+    u1_d = (0.5 * eye + o1.k) @ dl - o1.s @ sl
+    u1_n = o1.n @ dl - (-0.5 * eye + o1.kt) @ sl
     # interior traces of u2 = -DL2(dl - a) + SL2(sl - b)/nu
-    u2_d = -(-0.5 * eye + o2.k.matrix) @ (dl - a) + o2.s.matrix @ (sl - b) / cfg.nu
-    u2_n = -o2.n.matrix @ (dl - a) + (0.5 * eye + o2.kt.matrix) @ (sl - b) / cfg.nu
+    u2_d = -(-0.5 * eye + o2.k) @ (dl - a) + o2.s @ (sl - b) / cfg.nu
+    u2_n = -o2.n @ (dl - a) + (0.5 * eye + o2.kt) @ (sl - b) / cfg.nu
     f, gg = incident_traces(wave, curve, g)
     assert np.abs(u1_d + f - u2_d).max() <= 1e-8
     assert np.abs(u1_n + gg - cfg.nu * u2_n).max() <= 1e-8
 
 
-def test_quadratic_form_positivity():
+def test_quadratic_form_positivity(kite, op_cache):
     # Im <S_kappa phi, phi> > 0 and Im <N_kappa psi, psi> > 0 for complex
     # kappa in the first quadrant
-    kite = make_kite()
     g = grid(128)
-    s = assemble_S(kite, g, 4 + 2j)
-    n = assemble_N(kite, g, 4 + 2j)
+    ops = op_cache("kite", 128, 4 + 2j)
     rng = np.random.default_rng(42)
     for _ in range(50):
         phi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        assert np.imag(quadratic_form(s, phi)) > 0
-        assert np.imag(quadratic_form(n, phi)) > 0
+        assert np.imag(quadratic_form(ops.s, kite, g, phi)) > 0
+        assert np.imag(quadratic_form(ops.n, kite, g, phi)) > 0
 
 
-def test_imaginary_wavenumber_product_is_self_adjoint():
+def test_imaginary_wavenumber_product_is_self_adjoint(kite, op_cache):
     # S_{i eps} K^T_{i eps} is real and self-adjoint, so the quadratic
     # form has no imaginary part (up to quadrature error)
-    kite = make_kite()
     g = grid(256)
-    s = assemble_S(kite, g, 1j)
-    kt = assemble_KT(kite, g, 1j)
-    prod = DenseOp(s.matrix @ kt.matrix, g, kite, 1j, "SKT")
-    norm_op = DenseOp(np.eye(256), g, kite, 1j, "I")
+    ops = op_cache("kite", 256, 1j)
+    prod = ops.s @ ops.kt
     rng = np.random.default_rng(7)
     for _ in range(20):
         b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        q = np.imag(quadratic_form(prod, b))
-        nb = np.real(quadratic_form(norm_op, b))
+        q = np.imag(quadratic_form(prod, kite, g, b))
+        nb = np.real(quadratic_form(np.eye(256), kite, g, b))
         assert abs(q) <= 1e-8 * nb
 
 
 def test_quadratic_form_grid_mismatch():
     kite = make_kite()
-    s = assemble_S(kite, grid(64), 2.0)
+    g = grid(64)
+    s = boundary_operator_set(kite, g, 2.0).s
     with pytest.raises(ValueError, match="grid"):
-        quadratic_form(s, np.ones(32))
+        quadratic_form(s, kite, g, np.ones(32))
 
 
 def test_single_layer_potential_matches_circle_series():
