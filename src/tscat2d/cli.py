@@ -133,11 +133,13 @@ def validate_config(cfg: dict):
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:
         raise ConfigError("solver.tol", f"must lie in (0, 1), got {tol!r}")
     maxit = sv.get("maxit")
-    if maxit is not None and (not isinstance(maxit, int) or maxit < 1):
-        raise ConfigError("solver.maxit", f"must be a positive integer, got {maxit!r}")
+    if maxit is not None and (not isinstance(maxit, int) or not 1 <= maxit <= 4 * n):
+        # GMRES allows at most twice the 2N unknowns
+        raise ConfigError("solver.maxit", f"must be an integer in [1, {4 * n}], got {maxit!r}")
 
-    if not isinstance(cfg.get("angle"), (int, float)):
-        raise ConfigError("angle", "must be a number")
+    angle = cfg.get("angle")
+    if not isinstance(angle, (int, float)) or not np.isfinite(angle):
+        raise ConfigError("angle", f"must be a finite number, got {angle!r}")
     if not isinstance(cfg.get("farfield_angles"), int) or cfg["farfield_angles"] < 1:
         raise ConfigError("farfield_angles", "must be a positive integer")
     if not isinstance(cfg.get("seed"), int):

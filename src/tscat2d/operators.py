@@ -8,13 +8,17 @@ parameter grid.  The weakly singular kernels are split as
 
 with M1, M2 smooth, and integrated with the global trigonometric
 (Martensen-Kussmaul) rule: weights R_j for the log factor, the plain
-trapezoid weight 2*pi/N for the smooth part.  The hypersingular operator
-is assembled from its tangential-derivative form
+trapezoid weight 2*pi/N for the smooth part.  One rule, for kernels
+(i/4) H_m(k r) * g(t, tau) with m = 0 or 1, builds S, K and both S-type
+parts of N.  The hypersingular operator is assembled from its
+tangential-derivative form
 
     N = k^2 * B + (1/|x'|) d/dt o A o d/dtau,
 
 where B is the S-type quadrature of the kernel with the n(t).n(tau)
 factor and A the S-type quadrature without the arc-length Jacobian.
+KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
+kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -22,7 +26,8 @@ compressed back to the requested nodes by trigonometric interpolation
 densities resolved by the grid but degrades on the last few modes below
 the Nyquist frequency; the refined rule keeps every representable mode
 uniformly accurate, which matters once operators are composed into
-products.  ``oversample=1`` selects the plain same-grid rule.
+products.  ``oversample=1`` gives the plain same-grid rule through the
+same path, with the identity as prolongation.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -91,62 +96,41 @@ class _KernelData:
             4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt)
         )
         z = k * r
-        self.h0 = specfun.hankel1(0, z)
-        self.j0 = specfun.bessel_j(0, z)
-        self.h1 = specfun.hankel1(1, z)
-        self.j1 = specfun.bessel_j(1, z)
+        self.h = [specfun.hankel1(m, z) for m in (0, 1)]
+        self.j = [specfun.bessel_j(m, z) for m in (0, 1)]
         rj = kress_log_weights(grid.n // 2)
         idx = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) % grid.n
         self.log_weights = rj[idx]
         self.trapz = grid.weight
 
 
-def _s_type_matrix(data: _KernelData, factor, factor_diag) -> np.ndarray:
-    """Rule for the kernel (i/4) H_0(k r) * factor(t, tau)."""
-    m_full = _QUARTER_I * data.h0 * factor
-    m1 = -_INV_4PI * data.j0 * factor
-    m2 = m_full - m1 * data.logsin
-    np.fill_diagonal(m1, -_INV_4PI * np.broadcast_to(factor_diag, (data.grid.n,)))
-    np.fill_diagonal(
-        m2,
-        (
-            _QUARTER_I
-            - specfun.EULER_GAMMA / (2.0 * np.pi)
-            - np.log(data.k * data.jac / 2.0) / (2.0 * np.pi)
-        )
-        * factor_diag,
-    )
+def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag) -> np.ndarray:
+    """Log-split rule for the kernel (i/4) H_order(k r) * g(t, tau).
+
+    M1 = -(1/4pi) J_order(k r) g and M2 = full - M1 log(4 sin^2((t - tau)/2)),
+    with the diagonals of M1 and M2 set to the given analytic limits.
+    """
+    m1 = -_INV_4PI * data.j[order] * g
+    m2 = _QUARTER_I * data.h[order] * g - m1 * data.logsin
+    np.fill_diagonal(m1, m1_diag)
+    np.fill_diagonal(m2, m2_diag)
     return data.log_weights * m1 + data.trapz * m2
 
 
-def _double_layer_diag(data: _KernelData) -> np.ndarray:
-    # smooth diagonal limit of the K and KT kernels:
-    # (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
-    d, dd = data.d, data.dd
-    return (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / data.jac**2
+def _s_type_matrix(data: _KernelData, g, g_diag) -> np.ndarray:
+    """Rule for (i/4) H_0(k r) * g: the r -> 0 limits of J_0 and of H_0 - J_0 log."""
+    log_term = np.log(data.k * data.jac / 2.0) / (2.0 * np.pi)
+    h0_limit = _QUARTER_I - specfun.EULER_GAMMA / (2.0 * np.pi) - log_term
+    return _kress_rule(data, 0, g, -_INV_4PI * g_diag, h0_limit * g_diag)
 
 
 def _k_matrix(data: _KernelData) -> np.ndarray:
-    # kernel (i k / 4) H_1(k r) (x(t) - x(tau)) . n(tau) |x'(tau)| / r
-    dot = data.diff[..., 0] * data.d[None, :, 1] - data.diff[..., 1] * data.d[None, :, 0]
-    full = _QUARTER_I * data.k * data.h1 * dot / data.r
-    m1 = -data.k * _INV_4PI * data.j1 * dot / data.r
-    m2 = full - m1 * data.logsin
-    np.fill_diagonal(m1, 0.0)
-    np.fill_diagonal(m2, _double_layer_diag(data))
-    return data.log_weights * m1 + data.trapz * m2
-
-
-def _kt_matrix(data: _KernelData) -> np.ndarray:
-    # kernel -(i k / 4) H_1(k r) (x(t) - x(tau)) . n(t) |x'(tau)| / r
-    dot = data.diff[..., 0] * data.d[:, None, 1] - data.diff[..., 1] * data.d[:, None, 0]
-    scale = data.jac[None, :] / data.jac[:, None]
-    full = -_QUARTER_I * data.k * data.h1 * dot / data.r * scale
-    m1 = data.k * _INV_4PI * data.j1 * dot / data.r * scale
-    m2 = full - m1 * data.logsin
-    np.fill_diagonal(m1, 0.0)
-    np.fill_diagonal(m2, _double_layer_diag(data))
-    return data.log_weights * m1 + data.trapz * m2
+    # kernel (i/4) H_1(k r) * k (x(t) - x(tau)) . nu(tau) / r with nu = n |x'|;
+    # smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
+    d, dd = data.d, data.dd
+    dot = data.diff[..., 0] * d[None, :, 1] - data.diff[..., 1] * d[None, :, 0]
+    diag = (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / data.jac**2
+    return _kress_rule(data, 1, data.k * dot / data.r, 0.0, diag)
 
 
 def _n_matrix(data: _KernelData) -> np.ndarray:
@@ -155,10 +139,6 @@ def _n_matrix(data: _KernelData) -> np.ndarray:
     a = _s_type_matrix(data, 1.0, 1.0)
     dmat = spectral_derivative_matrix(data.grid.n)
     return data.k**2 * b + (dmat @ a @ dmat) / data.jac[:, None]
-
-
-def _s_matrix(data: _KernelData) -> np.ndarray:
-    return _s_type_matrix(data, data.jac[None, :], data.jac)
 
 
 def prolongation_matrix(n: int, factor: int) -> np.ndarray:
@@ -184,10 +164,6 @@ def prolongation_matrix(n: int, factor: int) -> np.ndarray:
     return np.real(np.fft.ifft(spec, axis=0)) * factor
 
 
-def _compress(mat: np.ndarray, prolong: np.ndarray, factor: int) -> np.ndarray:
-    return (mat @ prolong)[::factor, :]
-
-
 class BoundaryOperators(NamedTuple):
     """Nystrom matrices of S, K, KT and N for one wavenumber on one grid.
 
@@ -207,17 +183,21 @@ class BoundaryOperators(NamedTuple):
 def boundary_operator_set(
     curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE
 ) -> BoundaryOperators:
-    """Assemble S, K, KT and N for one wavenumber, sharing the kernel data."""
+    """Assemble S, K, KT and N for one wavenumber, sharing the kernel data.
+
+    Each fine-grid matrix is compressed to its every oversample-th row times
+    the trigonometric prolongation.
+    """
     k = _check_wavenumber(k)
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
-    fine = grid if oversample == 1 else make_grid(oversample * grid.n)
-    data = _KernelData(curve, fine, k)
-    mats = [_s_matrix(data), _k_matrix(data), _kt_matrix(data), _n_matrix(data)]
-    if oversample > 1:
-        p = prolongation_matrix(grid.n, oversample)
-        mats = [_compress(m, p, oversample) for m in mats]
-    return BoundaryOperators(*mats)
+    data = _KernelData(curve, make_grid(oversample * grid.n), k)
+    k_fine = _k_matrix(data)
+    # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
+    kt_fine = k_fine.T * data.jac[None, :] / data.jac[:, None]
+    p = prolongation_matrix(grid.n, oversample)
+    mats = (_s_type_matrix(data, data.jac[None, :], data.jac), k_fine, kt_fine, _n_matrix(data))
+    return BoundaryOperators(*(m[::oversample] @ p for m in mats))
 
 
 def spectral_derivative_matrix(n: int) -> np.ndarray:

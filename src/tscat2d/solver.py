@@ -28,6 +28,14 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _lu_factor(a: np.ndarray):
+    """Partial-pivoting LU factors of A; a vanishing pivot raises LinAlgError."""
+    lu, piv = sla.lu_factor(a)
+    if np.min(np.abs(np.diag(lu))) < 1e-300:
+        raise np.linalg.LinAlgError("matrix numerically singular (vanishing pivot)")
+    return lu, piv
+
+
 def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     """Direct solve via partial-pivoting LU factorization."""
     a = np.asarray(a)
@@ -37,10 +45,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.shape[0] > 4096:
         raise ValueError(f"dense direct solve capped at 4096 unknowns, got {a.shape[0]}")
     t0 = time.perf_counter()
-    lu, piv = sla.lu_factor(a)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
-        raise np.linalg.LinAlgError("matrix numerically singular (vanishing pivot)")
-    x = sla.lu_solve((lu, piv), b)
+    x = sla.lu_solve(_lu_factor(a), b)
     elapsed = time.perf_counter() - t0
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
@@ -173,15 +178,13 @@ def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     """
     a = np.asarray(a)
     n = a.shape[0]
-    lu, piv = sla.lu_factor(a)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
-        raise np.linalg.LinAlgError("matrix numerically singular (vanishing pivot)")
+    factors = _lu_factor(a)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(200):
-        w = sla.lu_solve((lu, piv), sla.lu_solve((lu, piv), v, trans=2))
+        w = sla.lu_solve(factors, sla.lu_solve(factors, v, trans=2))
         norm = np.linalg.norm(w)
         new_lam = norm
         v = w / norm

@@ -69,6 +69,9 @@ def test_invalid_nu_names_field(tmp_path, capsys):
     ("kappa", {"re": None, "im": 4}),
     ("kappa", {"re": float("nan"), "im": 4}),
     ("solver", "lu"),
+    ("angle", float("nan")),
+    ("angle", float("inf")),
+    ("angle", "0"),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
@@ -76,6 +79,23 @@ def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
     code = run(["solve", "--config", cfg, "--out", tmp_path / "x"])
     assert code == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_nan_angle_flag_is_config_error(tmp_path, capsys):
+    code = run(["solve", "--angle", "nan", "--N", 16, "--out", tmp_path / "x"])
+    assert code == 2
+    assert "config error: angle: " in capsys.readouterr().err
+
+
+def test_maxit_above_gmres_limit_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 32, "solver": {"type": "gmres", "maxit": 1000}}))
+    code = run(["solve", "--config", cfg, "--out", tmp_path / "x"])
+    assert code == 2
+    assert "config error: solver.maxit: " in capsys.readouterr().err
+    # 4N = 128 is the largest accepted value
+    cfg.write_text(json.dumps({"N": 32, "solver": {"type": "gmres", "maxit": 128}}))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "y"]) == 0
 
 
 def test_invalid_config_file_key(tmp_path, capsys):

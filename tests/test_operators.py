@@ -16,6 +16,7 @@ from tscat2d.operators import (
     fourier_coeffs,
     fourier_modes,
     kress_log_weights,
+    prolongation_matrix,
     spectral_derivative,
     spectral_derivative_matrix,
 )
@@ -123,6 +124,38 @@ def test_k_and_kt_share_circle_symbols(op_cache):
     for n in (0, 1, 4, 8):
         e = np.exp(1j * n * g.nodes)
         assert np.linalg.norm(ops.k @ e - ops.kt @ e) <= 1e-10 * np.linalg.norm(e)
+
+
+def target_normal_kt(curve, n, k, oversample):
+    """KT assembled directly from its kernel -(ik/4) H_1(kr) (x(t)-x(tau)).n(t) |x'(tau)|/r."""
+    fine = grid(oversample * n)
+    t = fine.nodes
+    pos, d, dd, jac = curve.x(t), curve.dx(t), curve.ddx(t), curve.jacobian(t)
+    diff = pos[:, None, :] - pos[None, :, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)
+    off = ~np.eye(fine.n, dtype=bool)
+    dt = t[:, None] - t[None, :]
+    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=off, out=np.zeros_like(dt))
+    g = (diff[..., 0] * d[:, None, 1] - diff[..., 1] * d[:, None, 0]) / r
+    g *= jac[None, :] / jac[:, None]
+    m1 = k / (4 * np.pi) * specfun.bessel_j(1, k * r) * g
+    m2 = -0.25j * k * specfun.hankel1(1, k * r) * g - m1 * logsin
+    np.fill_diagonal(m1, 0.0)
+    np.fill_diagonal(m2, (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) / (4 * np.pi * jac**2))
+    idx = (np.arange(fine.n)[:, None] - np.arange(fine.n)[None, :]) % fine.n
+    mat = kress_log_weights(fine.n // 2)[idx] * m1 + fine.weight * m2
+    return (mat @ prolongation_matrix(n, oversample))[::oversample]
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("k,tol", [(2.0, 1e-13), (4 + 2j, 1e-11)])
+def test_kt_matches_target_normal_kernel_on_kite(k, tol, oversample):
+    # KT comes from K by the adjoint identity; check it against its own kernel
+    kite = make_kite()
+    kt = boundary_operator_set(kite, grid(96), k, oversample=oversample).kt
+    ref = target_normal_kt(kite, 96, k, oversample)
+    assert np.abs(kt - ref).max() <= tol * np.abs(ref).max()
 
 
 def test_hypersingular_mode_two(op_cache):
