@@ -19,6 +19,7 @@ from .analytic import (
 )
 from .formulations import (
     BlockSystem,
+    ConfigError,
     IncidentWave,
     TransmissionConfig,
     assemble,

@@ -19,15 +19,17 @@ import numpy as np
 from . import analytic
 from .formulations import (
     FORMULATIONS,
+    ConfigError,
     IncidentWave,
     TransmissionConfig,
     assemble,
     operator_sets,
 )
-from .geometry import grid, make_curve
+from .geometry import grid, is_finite_real, is_integer, make_curve
 from .operators import fourier_modes
 from .postprocess import far_field
 from .solver import gmres, lu_solve, norm2_estimate, sigma_min_estimate
+from .specfun import SpecialFunctionError
 
 DEFAULT_CONFIG = {
     "curve": {"kind": "circle", "radius": 1.0},
@@ -44,14 +46,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "out": "out",
 }
-
-
-class ConfigError(ValueError):
-    """Configuration violates the schema; carries the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 def _fmt(x: float) -> str:
@@ -89,73 +83,54 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict):
-    """Build the physics objects, reporting violations with field paths."""
+def validate_config(cfg: dict) -> TransmissionConfig:
+    """TransmissionConfig from the JSON values (it checks them), then the CLI-only fields."""
     curve_spec = cfg.get("curve")
     if not isinstance(curve_spec, dict) or "kind" not in curve_spec:
         raise ConfigError("curve", "must be an object with a 'kind' field")
-    kind = curve_spec["kind"]
     params = {k: v for k, v in curve_spec.items() if k != "kind"}
     try:
-        curve = make_curve(kind, **params)
+        curve = make_curve(curve_spec["kind"], **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError("curve", str(exc)) from exc
-
-    for name in ("k1", "k2", "nu"):
-        v = cfg.get(name)
-        if not isinstance(v, (int, float)) or not np.isfinite(v) or v <= 0:
-            raise ConfigError(name, f"must be a positive number, got {v!r}")
 
     kappa = cfg.get("kappa")
     if kappa is not None:
         if not isinstance(kappa, dict) or set(kappa) - {"re", "im"}:
             raise ConfigError("kappa", "must be an object with fields 're' and 'im'")
         parts = [kappa.get(part, 0.0) for part in ("re", "im")]
-        if not all(isinstance(v, (int, float)) for v in parts):
-            raise ConfigError("kappa", f"'re' and 'im' must be numbers, got {kappa!r}")
+        if not all(is_finite_real(v) for v in parts):
+            raise ConfigError("kappa", f"'re' and 'im' must be finite numbers, got {kappa!r}")
         kappa = complex(*parts)
-
-    n = cfg.get("N")
-    if not isinstance(n, int) or n % 2 != 0 or n < 4:
-        raise ConfigError("N", f"must be an even integer >= 4, got {n!r}")
+    try:
+        tcfg = TransmissionConfig(
+            curve=curve, k1=cfg.get("k1"), k2=cfg.get("k2"), nu=cfg.get("nu"),
+            kappa=kappa, n_nodes=cfg.get("N"),
+        )
+    except ConfigError as exc:
+        raise ConfigError("N" if exc.path == "n_nodes" else exc.path, exc.message) from exc
 
     if cfg.get("formulation") not in FORMULATIONS:
         raise ConfigError(
             "formulation", f"must be one of {FORMULATIONS}, got {cfg.get('formulation')!r}"
         )
-
     sv = cfg.get("solver", {})
     if not isinstance(sv, dict):
         raise ConfigError("solver", f"must be an object, got {sv!r}")
     if sv.get("type") not in ("gmres", "lu"):
         raise ConfigError("solver.type", f"must be 'gmres' or 'lu', got {sv.get('type')!r}")
     tol = sv.get("tol")
-    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
+    if not (is_finite_real(tol) and 0 < tol < 1):
         raise ConfigError("solver.tol", f"must lie in (0, 1), got {tol!r}")
-    maxit = sv.get("maxit")
-    if maxit is not None and (not isinstance(maxit, int) or not 1 <= maxit <= 4 * n):
-        # GMRES allows at most twice the 2N unknowns
-        raise ConfigError("solver.maxit", f"must be an integer in [1, {4 * n}], got {maxit!r}")
-
-    angle = cfg.get("angle")
-    if not isinstance(angle, (int, float)) or not np.isfinite(angle):
-        raise ConfigError("angle", f"must be a finite number, got {angle!r}")
-    if not isinstance(cfg.get("farfield_angles"), int) or cfg["farfield_angles"] < 1:
+    maxit, limit = sv.get("maxit"), 4 * tcfg.n_nodes  # GMRES: twice the 2N unknowns
+    if maxit is not None and not (is_integer(maxit) and 1 <= maxit <= limit):
+        raise ConfigError("solver.maxit", f"must be an integer in [1, {limit}], got {maxit!r}")
+    if not is_finite_real(cfg.get("angle")):
+        raise ConfigError("angle", f"must be a finite number, got {cfg.get('angle')!r}")
+    if not (is_integer(cfg.get("farfield_angles")) and cfg["farfield_angles"] >= 1):
         raise ConfigError("farfield_angles", "must be a positive integer")
-    if not isinstance(cfg.get("seed"), int):
+    if not is_integer(cfg.get("seed")):
         raise ConfigError("seed", "must be an integer")
-
-    try:
-        tcfg = TransmissionConfig(
-            curve=curve,
-            k1=float(cfg["k1"]),
-            k2=float(cfg["k2"]),
-            nu=float(cfg["nu"]),
-            kappa=kappa,
-            n_nodes=int(cfg["N"]),
-        )
-    except ValueError as exc:
-        raise ConfigError("kappa", str(exc)) from exc
     return tcfg
 
 
@@ -233,8 +208,8 @@ def run_solve(cfg: dict) -> int:
 
 
 def run_convergence(cfg: dict, n_list: list[int]) -> int:
-    if sorted(n_list) != n_list or any(n % 2 for n in n_list):
-        raise ConfigError("N-list", "sizes must be ascending and even")
+    if not n_list or sorted(n_list) != n_list or any(n % 2 for n in n_list):
+        raise ConfigError("N-list", f"need a non-empty ascending list of even sizes, got {n_list}")
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     wave_angle = float(cfg["angle"])
@@ -348,6 +323,9 @@ def run_symbols(cfg: dict, n_min: int, n_max: int) -> int:
             row["pole_flag"] = 1
             rows.append(row)
             continue
+        except (SpecialFunctionError, ValueError) as exc:
+            # past the order or overflow range of the cylinder functions
+            raise ConfigError("n-range", f"mode {n} cannot be evaluated: {exc}") from exc
         for tag, e, a in zip(("r11", "r12", "r21", "r22"), exact, approx):
             row[f"{tag}_exact_re"] = e.real
             row[f"{tag}_exact_im"] = e.imag

@@ -25,24 +25,35 @@ Right-hand sides come from incident plane-wave traces.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import Curve, NodeGrid
+from .geometry import Curve, NodeGrid, is_finite_real, is_integer
 from .operators import BoundaryOperators, boundary_operator_set
 
 FORMULATIONS = ("gcsie", "gcsie-explicit", "classical")
+
+
+class ConfigError(ValueError):
+    """An input violates its field's type or range; carries the field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
 class TransmissionConfig:
     """Physical and discretization data of one transmission solve.
 
-    delta1/delta2 select optional correction terms of the generic
-    regularizer family; only the smoothed two-dimensional choice
-    delta1 = delta2 = 0 is implemented here.
+    Every field is checked here, for type and value, and nowhere else; a
+    violation raises ConfigError with the field name as its path.  kappa
+    defaults to k1 + i k1/2.
     """
 
     curve: Curve
@@ -51,26 +62,23 @@ class TransmissionConfig:
     nu: float
     kappa: complex | None = None
     n_nodes: int = 128
-    delta1: int = 0
-    delta2: int = 0
 
     def __post_init__(self):
         for name in ("k1", "k2", "nu"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", complex(self.k1, 0.5 * self.k1))
-        kap = complex(self.kappa)
-        object.__setattr__(self, "kappa", kap)
-        if not np.isfinite(kap) or kap.real < 0 or kap.imag <= 0:
-            raise ValueError(
-                f"kappa must be finite with Re kappa >= 0 and Im kappa > 0, got {kap}"
-            )
-        if self.delta1 != 0 or self.delta2 != 0:
-            raise ValueError("only delta1 = delta2 = 0 is supported")
-        if self.n_nodes % 2 != 0 or self.n_nodes < 4:
-            raise ValueError(f"n_nodes must be even and >= 4, got {self.n_nodes}")
+            if not (is_finite_real(v) and v > 0):
+                raise ConfigError(name, f"must be a finite positive number, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        kap = complex(self.k1, 0.5 * self.k1) if self.kappa is None else self.kappa
+        if isinstance(kap, bool) or not isinstance(kap, numbers.Complex) or not cmath.isfinite(kap):
+            raise ConfigError("kappa", f"must be a finite number, got {kap!r}")
+        if kap.real < 0 or kap.imag <= 0:
+            raise ConfigError("kappa", f"must have Re kappa >= 0 and Im kappa > 0, got {kap!r}")
+        object.__setattr__(self, "kappa", complex(kap))
+        n = self.n_nodes
+        if not (is_integer(n) and n % 2 == 0 and n >= 4):
+            raise ConfigError("n_nodes", f"must be an even integer >= 4, got {n!r}")
+        object.__setattr__(self, "n_nodes", int(n))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,24 @@ the unbounded exterior domain.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 Vec2Fun = Callable[[np.ndarray], np.ndarray]
+
+
+def is_finite_real(v) -> bool:
+    """True for a finite real number; bools are rejected although Python counts them as ints."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def is_integer(v) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +87,8 @@ def grid(n: int) -> NodeGrid:
 
 def make_circle(radius: float) -> Curve:
     """Circle of given radius centered at the origin."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (is_finite_real(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite positive number, got {radius!r}")
     r = float(radius)
 
     def x(t):
@@ -95,8 +107,8 @@ def make_circle(radius: float) -> Curve:
 
 def make_ellipse(a: float, b: float) -> Curve:
     """Axis-aligned ellipse (a cos t, b sin t)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
+    if not all(is_finite_real(v) and v > 0 for v in (a, b)):
+        raise ValueError(f"semi-axes must be finite positive numbers, got a={a!r}, b={b!r}")
     a, b = float(a), float(b)
 
     def x(t):

@@ -9,7 +9,7 @@ formulations are designed to produce.  No preconditioning anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -25,7 +25,6 @@ class SolveReport:
     residuals: list[float]
     wall_time: float
     converged: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _lu_factor(a: np.ndarray):

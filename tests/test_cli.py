@@ -64,18 +64,30 @@ def test_invalid_nu_names_field(tmp_path, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+NUMERIC_FIELDS = (
+    "k1", "k2", "nu", "N", "solver.tol", "solver.maxit", "angle", "farfield_angles", "seed",
+)
+
+
 @pytest.mark.parametrize("field,value", [
     ("kappa", {"re": "8", "im": 4}),
     ("kappa", {"re": None, "im": 4}),
     ("kappa", {"re": float("nan"), "im": 4}),
+    ("kappa", {"re": True, "im": 4}),
     ("solver", "lu"),
     ("angle", float("nan")),
     ("angle", float("inf")),
     ("angle", "0"),
-])
+    ("curve", {"kind": "circle", "radius": float("nan")}),
+    ("curve", {"kind": "circle", "radius": float("inf")}),
+    ("curve", {"kind": "circle", "radius": True}),
+    ("curve", {"kind": "ellipse", "a": float("nan"), "b": 1.0}),
+] + [(name, bad) for name in NUMERIC_FIELDS for bad in (True, "8")])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
+    # a dotted field is nested: "solver.tol" -> {"solver": {"tol": value}}
+    top, _, sub = field.partition(".")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({field: value}))
+    cfg.write_text(json.dumps({top: {sub: value} if sub else value}))
     code = run(["solve", "--config", cfg, "--out", tmp_path / "x"])
     assert code == 2
     assert f"config error: {field}: " in capsys.readouterr().err
@@ -202,6 +214,12 @@ def test_convergence_rejects_bad_list(tmp_path, capsys):
     assert "N-list" in capsys.readouterr().err
     code = run(["convergence", "--N-list", "31,64", "--out", tmp_path / "y"])
     assert code == 2
+    # an empty list used to end in an IndexError on the kite and an empty CSV on the circle
+    for extra in ([], ["--config", _kite_config(tmp_path)]):
+        code = run(["convergence", *extra, "--N-list", ",", "--out", tmp_path / "z"])
+        assert code == 2
+        assert "config error: N-list: " in capsys.readouterr().err
+    assert not (tmp_path / "z" / "convergence.csv").exists()
 
 
 def test_symbols_csv_schema_and_slopes(tmp_path):
@@ -240,6 +258,15 @@ def test_symbols_flags_interior_pole(tmp_path):
     assert flagged[0]["r11_diff"] == ""  # flagged row carries no values
     clean = [r for r in rows if r["pole_flag"] == "0"]
     assert all(r["r11_diff"] != "" for r in clean)
+
+
+@pytest.mark.parametrize("n_max", [199, 250])
+def test_symbols_past_overflow_range_is_config_error(tmp_path, capsys, n_max):
+    # with the default config H_196(4) overflows, so mode 195 is the first that fails
+    out = tmp_path / "sym"
+    assert run(["symbols", "--n-max", n_max, "--out", out]) == 2
+    assert "config error: n-range: mode 195 " in capsys.readouterr().err
+    assert not (out / "symbols.csv").exists()
 
 
 def test_symbols_requires_circle(tmp_path, capsys):

@@ -34,10 +34,17 @@ def test_config_validation():
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, kappa=2.0 + 0.0j)
     with pytest.raises(ValueError, match="kappa"):
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, kappa=complex(np.nan, 1.0))
-    with pytest.raises(ValueError, match="delta"):
-        TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, delta1=1)
     with pytest.raises(ValueError, match="n_nodes"):
         TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, n_nodes=33)
+    # types: a string, a bool or a float grid size is rejected, not coerced
+    with pytest.raises(ValueError, match="k1"):
+        TransmissionConfig(curve=kite, k1="8", k2=2.0, nu=1.0)
+    with pytest.raises(ValueError, match="k1"):
+        TransmissionConfig(curve=kite, k1=True, k2=2.0, nu=1.0)
+    with pytest.raises(ValueError, match="n_nodes"):
+        TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, n_nodes=64.0)
+    with pytest.raises(ValueError, match="kappa"):
+        TransmissionConfig(curve=kite, k1=1.0, k2=2.0, nu=1.0, kappa="1+1j")
 
 
 def test_default_kappa():

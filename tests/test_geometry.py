@@ -30,10 +30,9 @@ def test_circle_outward_normal():
 
 
 def test_circle_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        make_circle(0.0)
-    with pytest.raises(ValueError):
-        make_circle(-1.0)
+    for radius in (0.0, -1.0, float("nan"), float("inf"), True, "1"):
+        with pytest.raises(ValueError, match="radius"):
+            make_circle(radius)
 
 
 def test_kite_endpoints():
@@ -65,10 +64,9 @@ def test_ellipse_jacobian_at_axes():
 
 
 def test_ellipse_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        make_ellipse(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        make_ellipse(2.0, 0.0)
+    for a, b in ((-2.0, 1.0), (2.0, 0.0), (float("nan"), 1.0), (2.0, float("inf")), (True, 1.0)):
+        with pytest.raises(ValueError, match="semi-axes"):
+            make_ellipse(a, b)
 
 
 def test_make_curve_dispatch():
