@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ DEFAULT_CONFIG = {
     "k1": 4.0,
     "k2": 8.0,
     "nu": 2.0,
-    "kappa": None,  # {"re": .., "im": ..}; default k1 + i k1/2
+    "kappa": None,  # {"re": .., "im": ..}; default k1 + i k1/2, also for a part left out
     "N": 128,
     "formulation": "gcsie",
     "solver": {"type": "gmres", "tol": 1.0e-8, "maxit": None},
@@ -74,10 +75,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is None:
             continue
-        if key == "kappa_re":
-            cfg["kappa"] = (cfg["kappa"] or {"re": 0.0, "im": 0.0}) | {"re": val}
-        elif key == "kappa_im":
-            cfg["kappa"] = (cfg["kappa"] or {"re": 0.0, "im": 0.0}) | {"im": val}
+        if key in ("kappa_re", "kappa_im"):
+            kappa = cfg["kappa"] or {}
+            if isinstance(kappa, dict):  # any other value is reported by validate_config
+                cfg["kappa"] = kappa | {key.removeprefix("kappa_"): val}
         else:
             cfg[key] = val
     return cfg
@@ -98,18 +99,25 @@ def validate_config(cfg: dict) -> TransmissionConfig:
     if kappa is not None:
         if not isinstance(kappa, dict) or set(kappa) - {"re", "im"}:
             raise ConfigError("kappa", "must be an object with fields 're' and 'im'")
-        parts = [kappa.get(part, 0.0) for part in ("re", "im")]
-        if not all(is_finite_real(v) for v in parts):
+        if not all(is_finite_real(v) for v in kappa.values()):
             raise ConfigError("kappa", f"'re' and 'im' must be finite numbers, got {kappa!r}")
-        kappa = complex(*parts)
     try:
         tcfg = TransmissionConfig(
-            curve=curve, k1=cfg.get("k1"), k2=cfg.get("k2"), nu=cfg.get("nu"),
-            kappa=kappa, n_nodes=cfg.get("N"),
+            curve=curve, k1=cfg.get("k1"), k2=cfg.get("k2"), nu=cfg.get("nu"), n_nodes=cfg.get("N"),
         )
+        if kappa:  # a part left out keeps its value in the default kappa
+            default = tcfg.kappa
+            tcfg = replace(
+                tcfg, kappa=complex(kappa.get("re", default.real), kappa.get("im", default.imag))
+            )
     except ConfigError as exc:
         raise ConfigError("N" if exc.path == "n_nodes" else exc.path, exc.message) from exc
+    _check_run_fields(cfg, tcfg.n_nodes)
+    return tcfg
 
+
+def _check_run_fields(cfg: dict, n_nodes: int) -> None:
+    """The fields only the CLI reads: formulation, solver, angles, diagnostics and seed."""
     if cfg.get("formulation") not in FORMULATIONS:
         raise ConfigError(
             "formulation", f"must be one of {FORMULATIONS}, got {cfg.get('formulation')!r}"
@@ -122,16 +130,17 @@ def validate_config(cfg: dict) -> TransmissionConfig:
     tol = sv.get("tol")
     if not (is_finite_real(tol) and 0 < tol < 1):
         raise ConfigError("solver.tol", f"must lie in (0, 1), got {tol!r}")
-    maxit, limit = sv.get("maxit"), 4 * tcfg.n_nodes  # GMRES: twice the 2N unknowns
+    maxit, limit = sv.get("maxit"), 4 * n_nodes  # GMRES: twice the 2N unknowns
     if maxit is not None and not (is_integer(maxit) and 1 <= maxit <= limit):
         raise ConfigError("solver.maxit", f"must be an integer in [1, {limit}], got {maxit!r}")
     if not is_finite_real(cfg.get("angle")):
         raise ConfigError("angle", f"must be a finite number, got {cfg.get('angle')!r}")
     if not (is_integer(cfg.get("farfield_angles")) and cfg["farfield_angles"] >= 1):
         raise ConfigError("farfield_angles", "must be a positive integer")
+    if not isinstance(cfg.get("diagnostics"), bool):
+        raise ConfigError("diagnostics", f"must be true or false, got {cfg.get('diagnostics')!r}")
     if not is_integer(cfg.get("seed")):
         raise ConfigError("seed", "must be an integer")
-    return tcfg
 
 
 def _resolved(cfg: dict, tcfg: TransmissionConfig) -> dict:

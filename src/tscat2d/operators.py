@@ -17,6 +17,8 @@ tangential-derivative form
 
 where B is the S-type quadrature of the kernel with the n(t).n(tau)
 factor and A the S-type quadrature without the arc-length Jacobian.
+The outer d/dt is applied on the kept rows only, after the prolongation
+and the inner d/dtau, so no (2N)^3 product is formed.
 KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
 kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
 
@@ -95,7 +97,7 @@ class _KernelData:
         self.logsin = np.log(
             4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt)
         )
-        z = k * r
+        z = k.real * r if k.imag == 0 else k * r  # real arguments take the Cephes path
         self.h = [specfun.hankel1(m, z) for m in (0, 1)]
         self.j = [specfun.bessel_j(m, z) for m in (0, 1)]
         rj = kress_log_weights(grid.n // 2)
@@ -133,12 +135,14 @@ def _k_matrix(data: _KernelData) -> np.ndarray:
     return _kress_rule(data, 1, data.k * dot / data.r, 0.0, diag)
 
 
-def _n_matrix(data: _KernelData) -> np.ndarray:
+def _n_matrix(data: _KernelData, p: np.ndarray, oversample: int) -> np.ndarray:
+    """N on the kept rows [::oversample], times the prolongation p."""
     nn = data.nrm @ data.nrm.T
     b = _s_type_matrix(data, nn * data.jac[None, :], data.jac)
     a = _s_type_matrix(data, 1.0, 1.0)
     dmat = spectral_derivative_matrix(data.grid.n)
-    return data.k**2 * b + (dmat @ a @ dmat) / data.jac[:, None]
+    rows = slice(None, None, oversample)
+    return data.k**2 * (b[rows] @ p) + dmat[rows] @ (a @ (dmat @ p)) / data.jac[rows, None]
 
 
 def prolongation_matrix(n: int, factor: int) -> np.ndarray:
@@ -196,8 +200,8 @@ def boundary_operator_set(
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
     kt_fine = k_fine.T * data.jac[None, :] / data.jac[:, None]
     p = prolongation_matrix(grid.n, oversample)
-    mats = (_s_type_matrix(data, data.jac[None, :], data.jac), k_fine, kt_fine, _n_matrix(data))
-    return BoundaryOperators(*(m[::oversample] @ p for m in mats))
+    mats = (_s_type_matrix(data, data.jac[None, :], data.jac), k_fine, kt_fine)
+    return BoundaryOperators(*(m[::oversample] @ p for m in mats), _n_matrix(data, p, oversample))
 
 
 def spectral_derivative_matrix(n: int) -> np.ndarray:

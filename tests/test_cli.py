@@ -82,6 +82,10 @@ NUMERIC_FIELDS = (
     ("curve", {"kind": "circle", "radius": float("inf")}),
     ("curve", {"kind": "circle", "radius": True}),
     ("curve", {"kind": "ellipse", "a": float("nan"), "b": 1.0}),
+    ("kappa", {"re": 4, "im": 0}),
+    ("diagnostics", "no"),
+    ("diagnostics", 1),
+    ("diagnostics", None),
 ] + [(name, bad) for name in NUMERIC_FIELDS for bad in (True, "8")])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
     # a dotted field is nested: "solver.tol" -> {"solver": {"tol": value}}
@@ -91,6 +95,31 @@ def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
     code = run(["solve", "--config", cfg, "--out", tmp_path / "x"])
     assert code == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,kappa", [
+    ("--kappa-re", 5, {"re": 5.0, "im": 2.0}),
+    ("--kappa-im", 3, {"re": 4.0, "im": 3.0}),
+])
+def test_one_kappa_part_keeps_the_default_other(tmp_path, flag, value, kappa):
+    # the default kappa is k1 + i k1/2 = 4 + 2i; the flag sets one part only
+    out = tmp_path / "run"
+    assert run(["solve", flag, value, "--N", 16, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["kappa"] == kappa
+    # likewise a config kappa object with that part alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": {flag.removeprefix("--kappa-"): value}}))
+    out = tmp_path / "cfg_run"
+    assert run(["solve", "--config", cfg, "--N", 16, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["kappa"] == kappa
+
+
+def test_kappa_flag_on_malformed_config_kappa_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": "4+2j"}))
+    code = run(["solve", "--config", cfg, "--kappa-re", 5, "--out", tmp_path / "x"])
+    assert code == 2
+    assert "config error: kappa: " in capsys.readouterr().err
 
 
 def test_nan_angle_flag_is_config_error(tmp_path, capsys):

@@ -8,8 +8,9 @@ at 50 digits.
 
 import numpy as np
 import pytest
+from scipy import special
 
-from tscat2d import analytic, specfun
+from tscat2d import analytic, operators, specfun
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import (
     boundary_operator_set,
@@ -156,6 +157,33 @@ def test_kt_matches_target_normal_kernel_on_kite(k, tol, oversample):
     kt = boundary_operator_set(kite, grid(96), k, oversample=oversample).kt
     ref = target_normal_kt(kite, 96, k, oversample)
     assert np.abs(kt - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_real_wavenumber_set_matches_amos_kernels(monkeypatch, oversample):
+    # real k takes the Cephes path for every kernel value; AMOS on complex arguments is the oracle
+    kite, g = make_kite(), grid(64)
+    fast = boundary_operator_set(kite, g, 8.0, oversample=oversample)
+    monkeypatch.setattr(specfun, "hankel1", lambda n, z: special.hankel1(n, z.astype(complex)))
+    monkeypatch.setattr(specfun, "bessel_j", lambda n, z: special.jv(n, z.astype(complex)))
+    ref = boundary_operator_set(kite, g, 8.0, oversample=oversample)
+    for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
+        assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+def test_hypersingular_kept_rows_match_full_product(k, oversample):
+    # N applies d/dt on the kept rows only; the reference forms D A D on the whole fine grid
+    kite, n = make_kite(), 64
+    data = operators._KernelData(kite, grid(oversample * n), complex(k))
+    b = operators._s_type_matrix(data, (data.nrm @ data.nrm.T) * data.jac[None, :], data.jac)
+    a = operators._s_type_matrix(data, 1.0, 1.0)
+    dmat = spectral_derivative_matrix(oversample * n)
+    full = data.k**2 * b + (dmat @ a @ dmat) / data.jac[:, None]
+    ref = full[::oversample] @ prolongation_matrix(n, oversample)
+    nn = boundary_operator_set(kite, grid(n), k, oversample=oversample).n
+    assert np.abs(nn - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_hypersingular_mode_two(op_cache):

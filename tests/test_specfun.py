@@ -7,6 +7,7 @@ by the kernels and circle symbols downstream.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from tscat2d import specfun
 
@@ -113,6 +114,13 @@ def test_domain_errors():
         specfun.bessel_j(-1, 1.0)
     with pytest.raises(ValueError):
         specfun.bessel_j(0, 2e4)
+    # the same limits on the real-argument path, at both orders
+    for n in (0, 1):
+        for bad in (np.array([1.0, 0.0]), 1.5e4, np.array([1.0, -2e4])):
+            with pytest.raises(ValueError):
+                specfun.hankel1(n, bad)
+        with pytest.raises(ValueError):
+            specfun.bessel_j(n, -2e4)
 
 
 def test_overflow_reported():
@@ -126,3 +134,44 @@ def test_array_arguments():
     out = specfun.hankel1(0, z)
     assert out.shape == z.shape
     assert np.all(np.isfinite(out.real))
+
+
+# ---------------------------------------------------------------------------
+# real arguments: Cephes j0/j1/y0/y1 against complex AMOS
+# ---------------------------------------------------------------------------
+X_SPAN = np.geomspace(1e-6, 1e4, 4001)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_real_argument_hankel1_matches_amos(n):
+    ref = special.hankel1(n, X_SPAN.astype(complex))
+    h = specfun.hankel1(n, X_SPAN)
+    assert np.max(np.abs(h - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_real_argument_bessel_j_matches_amos(n):
+    x = np.concatenate([-X_SPAN, X_SPAN])
+    ref = special.jv(n, x.astype(complex))
+    # per entry for |x| < 2, short of the first positive zero; against the envelope |H_n| beyond
+    scale = np.where(np.abs(x) < 2, np.abs(ref), np.abs(special.hankel1(n, np.abs(x) + 0j)))
+    assert np.max(np.abs(specfun.bessel_j(n, x) - ref) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [-1.0, -50.0, np.array([-3.0, 2.0])])
+def test_negative_real_hankel1_takes_the_complex_path(x):
+    for n in (0, 1):
+        ref = specfun.hankel1(n, np.asarray(x, dtype=complex))
+        assert np.array_equal(specfun.hankel1(n, x), ref)
+
+
+def test_real_arguments_up_to_256_skip_amos(monkeypatch):
+    def amos(*args):
+        raise AssertionError("complex AMOS routine called on real arguments")
+
+    monkeypatch.setattr(special, "hankel1", amos)
+    monkeypatch.setattr(special, "jv", amos)
+    x = np.linspace(1e-3, 256.0, 101)
+    for n in (0, 1):
+        specfun.hankel1(n, x)
+        specfun.bessel_j(n, -x)
