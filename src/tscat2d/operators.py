@@ -21,6 +21,8 @@ The outer d/dt is applied on the kept rows only, after the prolongation
 and the inner d/dtau, so no (2N)^3 product is formed.
 KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
 kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
+The kernel arguments k r form a symmetric matrix, which specfun evaluates
+on one triangle.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -29,7 +31,13 @@ densities resolved by the grid but degrades on the last few modes below
 the Nyquist frequency; the refined rule keeps every representable mode
 uniformly accurate, which matters once operators are composed into
 products.  ``oversample=1`` gives the plain same-grid rule through the
-same path, with the identity as prolongation.
+same path, with the identity as prolongation.  Each fine matrix is
+compressed as soon as it is built.  The compression and N's products
+multiply a complex matrix by a real one; they run as one real product on a
+float view of the complex factor, which halves their flops.  The tables
+that depend only on the fine grid size (log factor, gathered weights,
+derivative and prolongation matrices) are cached for the last size and
+returned read-only.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -37,6 +45,7 @@ split; Im k >= 0 is required.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -92,18 +101,39 @@ class _KernelData:
         r = np.sqrt(self.diff[..., 0] ** 2 + self.diff[..., 1] ** 2)
         np.fill_diagonal(r, 1.0)  # placeholder; diagonals are set analytically
         self.r = r
-        dt = t[:, None] - t[None, :]
-        mask = ~np.eye(grid.n, dtype=bool)
-        self.logsin = np.log(
-            4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt)
-        )
         z = k.real * r if k.imag == 0 else k * r  # real arguments take the Cephes path
         self.h = [specfun.hankel1(m, z) for m in (0, 1)]
         self.j = [specfun.bessel_j(m, z) for m in (0, 1)]
-        rj = kress_log_weights(grid.n // 2)
-        idx = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) % grid.n
-        self.log_weights = rj[idx]
+        self.logsin, self.log_weights = _log_split_tables(grid.n)
         self.trapz = grid.weight
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=1)
+def _log_split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log(4 sin^2((t - tau)/2)) (0 on the diagonal) and the weights R_|i-j| on n nodes."""
+    t = make_grid(n).nodes
+    dt = t[:, None] - t[None, :]
+    mask = ~np.eye(n, dtype=bool)
+    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt))
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return _read_only(logsin), _read_only(kress_log_weights(n // 2)[idx])
+
+
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for one complex and one real factor, as one real product.
+
+    The complex factor is viewed as a real matrix whose columns interleave
+    real and imaginary parts, which halves the flops of the complex product.
+    A complex left factor goes through the transpose, a @ b = (b^T a^T)^T.
+    """
+    if np.iscomplexobj(a):
+        return np.ascontiguousarray(_real_product(b.T, a.T).T)
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
 
 
 def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag) -> np.ndarray:
@@ -135,28 +165,36 @@ def _k_matrix(data: _KernelData) -> np.ndarray:
     return _kress_rule(data, 1, data.k * dot / data.r, 0.0, diag)
 
 
+def _compress(m: np.ndarray, p: np.ndarray, oversample: int) -> np.ndarray:
+    """Every oversample-th row of a fine-grid matrix times the prolongation p."""
+    return _real_product(m[::oversample], p)
+
+
 def _n_matrix(data: _KernelData, p: np.ndarray, oversample: int) -> np.ndarray:
     """N on the kept rows [::oversample], times the prolongation p."""
-    nn = data.nrm @ data.nrm.T
-    b = _s_type_matrix(data, nn * data.jac[None, :], data.jac)
+    nn_jac = (data.nrm @ data.nrm.T) * data.jac[None, :]
+    b = _compress(_s_type_matrix(data, nn_jac, data.jac), p, oversample)
     a = _s_type_matrix(data, 1.0, 1.0)
     dmat = spectral_derivative_matrix(data.grid.n)
     rows = slice(None, None, oversample)
-    return data.k**2 * (b[rows] @ p) + dmat[rows] @ (a @ (dmat @ p)) / data.jac[rows, None]
+    outer = _real_product(dmat[rows], _real_product(a, dmat @ p))
+    return data.k**2 * b + outer / data.jac[rows, None]
 
 
+@functools.lru_cache(maxsize=1)
 def prolongation_matrix(n: int, factor: int) -> np.ndarray:
     """Trigonometric interpolation from n nodes to factor*n nodes.
 
     The Nyquist coefficient is split evenly between +-n/2, matching the
-    real cosine convention of the even-n interpolant.
+    real cosine convention of the even-n interpolant.  The matrix is cached
+    for the last (n, factor) and returned read-only.
     """
     if n % 2 != 0:
         raise ValueError(f"interpolation needs even n, got {n}")
     if factor < 1:
         raise ValueError(f"refinement factor must be >= 1, got {factor}")
     if factor == 1:
-        return np.eye(n)
+        return _read_only(np.eye(n))
     big = factor * n
     half = n // 2
     c = np.fft.fft(np.eye(n), axis=0)
@@ -165,7 +203,7 @@ def prolongation_matrix(n: int, factor: int) -> np.ndarray:
     spec[half] = 0.5 * c[half]
     spec[big - half] = 0.5 * c[half]
     spec[big - half + 1 :] = c[half + 1 :]
-    return np.real(np.fft.ifft(spec, axis=0)) * factor
+    return _read_only(np.real(np.fft.ifft(spec, axis=0)) * factor)
 
 
 class BoundaryOperators(NamedTuple):
@@ -196,19 +234,23 @@ def boundary_operator_set(
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
     data = _KernelData(curve, make_grid(oversample * grid.n), k)
+    p = prolongation_matrix(grid.n, oversample)
+    s = _compress(_s_type_matrix(data, data.jac[None, :], data.jac), p, oversample)
     k_fine = _k_matrix(data)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
-    kt_fine = k_fine.T * data.jac[None, :] / data.jac[:, None]
-    p = prolongation_matrix(grid.n, oversample)
-    mats = (_s_type_matrix(data, data.jac[None, :], data.jac), k_fine, kt_fine)
-    return BoundaryOperators(*(m[::oversample] @ p for m in mats), _n_matrix(data, p, oversample))
+    kt = _compress(k_fine.T * data.jac[None, :] / data.jac[:, None], p, oversample)
+    k_mat = _compress(k_fine, p, oversample)
+    del k_fine  # no fine matrix stays alive through N's fill, the peak of the set
+    return BoundaryOperators(s, k_mat, kt, _n_matrix(data, p, oversample))
 
 
+@functools.lru_cache(maxsize=1)
 def spectral_derivative_matrix(n: int) -> np.ndarray:
     """Differentiation matrix of the trigonometric interpolant (even n).
 
     Exact for modes |m| < n/2; the Nyquist mode is mapped to zero, which
-    keeps the matrix real.
+    keeps the matrix real.  The matrix is cached for the last n and
+    returned read-only.
     """
     if n % 2 != 0:
         raise ValueError(f"spectral differentiation needs even n, got {n}")
@@ -216,7 +258,7 @@ def spectral_derivative_matrix(n: int) -> np.ndarray:
     col = np.zeros(n)
     col[1:] = 0.5 * (-1.0) ** j[1:] / np.tan(np.pi * j[1:] / n)
     idx = (j[:, None] - j[None, :]) % n
-    return col[idx]
+    return _read_only(col[idx])
 
 
 def spectral_derivative(density: np.ndarray) -> np.ndarray:

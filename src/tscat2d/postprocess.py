@@ -142,7 +142,9 @@ def far_field_from_densities(curve, grid: NodeGrid, k1: float, dl, sl, angles) -
     nrm = curve.normal(grid.nodes)
     jac = curve.jacobian(grid.nodes)
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    phase = np.exp(-1j * k1 * xhat @ pos.T)
+    # a real product for the phase: with OpenBLAS on an AVX-512 Xeon, exp right
+    # after a complex matmul ran about 10x slower (same values, 128 x 256)
+    phase = np.exp(-1j * (k1 * (xhat @ pos.T)))
     pref = np.exp(1j * np.pi / 4) / np.sqrt(8.0 * np.pi * k1)
     dl_kernel = -1j * k1 * (xhat @ nrm.T) * phase
     vals = pref * grid.weight * (

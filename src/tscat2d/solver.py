@@ -158,7 +158,7 @@ def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(200):
-        w = b.conj().T @ (b @ v)
+        w = np.conj(b.T @ np.conj(b @ v))  # A^H (A v) without copying conj(A)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

@@ -10,6 +10,12 @@ wavenumber, use the real-argument Cephes routines j0, j1, y0 and y1:
 about twenty times faster than the complex AMOS routines and within
 1e-14 of them for 0 < x <= 256.  Complex arguments, negative reals in
 hankel1, arguments past 256 and all other orders go through AMOS.
+
+A Nystrom kernel depends on r = |x(t) - x(tau)| only, so every argument
+matrix k r the operators pass in is symmetric.  When an AMOS argument is a
+square matrix equal to its transpose, AMOS runs on the upper triangle only
+and the values are mirrored: half the points, bit-identical results.  The
+range, branch and finiteness checks still see the whole array.
 """
 
 from __future__ import annotations
@@ -37,6 +43,18 @@ def _check_finite(name: str, n, z, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
+    """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix."""
+    if z.ndim != 2 or z.shape[0] != z.shape[1] or not np.array_equal(z, z.T):
+        return f(n, z)
+    upper = np.triu_indices(z.shape[0])
+    vals = f(n, z[upper])
+    out = np.empty(z.shape, dtype=vals.dtype)
+    out[upper] = vals
+    out.T[upper] = vals
+    return out
+
+
 def bessel_j(n: int, z) -> np.ndarray | complex:
     """J_n(z) for integer n >= 0 and real or complex z (scalar or array)."""
     if n < 0 or n > _MAX_ORDER:
@@ -48,7 +66,7 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
     if n < 2 and np.isrealobj(z) and np.all(a <= _CEPHES_MAX):
         out = _CEPHES_J[n](z)
     else:
-        out = _sp.jv(n, z)
+        out = _amos(_sp.jv, n, z)
     return _check_finite("bessel_j", n, z, out)[()]
 
 
@@ -85,7 +103,7 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         z = z.astype(complex)
         if np.any(z.imag < 0):
             raise ValueError("H_n^(1) supported only for Im z >= 0")
-        out = _sp.hankel1(n, z)
+        out = _amos(_sp.hankel1, n, z)
     return _check_finite("hankel1", n, z, out)[()]
 
 

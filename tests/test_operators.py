@@ -186,6 +186,28 @@ def test_hypersingular_kept_rows_match_full_product(k, oversample):
     assert np.abs(nn - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+def test_real_products_match_complex_products(monkeypatch, k, oversample):
+    # compression and N's products run as real products on a float view; plain @ is the oracle
+    kite, g = make_kite(), grid(64)
+    fast = boundary_operator_set(kite, g, k, oversample=oversample)
+    monkeypatch.setattr(operators, "_real_product", lambda a, b: a @ b)
+    ref = boundary_operator_set(kite, g, k, oversample=oversample)
+    for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
+        assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
+
+
+def test_cached_grid_tables_are_read_only():
+    logsin, weights = operators._log_split_tables(16)
+    tables = (logsin, weights, prolongation_matrix(8, 2), prolongation_matrix(8, 1),
+              spectral_derivative_matrix(16))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert spectral_derivative_matrix(16) is tables[-1]
+
+
 def test_hypersingular_mode_two(op_cache):
     g = grid(128)
     nn = op_cache("circle", 128, 1.0).n

@@ -175,3 +175,67 @@ def test_real_arguments_up_to_256_skip_amos(monkeypatch):
     for n in (0, 1):
         specfun.hankel1(n, x)
         specfun.bessel_j(n, -x)
+
+
+# ---------------------------------------------------------------------------
+# AMOS on one triangle of a symmetric argument matrix
+# ---------------------------------------------------------------------------
+def symmetric_kernel_argument(n=96, k=1.0 + 0.5j):
+    # k r for r = |u_i - u_j| spanning 1e-3 .. 60, the kernels' range; 1 on the diagonal
+    u = np.geomspace(1e-3, 60.0, n)
+    r = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(r, 1.0)
+    return k * r
+
+
+class AmosRecorder:
+    """Stands in for scipy.special and records the size of each AMOS argument."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def hankel1(self, n, z):
+        self.sizes.append(np.size(z))
+        return special.hankel1(n, z)
+
+    def jv(self, n, z):
+        self.sizes.append(np.size(z))
+        return special.jv(n, z)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_symmetric_argument_bit_identical_to_entrywise_amos(n):
+    z = symmetric_kernel_argument()
+    assert np.array_equal(z, z.T)
+    entrywise_h = special.hankel1(n, z.ravel()).reshape(z.shape)
+    entrywise_j = special.jv(n, z.ravel()).reshape(z.shape)
+    assert np.array_equal(specfun.hankel1(n, z), entrywise_h)
+    assert np.array_equal(specfun.bessel_j(n, z), entrywise_j)
+
+
+def test_symmetric_argument_evaluates_one_triangle(monkeypatch):
+    rec = AmosRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(n=40)
+    specfun.hankel1(0, z)
+    specfun.bessel_j(1, z)
+    assert rec.sizes == [40 * 41 // 2] * 2
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        symmetric_kernel_argument(n=40)[:, :39],  # not square
+        symmetric_kernel_argument(n=40) + np.triu(np.full((40, 40), 1e-3j)),  # not symmetric
+        np.asarray(2.0 + 1.0j),  # scalar
+    ],
+    ids=["non-square", "non-symmetric", "scalar"],
+)
+def test_other_arguments_take_the_plain_call(monkeypatch, z):
+    rec = AmosRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    h = specfun.hankel1(1, z)
+    j = specfun.bessel_j(0, z)
+    assert rec.sizes == [z.size] * 2
+    assert np.array_equal(h, special.hankel1(1, z))
+    assert np.array_equal(j, special.jv(0, z))
