@@ -32,6 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._memo import LastValue, freeze
 from .geometry import Curve, NodeGrid, is_finite_real, is_integer
 from .operators import BoundaryOperators, boundary_operator_set
 
@@ -101,29 +102,40 @@ def incident_traces(wave: IncidentWave, curve: Curve, grid: NodeGrid):
     return phase, 1j * wave.k1 * (nrm @ wave.direction) * phase
 
 
+def _block(i: int, j: int) -> property:
+    def view(self) -> np.ndarray:
+        n = self.grid.n
+        return self.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n]
+
+    return property(view, doc=f"Block ({i + 1}, {j + 1}), a view of ``matrix``.")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockSystem:
-    """2x2 block operator with right-hand side on a shared grid."""
+    """2x2 block system with right-hand side on a shared grid.
 
-    d11: np.ndarray
-    d12: np.ndarray
-    d21: np.ndarray
-    d22: np.ndarray
+    The stacked 2N x 2N matrix is stored once; d11, d12, d21 and d22 are
+    views of its quarters.  ``assemble`` returns it read-only, and returns
+    the same matrix object for every incident wave of a sweep over one set
+    of operator arrays.
+    """
+
+    matrix: np.ndarray
     rhs: np.ndarray
     formulation: str
     grid: NodeGrid
 
+    d11 = _block(0, 0)
+    d12 = _block(0, 1)
+    d21 = _block(1, 0)
+    d22 = _block(1, 1)
+
     def __post_init__(self):
         n = self.grid.n
-        for name in ("d11", "d12", "d21", "d22"):
-            if getattr(self, name).shape != (n, n):
-                raise ValueError(f"block {name} does not match grid size {n}")
+        if self.matrix.shape != (2 * n, 2 * n):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not match grid size {n}")
         if self.rhs.shape != (2 * n,):
             raise ValueError(f"rhs length {self.rhs.shape} != {2 * n}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.d11, self.d12], [self.d21, self.d22]])
 
     def split(self, x: np.ndarray):
         """Split a stacked solution vector into its two densities."""
@@ -232,6 +244,24 @@ def classical_blocks(o1: BoundaryOperators, o2: BoundaryOperators, nu: float):
     return d11, d12, d21, d22
 
 
+# the last composed matrix, while its operator arrays live
+_SYSTEM_MATRIX = LastValue()
+
+
+def _composed_matrix(formulation: str, used, nu: float) -> np.ndarray:
+    """Stacked read-only 2N x 2N matrix of one formulation from its operator sets."""
+    if formulation == "classical":
+        blocks = classical_blocks(*used, nu)
+    else:
+        o1, o2, ok = used
+        if formulation == "gcsie":
+            blocks = combined_source_blocks(o1, o2, smoothed_regularizer(ok.s, ok.n, nu), nu)
+        else:
+            blocks = combined_source_blocks_explicit(o1, o2, ok, nu)
+    d11, d12, d21, d22 = blocks
+    return freeze(np.block([[d11, d12], [d21, d22]]))
+
+
 def assemble(
     config: TransmissionConfig,
     grid: NodeGrid,
@@ -248,28 +278,29 @@ def assemble(
         (I - K1 + K2) phi + (nu S1 - S2) psi = (I/2 - K1) f + S1 g
         (N2 - N1) phi + ((1+nu)/2 I + nu K1^T - K2^T) psi
                                              = -N1 f + (I/2 + K1^T) g
+
+    The matrix depends on the operator arrays, the formulation and nu, not
+    on the incident wave.  Called again with the same read-only arrays (as
+    ``boundary_operator_set`` returns them) and equal formulation and nu, it
+    returns the matrix object of the last call instead of composing anew.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     k1, k2, kappa = complex(config.k1), complex(config.k2), complex(config.kappa)
     wavenumbers = [k1, k2] if formulation == "classical" else [k1, k2, kappa]
     sets = operator_sets(config, grid, wavenumbers, ops)
-    o1, o2 = sets[k1], sets[k2]
+    used = [sets[k] for k in wavenumbers]
+    matrix = _SYSTEM_MATRIX.get(
+        [m for o in used for m in o],
+        (formulation, config.nu),
+        lambda: _composed_matrix(formulation, used, config.nu),
+    )
     f, g = incident_traces(incident, config.curve, grid)
     if formulation == "classical":
-        blocks = classical_blocks(o1, o2, config.nu)
+        o1 = sets[k1]
         rhs1 = 0.5 * f - o1.k @ f + o1.s @ g
         rhs2 = -(o1.n @ f) + 0.5 * g + o1.kt @ g
         rhs = np.concatenate([rhs1, rhs2])
     else:
-        ok = sets[kappa]
-        if formulation == "gcsie":
-            r = smoothed_regularizer(ok.s, ok.n, config.nu)
-            blocks = combined_source_blocks(o1, o2, r, config.nu)
-        else:
-            blocks = combined_source_blocks_explicit(o1, o2, ok, config.nu)
         rhs = np.concatenate([-f, -g])
-    d11, d12, d21, d22 = blocks
-    return BlockSystem(
-        d11=d11, d12=d12, d21=d21, d22=d22, rhs=rhs, formulation=formulation, grid=grid
-    )
+    return BlockSystem(matrix=matrix, rhs=rhs, formulation=formulation, grid=grid)

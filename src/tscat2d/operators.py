@@ -51,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
+from ._memo import freeze
 from .geometry import Curve, NodeGrid, grid as make_grid
 
 _QUARTER_I = 0.25j
@@ -108,11 +109,6 @@ class _KernelData:
         self.trapz = grid.weight
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=1)
 def _log_split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """log(4 sin^2((t - tau)/2)) (0 on the diagonal) and the weights R_|i-j| on n nodes."""
@@ -121,7 +117,7 @@ def _log_split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     mask = ~np.eye(n, dtype=bool)
     logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return _read_only(logsin), _read_only(kress_log_weights(n // 2)[idx])
+    return freeze(logsin), freeze(kress_log_weights(n // 2)[idx])
 
 
 def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,7 +190,7 @@ def prolongation_matrix(n: int, factor: int) -> np.ndarray:
     if factor < 1:
         raise ValueError(f"refinement factor must be >= 1, got {factor}")
     if factor == 1:
-        return _read_only(np.eye(n))
+        return freeze(np.eye(n))
     big = factor * n
     half = n // 2
     c = np.fft.fft(np.eye(n), axis=0)
@@ -203,7 +199,7 @@ def prolongation_matrix(n: int, factor: int) -> np.ndarray:
     spec[half] = 0.5 * c[half]
     spec[big - half] = 0.5 * c[half]
     spec[big - half + 1 :] = c[half + 1 :]
-    return _read_only(np.real(np.fft.ifft(spec, axis=0)) * factor)
+    return freeze(np.real(np.fft.ifft(spec, axis=0)) * factor)
 
 
 class BoundaryOperators(NamedTuple):
@@ -214,6 +210,8 @@ class BoundaryOperators(NamedTuple):
     adjoint (normal derivative at the target point) and n the
     hypersingular operator.  Acting on nodal values approximates the
     operator applied to the trigonometric interpolant of the density.
+    ``boundary_operator_set`` returns the four matrices read-only, so that
+    what is composed from them can be reused while they live.
     """
 
     s: np.ndarray
@@ -241,7 +239,7 @@ def boundary_operator_set(
     kt = _compress(k_fine.T * data.jac[None, :] / data.jac[:, None], p, oversample)
     k_mat = _compress(k_fine, p, oversample)
     del k_fine  # no fine matrix stays alive through N's fill, the peak of the set
-    return BoundaryOperators(s, k_mat, kt, _n_matrix(data, p, oversample))
+    return BoundaryOperators(*map(freeze, (s, k_mat, kt, _n_matrix(data, p, oversample))))
 
 
 @functools.lru_cache(maxsize=1)
@@ -258,7 +256,7 @@ def spectral_derivative_matrix(n: int) -> np.ndarray:
     col = np.zeros(n)
     col[1:] = 0.5 * (-1.0) ** j[1:] / np.tan(np.pi * j[1:] / n)
     idx = (j[:, None] - j[None, :]) % n
-    return _read_only(col[idx])
+    return freeze(col[idx])
 
 
 def spectral_derivative(density: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from ._memo import LastValue
 from .formulations import (
     IncidentWave,
     TransmissionConfig,
@@ -135,9 +136,12 @@ def gcsie_fields(
     raise ValueError(f"unknown side {side!r}; expected 'exterior' or 'interior'")
 
 
-def far_field_from_densities(curve, grid: NodeGrid, k1: float, dl, sl, angles) -> FarField:
-    """Far field of DL(dl) - SL(sl) by the plane-wave kernel quadrature."""
-    angles = np.asarray(angles, dtype=float)
+# the last jac-weighted plane-wave kernels, while their curve lives
+_PLANE_WAVE_KERNELS = LastValue()
+
+
+def _plane_wave_kernels(curve, grid: NodeGrid, k1: float, angles: np.ndarray):
+    """Double- and single-layer far-field kernels times the arc-length Jacobian."""
     pos = curve.x(grid.nodes)
     nrm = curve.normal(grid.nodes)
     jac = curve.jacobian(grid.nodes)
@@ -145,11 +149,25 @@ def far_field_from_densities(curve, grid: NodeGrid, k1: float, dl, sl, angles) -
     # a real product for the phase: with OpenBLAS on an AVX-512 Xeon, exp right
     # after a complex matmul ran about 10x slower (same values, 128 x 256)
     phase = np.exp(-1j * (k1 * (xhat @ pos.T)))
-    pref = np.exp(1j * np.pi / 4) / np.sqrt(8.0 * np.pi * k1)
     dl_kernel = -1j * k1 * (xhat @ nrm.T) * phase
-    vals = pref * grid.weight * (
-        (dl_kernel * jac[None, :]) @ np.asarray(dl) - (phase * jac[None, :]) @ np.asarray(sl)
+    return dl_kernel * jac[None, :], phase * jac[None, :]
+
+
+def far_field_from_densities(curve, grid: NodeGrid, k1: float, dl, sl, angles) -> FarField:
+    """Far field of DL(dl) - SL(sl) by the plane-wave kernel quadrature.
+
+    The kernels depend on the curve, the grid size, k1 and the angles only;
+    those of the last call are reused while its curve lives and the other
+    three are equal.
+    """
+    angles = np.asarray(angles, dtype=float)
+    dl_kernel, sl_kernel = _PLANE_WAVE_KERNELS.get(
+        [curve],
+        (grid.n, k1, angles.shape, angles.tobytes()),
+        lambda: _plane_wave_kernels(curve, grid, k1, angles),
     )
+    pref = np.exp(1j * np.pi / 4) / np.sqrt(8.0 * np.pi * k1)
+    vals = pref * grid.weight * (dl_kernel @ np.asarray(dl) - sl_kernel @ np.asarray(sl))
     return FarField(angles=angles, values=vals)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
+from ._memo import LastValue
+
 
 @dataclass
 class SolveReport:
@@ -27,8 +29,30 @@ class SolveReport:
     converged: bool
 
 
+def _square(a) -> np.ndarray:
+    """a as an array; raises ValueError unless it is a square matrix."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
+# LU factors of the last read-only matrix, shared by lu_solve and sigma_min_estimate
+_FACTORS = LastValue()
+
+
 def _lu_factor(a: np.ndarray):
-    """Partial-pivoting LU factors of A; a vanishing pivot raises LinAlgError."""
+    """Partial-pivoting LU factors of A; a vanishing pivot raises LinAlgError.
+
+    The factors of a read-only A are kept while A lives and reused when A is
+    passed again; a writeable A is factored on every call.
+    """
+    if a.shape[0] > 4096:
+        raise ValueError(f"dense direct solve capped at 4096 unknowns, got {a.shape[0]}")
+    return _FACTORS.get([a], (), lambda: _checked_lu_factor(a))
+
+
+def _checked_lu_factor(a: np.ndarray):
     lu, piv = sla.lu_factor(a)
     if np.min(np.abs(np.diag(lu))) < 1e-300:
         raise np.linalg.LinAlgError("matrix numerically singular (vanishing pivot)")
@@ -37,12 +61,8 @@ def _lu_factor(a: np.ndarray):
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     """Direct solve via partial-pivoting LU factorization."""
-    a = np.asarray(a)
+    a = _square(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] > 4096:
-        raise ValueError(f"dense direct solve capped at 4096 unknowns, got {a.shape[0]}")
     t0 = time.perf_counter()
     x = sla.lu_solve(_lu_factor(a), b)
     elapsed = time.perf_counter() - t0
@@ -58,6 +78,16 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     )
 
 
+_GMRES_FIRST_SIZE = 16
+
+
+def _grown(a: np.ndarray, shape) -> np.ndarray:
+    """a copied into the top-left corner of a zero array of the given shape."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
 def gmres(
     a: np.ndarray,
     b: np.ndarray,
@@ -69,9 +99,10 @@ def gmres(
     The residual history starts at 1 (relative to |b|, zero initial
     guess) and is non-increasing; iterations = Krylov dimension at
     convergence.  Non-convergence is reported in the returned record,
-    not raised.
+    not raised.  The Krylov basis starts with room for 16 steps and
+    doubles when full, so its memory follows the steps taken, not maxit.
     """
-    a = np.asarray(a)
+    a = _square(a)
     b = np.asarray(b, dtype=complex)
     n = b.size
     if not 0.0 < tol < 1.0:
@@ -93,8 +124,10 @@ def gmres(
             converged=True,
         )
 
-    v = np.empty((maxit + 1, n), dtype=complex)
-    h = np.zeros((maxit + 1, maxit), dtype=complex)
+    # Krylov basis and Hessenberg matrix for `size` steps, doubled when full
+    size = min(maxit, _GMRES_FIRST_SIZE)
+    v = np.empty((size + 1, n), dtype=complex)
+    h = np.zeros((size + 1, size), dtype=complex)
     cs = np.zeros(maxit, dtype=complex)
     sn = np.zeros(maxit, dtype=complex)
     g = np.zeros(maxit + 1, dtype=complex)
@@ -105,6 +138,10 @@ def gmres(
     converged = False
     m = 0
     for j in range(maxit):
+        if j == size:
+            size = min(2 * size, maxit)
+            v = _grown(v, (size + 1, n))
+            h = _grown(h, (size + 1, size))
         w = a @ v[j]
         for i in range(j + 1):  # modified Gram-Schmidt
             h[i, j] = np.vdot(v[i], w)
@@ -148,17 +185,20 @@ def gmres(
 def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
     """Largest singular value of (A - shift*I) by power iteration.
 
+    The shift is applied inside the products, (A - s I) v = A v - s v and
+    (A - s I)^H u = A^H u - conj(s) u, so no shifted copy of A is formed.
     200 iterations or 1e-6 relative stagnation, whichever comes first.
     """
-    a = np.asarray(a)
+    a = _square(a)
     n = a.shape[0]
-    b = a - shift * np.eye(n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(200):
-        w = np.conj(b.T @ np.conj(b @ v))  # A^H (A v) without copying conj(A)
+        u = a @ v - shift * v
+        # A^H u without copying conj(A)
+        w = np.conj(a.T @ np.conj(u)) - np.conj(shift) * u
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
@@ -173,9 +213,10 @@ def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
 def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     """Smallest singular value by inverse power iteration on A^H A.
 
-    Each step solves with A and A^H from one LU factorization.
+    Each step solves with A and A^H from one LU factorization, the one
+    lu_solve used if A is the same read-only matrix.
     """
-    a = np.asarray(a)
+    a = _square(a)
     n = a.shape[0]
     factors = _lu_factor(a)
     rng = np.random.default_rng(seed)

@@ -5,6 +5,9 @@ oracle here: the scattered field vanishes identically, and the classical
 system is solved exactly by the incident traces.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,3 +243,97 @@ def test_block_system_shape_checks():
     assert system.matrix.shape == (32, 32)
     a, b = system.split(system.rhs)
     assert a.shape == (16,) and b.shape == (16,)
+
+
+def _kite_sweep_setup(n=32, k1=4.0):
+    """A small kite config, its grid and its three operator sets."""
+    kite = make_kite()
+    cfg = TransmissionConfig(curve=kite, k1=k1, k2=6.0, nu=2.0, kappa=4 + 2j, n_nodes=n)
+    g = grid(n)
+    ops = {complex(k): boundary_operator_set(kite, g, k) for k in (k1, 6.0, 4 + 2j)}
+    return cfg, g, ops
+
+
+@pytest.mark.parametrize("formulation", ["gcsie", "gcsie-explicit", "classical"])
+def test_same_ops_reuse_the_matrix_with_the_new_rhs(formulation):
+    cfg, g, ops = _kite_sweep_setup()
+    first = assemble(cfg, g, IncidentWave(0.0, cfg.k1), formulation, ops=ops)
+    wave = IncidentWave(1.0, cfg.k1)
+    second = assemble(cfg, g, wave, formulation, ops=ops)
+    assert second.matrix is first.matrix
+    # the rhs is the new angle's, equal to that of a system composed afresh
+    fresh_ops = {k: type(o)(*(m.copy() for m in o)) for k, o in ops.items()}
+    fresh = assemble(cfg, g, wave, formulation, ops=fresh_ops)
+    assert fresh.matrix is not first.matrix
+    assert np.array_equal(fresh.matrix, second.matrix)
+    assert np.array_equal(fresh.rhs, second.rhs)
+    assert not np.array_equal(first.rhs, second.rhs)
+
+
+def test_other_formulation_or_nu_composes_anew():
+    cfg, g, ops = _kite_sweep_setup()
+    wave = IncidentWave(0.0, cfg.k1)
+    composed = assemble(cfg, g, wave, "gcsie", ops=ops)
+    explicit = assemble(cfg, g, wave, "gcsie-explicit", ops=ops)
+    assert explicit.matrix is not composed.matrix
+    other_nu = TransmissionConfig(
+        curve=cfg.curve, k1=cfg.k1, k2=cfg.k2, nu=3.0, kappa=cfg.kappa, n_nodes=cfg.n_nodes
+    )
+    assert assemble(other_nu, g, wave, "gcsie-explicit", ops=ops).matrix is not explicit.matrix
+
+
+def test_writeable_ops_changed_in_place_give_a_new_matrix():
+    cfg, g, ops = _kite_sweep_setup()
+    ops = {k: type(o)(*(m.copy() for m in o)) for k, o in ops.items()}
+    wave = IncidentWave(0.0, cfg.k1)
+    before = assemble(cfg, g, wave, "classical", ops=ops).matrix.copy()
+    ops[complex(cfg.k1)].s[:] *= 2.0
+    after = assemble(cfg, g, wave, "classical", ops=ops).matrix
+    n = g.n
+    assert np.array_equal(after[:n, n:], cfg.nu * ops[complex(cfg.k1)].s - ops[6.0 + 0j].s)
+    assert not np.array_equal(after, before)
+
+
+def test_cached_matrix_is_freed_with_its_ops():
+    cfg, g, ops = _kite_sweep_setup()
+    system = assemble(cfg, g, IncidentWave(0.0, cfg.k1), "gcsie", ops=ops)
+    ref = weakref.ref(system.matrix)
+    del system, ops
+    gc.collect()
+    assert ref() is None
+
+
+def test_freeing_a_replaced_key_keeps_the_newer_entry():
+    cfg, g, old_ops = _kite_sweep_setup()
+    _, _, new_ops = _kite_sweep_setup()
+    wave = IncidentWave(0.0, cfg.k1)
+    old = assemble(cfg, g, wave, "gcsie", ops=old_ops)
+    new = assemble(cfg, g, wave, "gcsie", ops=new_ops)
+    assert new.matrix is not old.matrix
+    del old, old_ops
+    gc.collect()
+    assert assemble(cfg, g, IncidentWave(0.5, cfg.k1), "gcsie", ops=new_ops).matrix is new.matrix
+
+
+def test_operator_sets_and_system_matrix_are_read_only():
+    cfg, g, ops = _kite_sweep_setup()
+    system = assemble(cfg, g, IncidentWave(0.0, cfg.k1), "gcsie", ops=ops)
+    for o in ops.values():
+        for m in o:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+    for m in (system.matrix, system.d11, system.d22):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
+
+
+def test_blocks_are_views_of_the_stored_matrix():
+    cfg, g, ops = _kite_sweep_setup()
+    system = assemble(cfg, g, IncidentWave(0.0, cfg.k1), "gcsie-explicit", ops=ops)
+    n = g.n
+    blocks = {(0, 0): system.d11, (0, 1): system.d12, (1, 0): system.d21, (1, 1): system.d22}
+    for (i, j), block in blocks.items():
+        assert block.base is system.matrix
+        assert np.array_equal(block, system.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n])
+    d = combined_source_blocks_explicit(ops[4 + 0j], ops[6 + 0j], ops[4 + 2j], 2.0)
+    assert np.array_equal(system.matrix, np.block([[d[0], d[1]], [d[2], d[3]]]))

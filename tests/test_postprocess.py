@@ -5,10 +5,13 @@ convention is pinned independently by the sqrt(r) e^{-i k r} scaling of
 the reconstructed exterior field at large radius.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from tscat2d import analytic
+from tscat2d import analytic, postprocess
 from tscat2d.formulations import IncidentWave, TransmissionConfig, assemble, incident_traces
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set
@@ -225,3 +228,48 @@ def test_direct_and_iterative_solvers_agree(circle_solution):
     x_lu = lu_solve(system.matrix, system.rhs).x
     x_it = gmres(system.matrix, system.rhs, tol=1e-12, maxit=2 * g.n).x
     assert np.linalg.norm(x_lu - x_it) / np.linalg.norm(x_lu) <= 1e-8
+
+
+def _count_kernel_builds(monkeypatch):
+    """Record each plane-wave kernel build, holding its arrays only weakly."""
+    builds = []
+    build = postprocess._plane_wave_kernels
+
+    def counted(*args):
+        kernels = build(*args)
+        builds.append([weakref.ref(k) for k in kernels])
+        return kernels
+
+    monkeypatch.setattr(postprocess, "_plane_wave_kernels", counted)
+    return builds
+
+
+def test_far_field_kernels_reused_for_the_same_curve_and_angles(monkeypatch):
+    kite = make_kite()
+    g = grid(32)
+    rng = np.random.default_rng(12)
+    dl, sl = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    rotated = angles + 0.1
+    first = far_field_from_densities(kite, g, 4.0, dl, sl, rotated).values
+    builds = _count_kernel_builds(monkeypatch)
+    values = [far_field_from_densities(kite, g, 4.0, dl, sl, a).values
+              for a in (angles, angles.copy(), rotated, rotated, list(rotated))]
+    # equal angle values hit, whatever object holds them; a new k1 or grid misses
+    assert len(builds) == 2
+    assert np.array_equal(values[2], first) and np.array_equal(values[4], first)
+    far_field_from_densities(kite, g, 5.0, dl, sl, rotated)
+    far_field_from_densities(kite, grid(32), 5.0, dl, sl, rotated)
+    assert len(builds) == 3
+    far_field_from_densities(kite, grid(64), 5.0, np.ones(64), np.ones(64), rotated)
+    assert len(builds) == 4
+
+
+def test_far_field_kernels_freed_with_their_curve(monkeypatch):
+    builds = _count_kernel_builds(monkeypatch)
+    kite = make_kite()
+    far_field_from_densities(kite, grid(32), 4.0, np.ones(32), np.ones(32), [0.0, 1.0])
+    assert all(ref() is not None for ref in builds[0])
+    del kite
+    gc.collect()
+    assert all(ref() is None for ref in builds[0])

@@ -1,7 +1,24 @@
+import gc
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tscat2d import solver
 from tscat2d.solver import gmres, lu_solve, norm2_estimate, sigma_min_estimate
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _well_conditioned(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + 2 * np.sqrt(n) * np.eye(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def test_lu_identity():
@@ -133,3 +150,162 @@ def test_lu_and_gmres_agree():
     x1 = lu_solve(a, b).x
     x2 = gmres(a, b, tol=1e-12).x
     assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) <= 1e-8
+
+
+SOLVERS = {
+    "lu_solve": lambda a: lu_solve(a, np.ones(3)),
+    "gmres": lambda a: gmres(a, np.ones(3)),
+    "norm2_estimate": norm2_estimate,
+    "sigma_min_estimate": sigma_min_estimate,
+}
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+@pytest.mark.parametrize("shape", [(3, 2), (3,), (1, 3, 3)])
+def test_every_solver_rejects_a_non_square_matrix(name, shape):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        SOLVERS[name](np.ones(shape))
+
+
+def test_sigma_min_shares_the_direct_solve_cap():
+    # a broadcast view: a 5000 x 5000 matrix that takes no memory
+    with pytest.raises(ValueError, match="4096"):
+        sigma_min_estimate(np.broadcast_to(1.0, (5000, 5000)))
+
+
+def _count_lu_factor(monkeypatch):
+    calls = []
+    lu_factor = solver.sla.lu_factor
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "lu_factor", counted)
+    return calls
+
+
+def test_lu_solve_and_sigma_min_share_one_factorization(monkeypatch):
+    a, b = _well_conditioned(40, 6)
+    x_fresh = lu_solve(a, b).x
+    sigma_fresh = sigma_min_estimate(a)
+    calls = _count_lu_factor(monkeypatch)
+    a = _read_only(a)
+    x = lu_solve(a, b).x
+    sigma = sigma_min_estimate(a)
+    assert lu_solve(a, 2 * b).x == pytest.approx(2 * x, rel=1e-14)
+    assert len(calls) == 1
+    assert np.array_equal(x, x_fresh)
+    assert sigma == sigma_fresh
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_freeing_a_replaced_matrix_keeps_the_newer_factors(monkeypatch):
+    old, b = _well_conditioned(20, 12)
+    new, _ = _well_conditioned(20, 13)
+    old, new = _read_only(old), _read_only(new)
+    lu_solve(old, b)
+    # the traceback of a failed factorization keeps the lookup's frame alive,
+    # and with it the weak references of the entry it replaced (old's)
+    with pytest.raises(np.linalg.LinAlgError) as failed:
+        lu_solve(_read_only(np.zeros((20, 20))), b)
+    x = lu_solve(new, b).x
+    calls = _count_lu_factor(monkeypatch)
+    del old
+    gc.collect()
+    assert np.array_equal(lu_solve(new, b).x, x)
+    assert calls == []
+    assert failed.traceback
+
+
+def test_threads_never_get_another_matrix_s_factors():
+    # the memo is shared by threads; a race may cost a refactorization but
+    # must never pair one matrix with the factors of another
+    pairs = [_well_conditioned(8, seed) for seed in (14, 15, 16)]
+    mats = [_read_only(a) for a, _ in pairs]
+    b = pairs[0][1]
+    expected = [np.linalg.solve(a, b) for a in mats]
+    bad = []
+
+    def work(offset):
+        for i in range(300):
+            k = (i + offset) % len(mats)
+            if not np.allclose(lu_solve(mats[k], b).x, expected[k], rtol=1e-10, atol=0):
+                bad.append(k)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_writeable_matrix_changed_in_place_gives_the_new_answer(monkeypatch):
+    a, b = _well_conditioned(30, 7)
+    calls = _count_lu_factor(monkeypatch)
+    x1 = lu_solve(a, b).x
+    a *= 2.0
+    x2 = lu_solve(a, b).x
+    assert np.allclose(x2, x1 / 2, rtol=0, atol=1e-13 * np.abs(x1).max())
+    assert sigma_min_estimate(a) == pytest.approx(2 * sigma_min_estimate(a / 2), rel=1e-9)
+    assert len(calls) == 4  # nothing reused
+
+
+def test_read_only_view_of_a_writeable_array_is_not_memoized():
+    base, b = _well_conditioned(30, 8)
+    view = _read_only(base[:])
+    x1 = lu_solve(view, b).x
+    base *= 2.0  # writes through to the view's data
+    x2 = lu_solve(view, b).x
+    assert np.allclose(x2, x1 / 2, rtol=0, atol=1e-13 * np.abs(x1).max())
+
+
+def test_gmres_memory_follows_the_steps_taken():
+    # default maxit = n; an up-front basis would take (n + 1) n complex entries
+    n = 1000
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = np.eye(n) + np.outer(u, rng.standard_normal(n)) / (4 * n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        rep = gmres(a, b, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations <= 3
+    assert peak < 64 * n * 16  # room for 64 basis vectors, against 1001 up front
+
+
+@pytest.mark.parametrize("maxit", [15, 16, 17, 32, 33, 40])
+def test_gmres_growth_keeps_every_iterate(maxit):
+    # a budget-limited run must reproduce the first steps of a longer run
+    # bit for bit, across the 16 -> 32 -> 64 growth of the Krylov basis
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80)) + 6 * np.eye(80)
+    b = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    long = gmres(a, b, tol=1e-14, maxit=80)
+    short = gmres(a, b, tol=1e-14, maxit=maxit)
+    assert long.iterations > 40
+    assert short.iterations == maxit
+    assert short.residuals == long.residuals[: maxit + 1]
+
+
+def test_norm2_estimate_shift_matches_the_shifted_matrix():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    for shift in (0.5, 1.0, 3.0):
+        shifted = a - shift * np.eye(50)
+        assert norm2_estimate(a, shift=shift) == pytest.approx(
+            norm2_estimate(shifted), rel=1e-12
+        )
+        assert norm2_estimate(a, shift=shift) == pytest.approx(
+            np.linalg.norm(shifted, 2), rel=1e-3
+        )
