@@ -22,7 +22,11 @@ and the inner d/dtau, so no (2N)^3 product is formed.
 KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
 kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
 The kernel arguments k r form a symmetric matrix, which specfun evaluates
-on one triangle.
+on one triangle.  The log-split rule fills its output in row bands on the
+shared thread pool (see ``_pool``), with the same arithmetic for every
+entry as a whole-matrix evaluation, so the sets are bit-identical for any
+number of threads.  S and the B part of N are filled only on the rows that
+compression keeps.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -50,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import specfun
+from . import _pool, specfun
 from ._memo import freeze
 from .geometry import Curve, NodeGrid, grid as make_grid
 
@@ -132,24 +136,43 @@ def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(b).view(float)).view(complex)
 
 
-def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag) -> np.ndarray:
-    """Log-split rule for the kernel (i/4) H_order(k r) * g(t, tau).
+def _per_row(x, rows: slice):
+    """x[rows] for a table with one entry or row per node; x itself when it broadcasts."""
+    return x[rows] if np.ndim(x) and len(x) > 1 else x
+
+
+def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag, step: int = 1) -> np.ndarray:
+    """Log-split rule for the kernel (i/4) H_order(k r) * g(t, tau), on the rows [::step].
 
     M1 = -(1/4pi) J_order(k r) g and M2 = full - M1 log(4 sin^2((t - tau)/2)),
-    with the diagonals of M1 and M2 set to the given analytic limits.
+    with the diagonals of M1 and M2 set to the given analytic limits.  The
+    rows are filled in bands on the shared pool, each entry with the same
+    arithmetic as a whole-matrix evaluation.
     """
-    m1 = -_INV_4PI * data.j[order] * g
-    m2 = _QUARTER_I * data.h[order] * g - m1 * data.logsin
-    np.fill_diagonal(m1, m1_diag)
-    np.fill_diagonal(m2, m2_diag)
-    return data.log_weights * m1 + data.trapz * m2
+    n = data.grid.n
+    out = np.empty((len(range(0, n, step)), n), dtype=complex)
+
+    def band(lo, hi):
+        rows = slice(step * lo, step * hi, step)
+        diag = (np.arange(hi - lo), np.arange(n)[rows])
+        g_rows = _per_row(g, rows)
+        m1 = -_INV_4PI * data.j[order][rows] * g_rows
+        m2 = _QUARTER_I * data.h[order][rows] * g_rows - m1 * data.logsin[rows]
+        m1[diag] = _per_row(m1_diag, rows)
+        m2[diag] = _per_row(m2_diag, rows)
+        w1 = data.log_weights[rows] * m1
+        del m1  # freed before the second product, as a whole-matrix expression would free it
+        np.add(w1, data.trapz * m2, out=out[lo:hi])
+
+    _pool.map_bands(band, len(out), out.size)
+    return out
 
 
-def _s_type_matrix(data: _KernelData, g, g_diag) -> np.ndarray:
+def _s_type_matrix(data: _KernelData, g, g_diag, step: int = 1) -> np.ndarray:
     """Rule for (i/4) H_0(k r) * g: the r -> 0 limits of J_0 and of H_0 - J_0 log."""
     log_term = np.log(data.k * data.jac / 2.0) / (2.0 * np.pi)
     h0_limit = _QUARTER_I - specfun.EULER_GAMMA / (2.0 * np.pi) - log_term
-    return _kress_rule(data, 0, g, -_INV_4PI * g_diag, h0_limit * g_diag)
+    return _kress_rule(data, 0, g, -_INV_4PI * g_diag, h0_limit * g_diag, step)
 
 
 def _k_matrix(data: _KernelData) -> np.ndarray:
@@ -161,15 +184,10 @@ def _k_matrix(data: _KernelData) -> np.ndarray:
     return _kress_rule(data, 1, data.k * dot / data.r, 0.0, diag)
 
 
-def _compress(m: np.ndarray, p: np.ndarray, oversample: int) -> np.ndarray:
-    """Every oversample-th row of a fine-grid matrix times the prolongation p."""
-    return _real_product(m[::oversample], p)
-
-
 def _n_matrix(data: _KernelData, p: np.ndarray, oversample: int) -> np.ndarray:
     """N on the kept rows [::oversample], times the prolongation p."""
     nn_jac = (data.nrm @ data.nrm.T) * data.jac[None, :]
-    b = _compress(_s_type_matrix(data, nn_jac, data.jac), p, oversample)
+    b = _real_product(_s_type_matrix(data, nn_jac, data.jac, oversample), p)
     a = _s_type_matrix(data, 1.0, 1.0)
     dmat = spectral_derivative_matrix(data.grid.n)
     rows = slice(None, None, oversample)
@@ -233,11 +251,12 @@ def boundary_operator_set(
         raise ValueError(f"oversample must be >= 1, got {oversample}")
     data = _KernelData(curve, make_grid(oversample * grid.n), k)
     p = prolongation_matrix(grid.n, oversample)
-    s = _compress(_s_type_matrix(data, data.jac[None, :], data.jac), p, oversample)
+    rows = slice(None, None, oversample)  # compression uses these rows only
+    s = _real_product(_s_type_matrix(data, data.jac[None, :], data.jac, oversample), p)
     k_fine = _k_matrix(data)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
-    kt = _compress(k_fine.T * data.jac[None, :] / data.jac[:, None], p, oversample)
-    k_mat = _compress(k_fine, p, oversample)
+    kt = _real_product(k_fine.T[rows] * data.jac[None, :] / data.jac[rows, None], p)
+    k_mat = _real_product(k_fine[rows], p)
     del k_fine  # no fine matrix stays alive through N's fill, the peak of the set
     return BoundaryOperators(*map(freeze, (s, k_mat, kt, _n_matrix(data, p, oversample))))
 

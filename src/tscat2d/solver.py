@@ -88,6 +88,17 @@ def _grown(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a complex vector x; a real matrix acts on a float view of x.
+
+    The view turns x into an n x 2 real matrix of its real and imaginary
+    parts, so a real matrix is never converted to complex.
+    """
+    if np.iscomplexobj(a):
+        return a @ x
+    return (a @ x.view(float).reshape(-1, 2)).view(complex).reshape(-1)
+
+
 def gmres(
     a: np.ndarray,
     b: np.ndarray,
@@ -142,7 +153,7 @@ def gmres(
             size = min(2 * size, maxit)
             v = _grown(v, (size + 1, n))
             h = _grown(h, (size + 1, size))
-        w = a @ v[j]
+        w = _matvec(a, v[j])
         for i in range(j + 1):  # modified Gram-Schmidt
             h[i, j] = np.vdot(v[i], w)
             w -= h[i, j] * v[i]

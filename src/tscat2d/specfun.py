@@ -14,14 +14,25 @@ hankel1, arguments past 256 and all other orders go through AMOS.
 A Nystrom kernel depends on r = |x(t) - x(tau)| only, so every argument
 matrix k r the operators pass in is symmetric.  When an AMOS argument is a
 square matrix equal to its transpose, AMOS runs on the upper triangle only
-and the values are mirrored: half the points, bit-identical results.  The
-range, branch and finiteness checks still see the whole array.
+and the values are mirrored: half the points, bit-identical results.
+
+Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries are
+evaluated in row bands on the shared thread pool: a symmetric argument's
+triangle in bands of equal numbers of its entries, every other array
+(and the Cephes path) by rows, each band writing through ``out=``.  The
+values are bit-identical to one whole-array call.  Each public function
+is still one call on the caller's thread, and the range, branch and
+finiteness checks still see the whole array.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special as _sp
+
+from . import _pool
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -31,6 +42,9 @@ _MAX_ORDER = 200
 _CEPHES_MAX = 256.0
 _CEPHES_J = (_sp.j0, _sp.j1)
 _CEPHES_Y = (_sp.y0, _sp.y1)
+
+# dtypes whose ufunc results keep the argument's dtype, so bands can write into a preallocated output
+_BANDED = (np.dtype(float), np.dtype(complex))
 
 
 class SpecialFunctionError(ArithmeticError):
@@ -43,15 +57,51 @@ def _check_finite(name: str, n, z, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f(z) entrywise, written into out if given.
+
+    A float or complex array of at least ``_pool.MIN_ENTRIES`` entries is
+    filled in row bands on the shared pool, each band through ``out=``.
+    """
+    if z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED:
+        return f(z) if out is None else f(z, out=out)
+    if out is None:
+        out = np.empty(z.shape, z.dtype)
+
+    def band(lo, hi):
+        f(z[lo:hi], out=out[lo:hi])
+
+    _pool.map_bands(band, len(z), z.size)
+    return out
+
+
 def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
-    """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix."""
-    if z.ndim != 2 or z.shape[0] != z.shape[1] or not np.array_equal(z, z.T):
-        return f(n, z)
-    upper = np.triu_indices(z.shape[0])
-    vals = f(n, z[upper])
-    out = np.empty(z.shape, dtype=vals.dtype)
-    out[upper] = vals
-    out.T[upper] = vals
+    """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix.
+
+    The triangle is split into row bands holding equal numbers of its
+    entries; each band evaluates its entries and writes them and their
+    mirror images.
+    """
+    if (
+        z.ndim != 2
+        or z.shape[0] != z.shape[1]
+        or z.dtype not in _BANDED
+        or not np.array_equal(z, z.T)
+    ):
+        return _entrywise(functools.partial(f, n), z)
+    m = len(z)
+    iu, ju = np.triu_indices(m)
+    row_work = np.arange(m, 0, -1)  # upper-triangle entries of each row
+    first = np.concatenate(([0], np.cumsum(row_work)))  # offset of each row's first entry
+    out = np.empty(z.shape, z.dtype)
+
+    def band(lo, hi):
+        rows, cols = iu[first[lo] : first[hi]], ju[first[lo] : first[hi]]
+        vals = f(n, z[rows, cols])
+        out[rows, cols] = vals
+        out[cols, rows] = vals
+
+    _pool.map_bands(band, m, iu.size, row_work)
     return out
 
 
@@ -64,7 +114,7 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
     if np.any(a > 1.0e4):
         raise ValueError("argument outside supported range |z| <= 1e4")
     if n < 2 and np.isrealobj(z) and np.all(a <= _CEPHES_MAX):
-        out = _CEPHES_J[n](z)
+        out = _entrywise(_CEPHES_J[n], z)
     else:
         out = _amos(_sp.jv, n, z)
     return _check_finite("bessel_j", n, z, out)[()]
@@ -97,8 +147,8 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         raise ValueError("argument outside supported range |z| <= 1e4")
     if np.isrealobj(z) and np.all(z > 0) and np.all(a <= _CEPHES_MAX):
         out = np.empty(z.shape, dtype=complex)
-        _CEPHES_J[n](z, out=out.real)
-        _CEPHES_Y[n](z, out=out.imag)
+        _entrywise(_CEPHES_J[n], z, out.real)
+        _entrywise(_CEPHES_Y[n], z, out.imag)
     else:
         z = z.astype(complex)
         if np.any(z.imag < 0):

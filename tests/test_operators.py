@@ -6,6 +6,9 @@ must reproduce them.  Reference values below were computed with mpmath
 at 50 digits.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import special
@@ -196,6 +199,50 @@ def test_real_products_match_complex_products(monkeypatch, k, oversample):
     ref = boundary_operator_set(kite, g, k, oversample=oversample)
     for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
         assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
+
+
+def _set_bytes(ops):
+    return [(a.dtype, a.shape, a.tobytes()) for a in ops]
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+@pytest.mark.parametrize("curve", ["kite", "circle"])
+def test_banded_fill_bit_identical_to_one_worker(monkeypatch, curve, k, oversample):
+    # N = 128 puts every fill, at both oversamples, above the banding threshold
+    c, g = (make_kite() if curve == "kite" else make_circle(1.0)), grid(128)
+    assert g.n * g.n >= operators._pool.MIN_ENTRIES
+    default = boundary_operator_set(c, g, k, oversample=oversample)
+    monkeypatch.setattr(operators._pool, "workers", lambda: 3)
+    three = boundary_operator_set(c, g, k, oversample=oversample)
+    monkeypatch.setattr(operators._pool, "workers", lambda: 1)
+    one = boundary_operator_set(c, g, k, oversample=oversample)
+    assert _set_bytes(default) == _set_bytes(one)
+    assert _set_bytes(three) == _set_bytes(one)
+
+
+def test_concurrent_sets_from_user_threads(monkeypatch):
+    monkeypatch.setattr(operators._pool, "workers", lambda: 3)
+    kite, g = make_kite(), grid(96)
+    ks = [8.0, 8 + 4j, 8.0, 8 + 4j]
+    ref = {k: _set_bytes(boundary_operator_set(kite, g, k)) for k in set(ks)}
+    results = [None] * len(ks)
+
+    def build(i):
+        results[i] = _set_bytes(boundary_operator_set(kite, g, ks[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(ks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == ref[k] for i, k in enumerate(ks))
 
 
 def test_cached_grid_tables_are_read_only():

@@ -52,7 +52,7 @@ def test_lu_rejects_nonsquare_and_oversize():
     with pytest.raises(ValueError):
         lu_solve(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError):
-        lu_solve(np.eye(5000), np.ones(5000))
+        lu_solve(np.broadcast_to(1.0, (5000, 5000)), np.ones(5000))
 
 
 def test_gmres_identity_one_iteration():
@@ -282,6 +282,33 @@ def test_gmres_memory_follows_the_steps_taken():
         tracemalloc.stop()
     assert rep.converged and rep.iterations <= 3
     assert peak < 64 * n * 16  # room for 64 basis vectors, against 1001 up front
+
+
+def test_gmres_real_matrix_is_not_copied_to_complex():
+    # a real matrix with a complex right-hand side: one n x n complex copy is 16 MB
+    n = 1000
+    rng = np.random.default_rng(12)
+    a = np.eye(n) + np.outer(rng.standard_normal(n), rng.standard_normal(n)) / (4 * n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        rep = gmres(a, b, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations <= 3
+    assert peak < 64 * n * 16
+    assert np.linalg.norm(a @ rep.x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_gmres_real_product_matches_the_complex_product(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((60, 60)) + 8 * np.eye(60)
+    x = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    assert np.allclose(solver._matvec(a, x), a.astype(complex) @ x, rtol=1e-14, atol=1e-13)
+    ac = a + 1j * rng.standard_normal((60, 60))
+    assert np.array_equal(solver._matvec(ac, x), ac @ x)  # complex matrices: the plain product
 
 
 @pytest.mark.parametrize("maxit", [15, 16, 17, 32, 33, 40])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tscat2d import specfun
+from tscat2d import _pool, specfun
 
 # mpmath, dps=50
 J0_1 = 0.76519768655796655145
@@ -239,3 +239,108 @@ def test_other_arguments_take_the_plain_call(monkeypatch, z):
     assert rec.sizes == [z.size] * 2
     assert np.array_equal(h, special.hankel1(1, z))
     assert np.array_equal(j, special.jv(0, z))
+
+
+# ---------------------------------------------------------------------------
+# row bands on the shared pool, above the size threshold
+# ---------------------------------------------------------------------------
+BAND_N = 200  # 40,000 entries, above _pool.MIN_ENTRIES
+assert BAND_N * BAND_N >= _pool.MIN_ENTRIES
+
+
+@pytest.fixture(params=[None, 3], ids=["default-pool", "three-workers"])
+def pool_workers(request, monkeypatch):
+    # three workers exercise the bands even on a machine with one CPU
+    if request.param is not None:
+        monkeypatch.setattr(_pool, "workers", lambda: request.param)
+    return request.param
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def entrywise(f, *args):
+    # one flat call: every entry of the reference is evaluated independently
+    z = args[-1]
+    return f(*args[:-1], z.ravel()).reshape(z.shape)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_banded_symmetric_argument_bit_identical_to_entrywise_amos(pool_workers, n):
+    z = symmetric_kernel_argument(BAND_N)
+    assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
+    assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_workers, n):
+    z = symmetric_kernel_argument(BAND_N) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
+    assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
+    assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
+    flat = z[:, :150].ravel()  # one-dimensional: bands of entries
+    assert same_bits(specfun.hankel1(n, flat), special.hankel1(n, flat))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_banded_real_argument_bit_identical_to_entrywise_cephes(pool_workers, n):
+    x = symmetric_kernel_argument(BAND_N, k=3.0).real
+    ref = np.empty(x.shape, dtype=complex)
+    ref.real = entrywise(specfun._CEPHES_J[n], x)
+    ref.imag = entrywise(specfun._CEPHES_Y[n], x)
+    assert same_bits(specfun.hankel1(n, x), ref)
+    assert same_bits(specfun.bessel_j(n, -x), entrywise(specfun._CEPHES_J[n], -x))
+
+
+class BandRecorder(AmosRecorder):
+    """An AMOS recorder that also takes the ``out=`` of a banded call."""
+
+    def hankel1(self, n, z, out=None):
+        self.sizes.append(np.size(z))
+        return special.hankel1(n, z, out=out)
+
+    def jv(self, n, z, out=None):
+        self.sizes.append(np.size(z))
+        return special.jv(n, z, out=out)
+
+
+def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_workers):
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N)
+    specfun.hankel1(0, z)
+    specfun.bessel_j(1, z)
+    assert sum(rec.sizes) == 2 * BAND_N * (BAND_N + 1) // 2
+    if _pool.workers() > 1:
+        assert len(rec.sizes) > 2  # in bands
+
+
+def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, pool_workers):
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
+    specfun.hankel1(1, z)
+    assert sum(rec.sizes) == z.size
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
+def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
+    # one bad entry (and its mirror image) deep in the last band of a banded argument
+    def planted(value):
+        z = symmetric_kernel_argument(BAND_N)
+        if not symmetric:
+            z = z + np.triu(np.full(z.shape, 1e-3j))
+        z[-3, -2] = value
+        if symmetric:
+            z[-2, -3] = value
+        return z
+
+    with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed at \|z\| ~ 800"):
+        specfun.bessel_j(0, planted(800j))  # I_0(800) is past double range
+    with pytest.raises(ValueError, match=r"H_n\^\(1\) supported only for Im z >= 0"):
+        specfun.hankel1(1, planted(5 - 1j))
+    with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
+        specfun.hankel1(0, planted(2e4 + 1j))
+    with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
+        specfun.bessel_j(1, planted(2e4))
