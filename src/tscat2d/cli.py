@@ -189,6 +189,9 @@ def run_solve(cfg: dict) -> int:
         "iterations": report.iterations,
         "residuals": [float(r) for r in report.residuals],
         "farfield_max_abs": float(np.abs(ff.values).max()),
+        # a Krylov space as large as the system holds every vector: convergence there says
+        # nothing about the clustering the formulation relies on, and often means under-resolution
+        "krylov_exhausted": report.method == "gmres" and report.iterations >= len(system.rhs),
     }
     if cfg["curve"]["kind"] == "circle":
         mie = analytic.mie_solve(
@@ -210,6 +213,12 @@ def run_solve(cfg: dict) -> int:
     (outdir / "timings.json").write_text(
         json.dumps({"solve_seconds": report.wall_time, "total_seconds": t_total}) + "\n"
     )
+    if out["krylov_exhausted"]:
+        print(
+            f"GMRES needed {report.iterations} iterations, the whole Krylov space of the "
+            f"{len(system.rhs)}-unknown system; the grid may not resolve the problem",
+            file=sys.stderr,
+        )
     if not report.converged:
         print("solver did not converge within maxit", file=sys.stderr)
         return 1

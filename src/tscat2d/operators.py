@@ -18,14 +18,15 @@ tangential-derivative form
 where B is the S-type quadrature of the kernel with the n(t).n(tau)
 factor and A the S-type quadrature without the arc-length Jacobian.
 The outer d/dt is applied on the kept rows only, after the prolongation
-and the inner d/dtau, so no (2N)^3 product is formed.
+and the inner d/dtau.
 KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
 kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
 The kernel arguments k r form a symmetric matrix, which specfun evaluates
-on one triangle.  The log-split rule fills its output in row bands on the
-shared thread pool (see ``_pool``), with the same arithmetic for every
-entry as a whole-matrix evaluation, so the sets are bit-identical for any
-number of threads.  S and the B part of N are filled only on the rows that
+on one triangle.  The distances r, the arguments k r, K's geometric factor
+and the log-split rule are filled in row bands on the shared thread pool
+(see ``_pool``), with the same arithmetic for every entry as a
+whole-matrix evaluation, so the sets are bit-identical for any number of
+threads.  S and the B part of N are filled only on the rows that
 compression keeps.
 
 By default every matrix is assembled on a once-refined grid and then
@@ -36,12 +37,18 @@ the Nyquist frequency; the refined rule keeps every representable mode
 uniformly accurate, which matters once operators are composed into
 products.  ``oversample=1`` gives the plain same-grid rule through the
 same path, with the identity as prolongation.  Each fine matrix is
-compressed as soon as it is built.  The compression and N's products
-multiply a complex matrix by a real one; they run as one real product on a
-float view of the complex factor, which halves their flops.  The tables
-that depend only on the fine grid size (log factor, gathered weights,
-derivative and prolongation matrices) are cached for the last size and
-returned read-only.
+compressed as soon as it is built.  No dense product is formed: the
+compression M[::oversample] P applies the transpose of the prolongation P
+to each row by FFT (fine-grid coefficients folded to the coarse modes),
+N's A D P is the same fold with the coefficients times i*m, and its outer
+derivative on the kept rows is an FFT down each column, aliased onto the
+coarse grid.  That is O(N^2 log N) a set where the products were O(N^3),
+and the transforms run in bands on the pool too.  The results agree with
+the dense ``prolongation_matrix`` and ``spectral_derivative_matrix``
+products to rounding, within 1e-13 of the largest entry at real and
+moderately complex k.  The tables that depend only on the fine grid size
+(log factor, gathered weights, derivative symbol) are cached for the last
+size and returned read-only.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -102,14 +109,21 @@ class _KernelData:
         self.dd = curve.ddx(t)
         self.jac = curve.jacobian(t)
         self.nrm = curve.normal(t)
-        self.diff = self.pos[:, None, :] - self.pos[None, :, :]
-        r = np.sqrt(self.diff[..., 0] ** 2 + self.diff[..., 1] ** 2)
-        np.fill_diagonal(r, 1.0)  # placeholder; diagonals are set analytically
-        self.r = r
-        z = k.real * r if k.imag == 0 else k * r  # real arguments take the Cephes path
+        n = grid.n
+        kz = k.real if k.imag == 0 else k  # real arguments take the Cephes path
+        self.r = np.empty((n, n))
+        z = np.empty((n, n), dtype=type(kz))
+
+        def band(lo, hi):
+            diff = self.pos[lo:hi, None, :] - self.pos[None, :, :]
+            r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, out=self.r[lo:hi])
+            r[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # placeholder; diagonals are set analytically
+            np.multiply(kz, r, out=z[lo:hi])
+
+        _pool.map_bands(band, n, n * n)
         self.h = [specfun.hankel1(m, z) for m in (0, 1)]
         self.j = [specfun.bessel_j(m, z) for m in (0, 1)]
-        self.logsin, self.log_weights = _log_split_tables(grid.n)
+        self.logsin, self.log_weights = _log_split_tables(n)
         self.trapz = grid.weight
 
 
@@ -124,18 +138,6 @@ def _log_split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return freeze(logsin), freeze(kress_log_weights(n // 2)[idx])
 
 
-def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for one complex and one real factor, as one real product.
-
-    The complex factor is viewed as a real matrix whose columns interleave
-    real and imaginary parts, which halves the flops of the complex product.
-    A complex left factor goes through the transpose, a @ b = (b^T a^T)^T.
-    """
-    if np.iscomplexobj(a):
-        return np.ascontiguousarray(_real_product(b.T, a.T).T)
-    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
-
-
 def _per_row(x, rows: slice):
     """x[rows] for a table with one entry or row per node; x itself when it broadcasts."""
     return x[rows] if np.ndim(x) and len(x) > 1 else x
@@ -145,7 +147,8 @@ def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag, step: int = 
     """Log-split rule for the kernel (i/4) H_order(k r) * g(t, tau), on the rows [::step].
 
     M1 = -(1/4pi) J_order(k r) g and M2 = full - M1 log(4 sin^2((t - tau)/2)),
-    with the diagonals of M1 and M2 set to the given analytic limits.  The
+    with the diagonals of M1 and M2 set to the given analytic limits.  g is
+    a table or a function of a row slice that returns those rows of it.  The
     rows are filled in bands on the shared pool, each entry with the same
     arithmetic as a whole-matrix evaluation.
     """
@@ -155,7 +158,7 @@ def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag, step: int = 
     def band(lo, hi):
         rows = slice(step * lo, step * hi, step)
         diag = (np.arange(hi - lo), np.arange(n)[rows])
-        g_rows = _per_row(g, rows)
+        g_rows = g(rows) if callable(g) else _per_row(g, rows)
         m1 = -_INV_4PI * data.j[order][rows] * g_rows
         m2 = _QUARTER_I * data.h[order][rows] * g_rows - m1 * data.logsin[rows]
         m1[diag] = _per_row(m1_diag, rows)
@@ -178,21 +181,88 @@ def _s_type_matrix(data: _KernelData, g, g_diag, step: int = 1) -> np.ndarray:
 def _k_matrix(data: _KernelData) -> np.ndarray:
     # kernel (i/4) H_1(k r) * k (x(t) - x(tau)) . nu(tau) / r with nu = n |x'|;
     # smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
-    d, dd = data.d, data.dd
-    dot = data.diff[..., 0] * d[None, :, 1] - data.diff[..., 1] * d[None, :, 0]
+    pos, d, dd = data.pos, data.d, data.dd
+
+    def g(rows):
+        diff = pos[rows, None, :] - pos[None, :, :]
+        dot = diff[..., 0] * d[None, :, 1] - diff[..., 1] * d[None, :, 0]
+        return data.k * dot / data.r[rows]
+
     diag = (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / data.jac**2
-    return _kress_rule(data, 1, data.k * dot / data.r, 0.0, diag)
+    return _kress_rule(data, 1, g, 0.0, diag)
 
 
-def _n_matrix(data: _KernelData, p: np.ndarray, oversample: int) -> np.ndarray:
-    """N on the kept rows [::oversample], times the prolongation p."""
+@functools.lru_cache(maxsize=1)
+def _derivative_symbol(n: int) -> np.ndarray:
+    """i*m for the modes m of an n-point FFT, with the Nyquist mode set to 0 (read-only)."""
+    m = np.arange(n)
+    m[n // 2 :] -= n
+    m[n // 2] = 0
+    return freeze(1j * m)
+
+
+def _compress(fine: np.ndarray, n: int, derivative: bool = False) -> np.ndarray:
+    """fine @ P, or fine @ D @ P, by FFT along the rows.
+
+    P = prolongation_matrix(n, fine.shape[1] // n) and D is the fine grid's
+    spectral_derivative_matrix.  Each row's fine-grid Fourier coefficients
+    (times i*m for the derivative) are folded to n modes, the transpose of
+    the prolongation's embedding: modes below n/2 are kept and the +-n/2
+    pair is averaged, its even Nyquist split.  The folded coefficients are
+    transformed back on the n nodes.  Without the derivative, P is the
+    identity on one grid and fine is returned.  Rows run in bands on the
+    shared pool.
+    """
+    big = fine.shape[1]
+    if big == n and not derivative:
+        return fine
+    half = n // 2
+    sym = _derivative_symbol(big)
+    out = np.empty((len(fine), n), dtype=complex)
+
+    def band(lo, hi):
+        # unscaled inverse, then 1/n in the forward transform: the factor big/n of P over big
+        c = np.fft.ifft(fine[lo:hi], axis=1, norm="forward")
+        low, high = c[:, : half + 1], c[:, big - half :]  # modes 0..n/2 and -n/2..-1
+        if derivative:
+            low, high = low * sym[: half + 1], high * sym[big - half :]
+        nyquist = 0.5 * (low[:, half:] + high[:, :1])
+        folded = np.concatenate((low[:, :half], nyquist, high[:, 1:]), axis=1)
+        out[lo:hi] = np.fft.fft(folded, axis=1, norm="forward")
+
+    _pool.map_bands(band, len(fine), fine.size)
+    return out
+
+
+def _derivative_on_kept_rows(y: np.ndarray, oversample: int) -> np.ndarray:
+    """(D @ y)[::oversample] for the spectral derivative D on y's rows, by FFT down the columns.
+
+    On the kept nodes the fine modes that differ by a multiple of the coarse
+    size coincide, so the derivative's coefficients are summed over those
+    aliases and transformed on the coarse grid.  Columns run in bands on
+    the shared pool.
+    """
+    big, ncols = y.shape
+    n = big // oversample
+    sym = _derivative_symbol(big)[:, None]
+    out = np.empty((n, ncols), dtype=complex)
+
+    def band(lo, hi):
+        c = np.fft.fft(y[:, lo:hi], axis=0, norm="forward") * sym
+        aliased = c.reshape(oversample, n, hi - lo).sum(axis=0)
+        out[:, lo:hi] = np.fft.ifft(aliased, axis=0, norm="forward")
+
+    _pool.map_bands(band, ncols, y.size)
+    return out
+
+
+def _n_matrix(data: _KernelData, n: int, oversample: int) -> np.ndarray:
+    """N on the kept rows [::oversample], compressed to n nodes."""
     nn_jac = (data.nrm @ data.nrm.T) * data.jac[None, :]
-    b = _real_product(_s_type_matrix(data, nn_jac, data.jac, oversample), p)
-    a = _s_type_matrix(data, 1.0, 1.0)
-    dmat = spectral_derivative_matrix(data.grid.n)
-    rows = slice(None, None, oversample)
-    outer = _real_product(dmat[rows], _real_product(a, dmat @ p))
-    return data.k**2 * b + outer / data.jac[rows, None]
+    b = _compress(_s_type_matrix(data, nn_jac, data.jac, oversample), n)
+    a_dp = _compress(_s_type_matrix(data, 1.0, 1.0), n, derivative=True)
+    outer = _derivative_on_kept_rows(a_dp, oversample)
+    return data.k**2 * b + outer / data.jac[::oversample, None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,15 +320,14 @@ def boundary_operator_set(
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
     data = _KernelData(curve, make_grid(oversample * grid.n), k)
-    p = prolongation_matrix(grid.n, oversample)
     rows = slice(None, None, oversample)  # compression uses these rows only
-    s = _real_product(_s_type_matrix(data, data.jac[None, :], data.jac, oversample), p)
+    s = _compress(_s_type_matrix(data, data.jac[None, :], data.jac, oversample), grid.n)
     k_fine = _k_matrix(data)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
-    kt = _real_product(k_fine.T[rows] * data.jac[None, :] / data.jac[rows, None], p)
-    k_mat = _real_product(k_fine[rows], p)
+    kt = _compress(k_fine.T[rows] * data.jac[None, :] / data.jac[rows, None], grid.n)
+    k_mat = _compress(k_fine[rows], grid.n)
     del k_fine  # no fine matrix stays alive through N's fill, the peak of the set
-    return BoundaryOperators(*map(freeze, (s, k_mat, kt, _n_matrix(data, p, oversample))))
+    return BoundaryOperators(*map(freeze, (s, k_mat, kt, _n_matrix(data, grid.n, oversample))))
 
 
 @functools.lru_cache(maxsize=1)

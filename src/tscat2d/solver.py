@@ -42,7 +42,7 @@ _FACTORS = LastValue()
 
 
 def _lu_factor(a: np.ndarray):
-    """Partial-pivoting LU factors of A; a vanishing pivot raises LinAlgError.
+    """Partial-pivoting LU factors of A; a numerically singular A raises LinAlgError.
 
     The factors of a read-only A are kept while A lives and reused when A is
     passed again; a writeable A is factored on every call.
@@ -53,9 +53,19 @@ def _lu_factor(a: np.ndarray):
 
 
 def _checked_lu_factor(a: np.ndarray):
+    """LU factors of A, refused when LAPACK's estimate of 1/cond_1(A) is below machine epsilon.
+
+    gecon estimates the reciprocal condition number from the factors in
+    O(n^2); a small pivot alone does not show an ill-conditioned matrix.
+    """
     lu, piv = sla.lu_factor(a)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
-        raise np.linalg.LinAlgError("matrix numerically singular (vanishing pivot)")
+    gecon = sla.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, sla.norm(a, 1, check_finite=False), norm="1")
+    if not rcond >= np.finfo(float).eps:
+        raise np.linalg.LinAlgError(
+            f"matrix numerically singular: reciprocal condition number {rcond:.3g} "
+            "is below machine epsilon"
+        )
     return lu, piv
 
 

@@ -14,7 +14,8 @@ hankel1, arguments past 256 and all other orders go through AMOS.
 A Nystrom kernel depends on r = |x(t) - x(tau)| only, so every argument
 matrix k r the operators pass in is symmetric.  When an AMOS argument is a
 square matrix equal to its transpose, AMOS runs on the upper triangle only
-and the values are mirrored: half the points, bit-identical results.
+and the values are mirrored: half the points, bit-identical results.  The
+test for symmetry compares the two triangles in row bands on the pool.
 
 Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries are
 evaluated in row bands on the shared thread pool: a symmetric argument's
@@ -75,6 +76,22 @@ def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _symmetric(z: np.ndarray, row_work: np.ndarray) -> bool:
+    """z == z.T entrywise (NaN equals nothing), compared in row bands on the shared pool.
+
+    A band compares its rows from its first column on with the same columns
+    read down from its first row, so every pair off the diagonal is compared.
+    """
+    asymmetric = []
+
+    def band(lo, hi):
+        if not np.array_equal(z[lo:hi, lo:], z[lo:, lo:hi].T):
+            asymmetric.append(lo)
+
+    _pool.map_bands(band, len(z), z.size // 2, row_work)
+    return not asymmetric
+
+
 def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
     """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix.
 
@@ -82,26 +99,24 @@ def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
     entries; each band evaluates its entries and writes them and their
     mirror images.
     """
-    if (
-        z.ndim != 2
-        or z.shape[0] != z.shape[1]
-        or z.dtype not in _BANDED
-        or not np.array_equal(z, z.T)
-    ):
+    if z.ndim != 2 or z.shape[0] != z.shape[1] or z.dtype not in _BANDED:
         return _entrywise(functools.partial(f, n), z)
     m = len(z)
-    iu, ju = np.triu_indices(m)
     row_work = np.arange(m, 0, -1)  # upper-triangle entries of each row
-    first = np.concatenate(([0], np.cumsum(row_work)))  # offset of each row's first entry
+    if not _symmetric(z, row_work):
+        return _entrywise(functools.partial(f, n), z)
     out = np.empty(z.shape, z.dtype)
 
     def band(lo, hi):
-        rows, cols = iu[first[lo] : first[hi]], ju[first[lo] : first[hi]]
+        # the rows lo:hi of the upper triangle, indexed within the block z[lo:hi, lo:]
+        rows, cols = np.triu_indices(hi - lo, 0, m - lo)
+        rows += lo
+        cols += lo
         vals = f(n, z[rows, cols])
         out[rows, cols] = vals
         out[cols, rows] = vals
 
-    _pool.map_bands(band, m, iu.size, row_work)
+    _pool.map_bands(band, m, m * (m + 1) // 2, row_work)
     return out
 
 
@@ -150,7 +165,7 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         _entrywise(_CEPHES_J[n], z, out.real)
         _entrywise(_CEPHES_Y[n], z, out.imag)
     else:
-        z = z.astype(complex)
+        z = np.asarray(z, dtype=complex)  # no copy of an argument that is already complex
         if np.any(z.imag < 0):
             raise ValueError("H_n^(1) supported only for Im z >= 0")
         out = _amos(_sp.hankel1, n, z)

@@ -21,13 +21,15 @@ def read_csv(path):
     return header, rows
 
 
-def test_solve_writes_report_and_farfield(tmp_path):
+def test_solve_writes_report_and_farfield(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["solve", "--k1", 4, "--k2", 8, "--nu", 2, "--N", 64, "--out", out])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "converged"
     assert report["iterations"] > 0
+    assert report["krylov_exhausted"] is False
+    assert capsys.readouterr().err == ""
     assert report["farfield_error_vs_reference"] <= 1e-8
     assert report["config"]["nu"] == 2.0
     assert report["config"]["kappa"] == {"re": 4.0, "im": 2.0}
@@ -35,6 +37,19 @@ def test_solve_writes_report_and_farfield(tmp_path):
     assert header == ["theta", "re_u_inf", "im_u_inf", "abs_u_inf"]
     assert len(rows) == 360
     assert (out / "timings.json").exists()
+
+
+def test_solve_flags_an_exhausted_krylov_space(tmp_path, capsys):
+    # k1 = 40 on 64 nodes is under-resolved: GMRES "converges" only in the whole 2N-dimensional
+    # space, and the far field is about 58% off Mie
+    out = tmp_path / "exhausted"
+    assert run(["solve", "--k1", 40, "--k2", 60, "--N", 64, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "converged"
+    assert report["iterations"] == 128
+    assert report["krylov_exhausted"] is True
+    assert report["farfield_error_vs_reference"] > 0.1
+    assert capsys.readouterr().err.count("whole Krylov space") == 1
 
 
 def test_solve_null_contrast(tmp_path):
@@ -159,6 +174,7 @@ def test_config_file_with_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["N"] == 64
     assert report["method"] == "lu"
+    assert report["krylov_exhausted"] is False
 
 
 def test_compare_gcsie_beats_classical(tmp_path):

@@ -191,14 +191,18 @@ def test_hypersingular_kept_rows_match_full_product(k, oversample):
 
 @pytest.mark.parametrize("oversample", [1, 2])
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
-def test_real_products_match_complex_products(monkeypatch, k, oversample):
-    # compression and N's products run as real products on a float view; plain @ is the oracle
-    kite, g = make_kite(), grid(64)
-    fast = boundary_operator_set(kite, g, k, oversample=oversample)
-    monkeypatch.setattr(operators, "_real_product", lambda a, b: a @ b)
-    ref = boundary_operator_set(kite, g, k, oversample=oversample)
-    for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
-        assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
+def test_fft_compression_matches_dense_products(k, oversample):
+    # the set compresses by FFT; the dense prolongation matrix is the oracle (for N, whose
+    # derivatives are FFTs too, the dense derivative matrix is the oracle of the test above)
+    kite, n = make_kite(), 64
+    data = operators._KernelData(kite, grid(oversample * n), complex(k))
+    s = operators._s_type_matrix(data, data.jac[None, :], data.jac)
+    k_fine = operators._k_matrix(data)
+    kt = k_fine.T * data.jac[None, :] / data.jac[:, None]
+    ops = boundary_operator_set(kite, grid(n), k, oversample=oversample)
+    for tag, op, fine in zip(("s", "k", "kt"), ops, (s, k_fine, kt)):
+        ref = fine[::oversample] @ prolongation_matrix(n, oversample)
+        assert np.abs(op - ref).max() <= 1e-13 * np.abs(ref).max(), tag
 
 
 def _set_bytes(ops):

@@ -48,6 +48,26 @@ def test_lu_rejects_singular():
         lu_solve(np.zeros((3, 3)), np.ones(3))
 
 
+def test_lu_rejects_rank_deficient_matrix_with_nonvanishing_pivots():
+    # rank 49 of 50: the smallest pivot is 1.9e-13, yet 1/cond is about 3e-18; solving it
+    # gave a relative residual of 2.7 and |x| ~ 3e14
+    rng = np.random.default_rng(0)
+    left = rng.standard_normal((50, 49)) + 1j * rng.standard_normal((50, 49))
+    right = rng.standard_normal((49, 50)) + 1j * rng.standard_normal((49, 50))
+    a = left @ right
+    with pytest.raises(np.linalg.LinAlgError, match=r"reciprocal condition number [0-9.e+-]+ is below"):
+        lu_solve(a, np.ones(50))
+    with pytest.raises(np.linalg.LinAlgError, match="reciprocal condition number"):
+        sigma_min_estimate(_read_only(a))
+
+
+def test_lu_accepts_tiny_but_well_conditioned_matrices():
+    # conditioning, not pivot size, decides: 1e-305 I has pivots far below 1e-300 and cond 1
+    b = np.array([1.0, 2.0])
+    assert lu_solve(1e-305 * np.eye(2), 1e-305 * b).x == pytest.approx(b, rel=1e-15)
+    assert lu_solve(np.diag([1.0, 1e-10]), b).x == pytest.approx([1.0, 2e10], rel=1e-15)
+
+
 def test_lu_rejects_nonsquare_and_oversize():
     with pytest.raises(ValueError):
         lu_solve(np.ones((3, 2)), np.ones(3))

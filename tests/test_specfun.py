@@ -324,6 +324,19 @@ def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, po
     assert sum(rec.sizes) == z.size
 
 
+@pytest.mark.parametrize(
+    "i,j", [(0, BAND_N - 1), (BAND_N - 1, 0), (BAND_N - 2, BAND_N - 1), (BAND_N // 2, BAND_N // 2 + 1)]
+)
+def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, j):
+    # the symmetry test runs in bands; a single unequal pair in any of them must be seen
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N)
+    z[i, j] += 1e-12
+    assert same_bits(specfun.hankel1(0, z), entrywise(special.hankel1, 0, z))
+    assert sum(rec.sizes) == z.size
+
+
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
 def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
     # one bad entry (and its mirror image) deep in the last band of a banded argument
