@@ -46,7 +46,14 @@ from .postprocess import (
     quadratic_form,
     single_layer_potential,
 )
-from .solver import SolveReport, gmres, lu_solve, norm2_estimate, sigma_min_estimate
+from .solver import (
+    SolveReport,
+    gmres,
+    lu_solve,
+    norm2_estimate,
+    rcond_estimate,
+    sigma_min_estimate,
+)
 from .specfun import (
     EULER_GAMMA,
     SpecialFunctionError,

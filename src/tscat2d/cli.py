@@ -29,7 +29,7 @@ from .formulations import (
 from .geometry import grid, is_finite_real, is_integer, make_curve
 from .operators import fourier_modes
 from .postprocess import far_field
-from .solver import gmres, lu_solve, norm2_estimate, sigma_min_estimate
+from .solver import gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 from .specfun import SpecialFunctionError
 
 DEFAULT_CONFIG = {
@@ -47,6 +47,11 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "out": "out",
 }
+
+
+# below this many grid points per wavelength of max(k1, k2) along the boundary a solve warns
+# (Kress, Linear Integral Equations, ch. 12)
+MIN_POINTS_PER_WAVELENGTH = 8.0
 
 
 def _fmt(x: float) -> str:
@@ -159,6 +164,15 @@ def _solve_once(tcfg, g, wave, formulation, solver_spec, ops=None):
     return system, report
 
 
+def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
+    """N 2 pi / (max(k1, k2) L): grid points per shortest wavelength along the boundary.
+
+    L is the trapezoid-rule perimeter on the grid's nodes.
+    """
+    perimeter = g.weight * float(np.sum(tcfg.curve.jacobian(g.nodes)))
+    return g.n * 2.0 * np.pi / (max(tcfg.k1, tcfg.k2) * perimeter)
+
+
 def _write_farfield_csv(path: Path, ff):
     lines = ["theta,re_u_inf,im_u_inf,abs_u_inf"]
     for th, v in zip(ff.angles, ff.values):
@@ -192,6 +206,7 @@ def run_solve(cfg: dict) -> int:
         # a Krylov space as large as the system holds every vector: convergence there says
         # nothing about the clustering the formulation relies on, and often means under-resolution
         "krylov_exhausted": report.method == "gmres" and report.iterations >= len(system.rhs),
+        "points_per_wavelength": points_per_wavelength(tcfg, g),
     }
     if cfg["curve"]["kind"] == "circle":
         mie = analytic.mie_solve(
@@ -208,6 +223,7 @@ def run_solve(cfg: dict) -> int:
         out["diagnostics"] = {
             "norm2_minus_identity": norm2_estimate(a, shift=1.0, seed=cfg["seed"]),
             "sigma_min": sigma_min_estimate(a, seed=cfg["seed"]),
+            "rcond": rcond_estimate(a),  # from the LU factors sigma_min used
         }
     (outdir / "report.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     (outdir / "timings.json").write_text(
@@ -217,6 +233,13 @@ def run_solve(cfg: dict) -> int:
         print(
             f"GMRES needed {report.iterations} iterations, the whole Krylov space of the "
             f"{len(system.rhs)}-unknown system; the grid may not resolve the problem",
+            file=sys.stderr,
+        )
+    if out["points_per_wavelength"] < MIN_POINTS_PER_WAVELENGTH:
+        print(
+            f"{out['points_per_wavelength']:.3g} grid points per wavelength of max(k1, k2) "
+            f"along the boundary, below {MIN_POINTS_PER_WAVELENGTH:g}; the grid may not "
+            "resolve the wavenumbers",
             file=sys.stderr,
         )
     if not report.converged:

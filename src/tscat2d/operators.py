@@ -258,7 +258,9 @@ def _derivative_on_kept_rows(y: np.ndarray, oversample: int) -> np.ndarray:
 
 def _n_matrix(data: _KernelData, n: int, oversample: int) -> np.ndarray:
     """N on the kept rows [::oversample], compressed to n nodes."""
-    nn_jac = (data.nrm @ data.nrm.T) * data.jac[None, :]
+    def nn_jac(rows):
+        return (data.nrm[rows] @ data.nrm.T) * data.jac[None, :]
+
     b = _compress(_s_type_matrix(data, nn_jac, data.jac, oversample), n)
     a_dp = _compress(_s_type_matrix(data, 1.0, 1.0), n, derivative=True)
     outer = _derivative_on_kept_rows(a_dp, oversample)

@@ -37,15 +37,17 @@ def _square(a) -> np.ndarray:
     return a
 
 
-# LU factors of the last read-only matrix, shared by lu_solve and sigma_min_estimate
+# LU factors and rcond of the last read-only matrix, shared by lu_solve, sigma_min_estimate
+# and rcond_estimate
 _FACTORS = LastValue()
 
 
 def _lu_factor(a: np.ndarray):
-    """Partial-pivoting LU factors of A; a numerically singular A raises LinAlgError.
+    """Partial-pivoting LU factors of A and LAPACK's estimate of 1/cond_1(A).
 
-    The factors of a read-only A are kept while A lives and reused when A is
-    passed again; a writeable A is factored on every call.
+    A numerically singular A raises LinAlgError.  The result for a read-only
+    A is kept while A lives and reused when A is passed again; a writeable A
+    is factored on every call.
     """
     if a.shape[0] > 4096:
         raise ValueError(f"dense direct solve capped at 4096 unknowns, got {a.shape[0]}")
@@ -53,7 +55,7 @@ def _lu_factor(a: np.ndarray):
 
 
 def _checked_lu_factor(a: np.ndarray):
-    """LU factors of A, refused when LAPACK's estimate of 1/cond_1(A) is below machine epsilon.
+    """LU factors of A and rcond, refused when rcond is below machine epsilon.
 
     gecon estimates the reciprocal condition number from the factors in
     O(n^2); a small pivot alone does not show an ill-conditioned matrix.
@@ -66,7 +68,15 @@ def _checked_lu_factor(a: np.ndarray):
             f"matrix numerically singular: reciprocal condition number {rcond:.3g} "
             "is below machine epsilon"
         )
-    return lu, piv
+    return (lu, piv), float(rcond)
+
+
+def rcond_estimate(a: np.ndarray) -> float:
+    """LAPACK's estimate (gecon) of 1/cond_1(A), from the LU factors lu_solve uses.
+
+    A numerically singular A raises LinAlgError, as in lu_solve.
+    """
+    return _lu_factor(_square(a))[1]
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
@@ -74,7 +84,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     a = _square(a)
     b = np.asarray(b)
     t0 = time.perf_counter()
-    x = sla.lu_solve(_lu_factor(a), b)
+    x = sla.lu_solve(_lu_factor(a)[0], b)
     elapsed = time.perf_counter() - t0
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
@@ -239,7 +249,7 @@ def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     """
     a = _square(a)
     n = a.shape[0]
-    factors = _lu_factor(a)
+    factors = _lu_factor(a)[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)

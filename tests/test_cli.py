@@ -29,8 +29,10 @@ def test_solve_writes_report_and_farfield(tmp_path, capsys):
     assert report["status"] == "converged"
     assert report["iterations"] > 0
     assert report["krylov_exhausted"] is False
+    assert report["points_per_wavelength"] == pytest.approx(64 / 8)  # N / (max(k1, k2) r)
     assert capsys.readouterr().err == ""
     assert report["farfield_error_vs_reference"] <= 1e-8
+    assert 0 < report["diagnostics"]["rcond"] <= 1
     assert report["config"]["nu"] == 2.0
     assert report["config"]["kappa"] == {"re": 4.0, "im": 2.0}
     header, rows = read_csv(out / "farfield.csv")
@@ -49,7 +51,27 @@ def test_solve_flags_an_exhausted_krylov_space(tmp_path, capsys):
     assert report["iterations"] == 128
     assert report["krylov_exhausted"] is True
     assert report["farfield_error_vs_reference"] > 0.1
-    assert capsys.readouterr().err.count("whole Krylov space") == 1
+    assert report["points_per_wavelength"] == pytest.approx(64 / 60)
+    err = capsys.readouterr().err
+    assert err.count("whole Krylov space") == 1
+    assert err.count("points per wavelength") == 1
+
+
+def test_solve_warns_below_eight_points_per_wavelength(tmp_path, capsys):
+    # kite perimeter L = 9.324, N = 64: 64 * 2 pi / (k2 L) crosses 8 at k2 = 5.39
+    for k2, ppw, warned in ((5.2, 8.29, False), (5.6, 7.70, True)):
+        out = tmp_path / f"k2-{k2}"
+        args = ["solve", "--k1", 3, "--k2", k2, "--N", 64, "--out", out]
+        assert run(args + ["--config", _kite_config(tmp_path)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["points_per_wavelength"] == pytest.approx(ppw, abs=0.01)
+        assert ("points per wavelength" in capsys.readouterr().err) is warned
+
+
+def _kite_config(tmp_path):
+    cfg = tmp_path / "kite.json"
+    cfg.write_text(json.dumps({"curve": {"kind": "kite"}, "farfield_angles": 8}))
+    return cfg
 
 
 def test_solve_null_contrast(tmp_path):
@@ -175,6 +197,7 @@ def test_config_file_with_overrides(tmp_path):
     assert report["config"]["N"] == 64
     assert report["method"] == "lu"
     assert report["krylov_exhausted"] is False
+    assert 0 < report["diagnostics"]["rcond"] <= 1
 
 
 def test_compare_gcsie_beats_classical(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tscat2d import solver
-from tscat2d.solver import gmres, lu_solve, norm2_estimate, sigma_min_estimate
+from tscat2d.solver import gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 
 
 def _read_only(a):
@@ -213,10 +213,24 @@ def test_lu_solve_and_sigma_min_share_one_factorization(monkeypatch):
     a = _read_only(a)
     x = lu_solve(a, b).x
     sigma = sigma_min_estimate(a)
+    rcond = rcond_estimate(a)
     assert lu_solve(a, 2 * b).x == pytest.approx(2 * x, rel=1e-14)
     assert len(calls) == 1
     assert np.array_equal(x, x_fresh)
     assert sigma == sigma_fresh
+    assert rcond == rcond_estimate(a.copy())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rcond_estimate_is_within_ten_of_the_one_norm_condition(seed):
+    rng = np.random.default_rng(seed)
+    # singular values from 1 down to 1e-6: cond_1 about 1e6 or more
+    u, _ = np.linalg.qr(rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
+    v, _ = np.linalg.qr(rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
+    a = (u * np.geomspace(1.0, 1e-6, 30)) @ v.conj().T
+    exact = 1.0 / np.linalg.cond(a, 1)
+    assert exact / 10 <= rcond_estimate(a) <= 10 * exact
+    assert rcond_estimate(np.eye(4)) == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -5,8 +5,10 @@ digits; the Wronskian identities pin every sign and normalization used
 by the kernels and circle symbols downstream.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from tscat2d import _pool, specfun
@@ -267,9 +269,15 @@ def entrywise(f, *args):
     return f(*args[:-1], z.ravel()).reshape(z.shape)
 
 
+def off_ray_kernel_argument(n=BAND_N, k=1.0 + 0.5j):
+    # symmetric, with entries off every ray from 0, so AMOS evaluates every entry of one triangle
+    r = symmetric_kernel_argument(n, k=1.0).real
+    return k * r + 1e-3j * r**2
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_banded_symmetric_argument_bit_identical_to_entrywise_amos(pool_workers, n):
-    z = symmetric_kernel_argument(BAND_N)
+    z = off_ray_kernel_argument(BAND_N)
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
 
@@ -308,7 +316,7 @@ class BandRecorder(AmosRecorder):
 def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_workers):
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
-    z = symmetric_kernel_argument(BAND_N)
+    z = off_ray_kernel_argument(BAND_N)
     specfun.hankel1(0, z)
     specfun.bessel_j(1, z)
     assert sum(rec.sizes) == 2 * BAND_N * (BAND_N + 1) // 2
@@ -357,3 +365,139 @@ def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
         specfun.hankel1(0, planted(2e4 + 1j))
     with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
         specfun.bessel_j(1, planted(2e4))
+
+
+# ---------------------------------------------------------------------------
+# complex arguments on one ray: the Chebyshev table in the ray parameter
+# ---------------------------------------------------------------------------
+EPS = np.finfo(float).eps
+
+
+def envelope(n, z):
+    # max(|J_n|, |H_n|), the scale of the rounding in either at complex z
+    return np.maximum(np.abs(special.jv(n, z)), np.abs(special.hankel1(n, z)))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_ray_argument_bit_identical_for_any_worker_count(monkeypatch, n):
+    z = symmetric_kernel_argument(BAND_N)  # on the ray through 1 + 0.5i
+    results = []
+    for workers in (None, 3, 1):
+        with monkeypatch.context() as m:
+            if workers is not None:
+                m.setattr(_pool, "workers", lambda: workers)
+            results.append((specfun.hankel1(n, z), specfun.bessel_j(n, z)))
+    for h, j in results[1:]:
+        assert same_bits(h, results[0][0]) and same_bits(j, results[0][1])
+    h, j = results[0]
+    assert np.array_equal(h, h.T) and np.array_equal(j, j.T)
+    bound = 8 * EPS * (1 + np.abs(z)) * envelope(n, z)
+    assert np.all(np.abs(h - entrywise(special.hankel1, n, z)) <= bound)
+    assert np.all(np.abs(j - entrywise(special.jv, n, z)) <= bound)
+
+
+def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_workers):
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N)
+    panels = int((np.abs(z).max() - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1
+    nodes = specfun._RAY_DEGREE * panels + 1
+    near = np.count_nonzero(np.triu(np.abs(z) < specfun._RAY_NEAR))
+    assert 0 < near and nodes * specfun._RAY_MIN_SHARE <= z.size
+    specfun.hankel1(0, z)
+    assert rec.sizes[0] == nodes  # the table, built first
+    assert sum(rec.sizes) == nodes + near
+    rec.sizes.clear()
+    specfun.bessel_j(1, z)
+    assert sum(rec.sizes) == nodes + near
+
+
+def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
+    # a table for |z| up to 2000 would need more points than the array has entries over 16
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N) * 30.0
+    assert same_bits(specfun.hankel1(1, z), entrywise(special.hankel1, 1, z))
+    assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
+
+
+def test_overflow_on_a_ray_is_reported():
+    # J_0 passes double range at Im z = 713: the table is refused and AMOS reports the overflow
+    u = np.linspace(0.0, 720.0 / abs(1 + 8j), 540)
+    r = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(r, 1.0)
+    with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed"):
+        specfun.bessel_j(0, (1 + 8j) * r)
+
+
+def test_higher_orders_stay_on_amos(monkeypatch):
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = symmetric_kernel_argument(BAND_N)
+    assert same_bits(specfun.bessel_j(2, z), entrywise(special.jv, 2, z))
+    assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
+
+
+RAYS = [8 + 4j, 20 + 10j, 1 + 0.5j, 30 + 0.05j, 1 + 8j]
+
+
+def mpmath_values(n, pts):
+    # enough digits that H, e^-Im z, survives its cancellation against J, e^+Im z
+    h, j = [], []
+    for p in pts:
+        with mpmath.workdps(30 + int(np.ceil(p.imag / np.log(10) * 2))):
+            w = mpmath.mpc(p.real, p.imag)
+            h.append(complex(mpmath.hankel1(n, w)))
+            j.append(complex(mpmath.besselj(n, w)))
+    return np.array(h), np.array(j)
+
+
+@pytest.mark.parametrize("k", RAYS, ids=str)
+def test_ray_table_matches_mpmath(k):
+    # k r on a symmetric array large enough for the table, |k r| from 0 to 70
+    u = np.linspace(0.0, 70.0 / abs(k), 220)
+    r = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(r, 1.0)
+    z = k * r
+    row = z[0, 1:]
+    pick = np.flatnonzero(np.abs(row) >= specfun._RAY_NEAR)
+    pick = np.union1d(pick[:4], np.append(pick[::9], pick[-1]))  # the first panel and a spread to |z| = 70
+    pts = row[pick]
+    assert abs(pts[-1]) > 69
+    for n in (0, 1):
+        h_ref, j_ref = mpmath_values(n, pts)
+        bound = 4 * EPS * (1 + np.abs(pts)) * np.maximum(np.abs(h_ref), np.abs(j_ref))
+        for got in (specfun.hankel1(n, z)[0, 1:][pick], special.hankel1(n, pts)):
+            assert np.all(np.abs(got - h_ref) <= bound)
+        for got in (specfun.bessel_j(n, z)[0, 1:][pick], special.jv(n, pts)):
+            assert np.all(np.abs(got - j_ref) <= bound)
+
+
+RANDOM_RAY_N = 130  # 16,900 entries, above _pool.MIN_ENTRIES; a table to |z| = 45 pays on them
+assert RANDOM_RAY_N**2 >= _pool.MIN_ENTRIES
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    re=st.floats(0.0, 30.0, allow_subnormal=False),  # a subnormal part is off every ray
+    im=st.floats(0.01, 15.0),
+    z_max=st.floats(10.0, 45.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
+    k = complex(re, im)
+    m = RANDOM_RAY_N
+    u = np.random.default_rng(seed).uniform(0.0, z_max / abs(k), m)
+    r = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(r, 1.0)
+    z = k * r
+    rec = BandRecorder()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_sp", rec)
+        got = {n: (specfun.hankel1(n, z), specfun.bessel_j(n, z)) for n in (0, 1)}
+    assert sum(rec.sizes) < 4 * m * (m + 1) // 2  # the table took part
+    for n, (h, j) in got.items():
+        h_ref, j_ref = entrywise(special.hankel1, n, z), entrywise(special.jv, n, z)
+        bound = 8 * EPS * (1 + np.abs(z)) * np.maximum(np.abs(h_ref), np.abs(j_ref))
+        assert np.all(np.abs(h - h_ref) <= bound)
+        assert np.all(np.abs(j - j_ref) <= bound)
