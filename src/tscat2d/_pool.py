@@ -11,6 +11,9 @@ The pool has one thread per CPU the process may run on (its affinity, so
 forked child.  The work runs on the caller's thread alone, as one band, in
 three cases: one CPU, fewer than ``MIN_ENTRIES`` entries, and a call from a
 pool thread, so that a band which submits bands again cannot wait on itself.
+``map_blocks`` cuts each band into blocks of about ``BAND_ENTRIES`` entries,
+so that the temporaries of a fill stay that small even when one band covers
+the whole array.
 """
 
 from __future__ import annotations
@@ -87,3 +90,18 @@ def map_bands(fn, nrows: int, entries: int, row_work=None) -> None:
         f.exception()
     for f in futures:
         f.result()
+
+
+def map_blocks(fn, nrows: int, row_entries: int) -> None:
+    """map_bands over nrows rows of row_entries entries, each band calling fn on blocks of its rows.
+
+    A block holds about ``BAND_ENTRIES`` entries (at least one row), so the
+    temporaries of fn stay that small whatever the number of bands.
+    """
+    block = max(1, BAND_ENTRIES // row_entries)
+
+    def band(lo, hi):
+        for first in range(lo, hi, block):
+            fn(first, min(first + block, hi))
+
+    map_bands(band, nrows, nrows * row_entries)

@@ -8,26 +8,41 @@ parameter grid.  The weakly singular kernels are split as
 
 with M1, M2 smooth, and integrated with the global trigonometric
 (Martensen-Kussmaul) rule: weights R_j for the log factor, the plain
-trapezoid weight 2*pi/N for the smooth part.  One rule, for kernels
-(i/4) H_m(k r) * g(t, tau) with m = 0 or 1, builds S, K and both S-type
-parts of N.  The hypersingular operator is assembled from its
+trapezoid weight w = 2*pi/n for the smooth part.  Every kernel here is
+(i/4) H_m(k r) * g(t, tau) with m = 0 or 1 and g smooth, and its M1 is
+-(1/4pi) J_m(k r) g, so the rule is one table per cylinder order times g:
+
+    T_m = (i/4) w H_m(k r) - D o J_m(k r),
+    D = (R_|i-j| - w log(4 sin^2((t - tau)/2))) / (4 pi),
+
+with o the entrywise product and the diagonal set to the analytic limit.
+D depends on the grid alone.  T1 o g is K; T0 o g is S, and the two
+S-type parts of the hypersingular operator, assembled from its
 tangential-derivative form
 
     N = k^2 * B + (1/|x'|) d/dt o A o d/dtau,
 
-where B is the S-type quadrature of the kernel with the n(t).n(tau)
-factor and A the S-type quadrature without the arc-length Jacobian.
-The outer d/dt is applied on the kept rows only, after the prolongation
-and the inner d/dtau.
+where B has the n(t).n(tau) factor and A no arc-length Jacobian (A is
+T0 itself).  T0's diagonal is -R_0/(4 pi) + w h0, with h0 the t -> tau
+limit of M2/g for H_0, and the diagonal of T0 o g is T0's times g's.  K's
+diagonal is w times its smooth curvature limit.  The outer d/dt is
+applied on the kept rows only, after the prolongation and the inner
+d/dtau.
 KT comes from K by the adjoint identity: its kernel at (t, tau) is the K
 kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
-The kernel arguments k r form a symmetric matrix, which specfun evaluates
-on one triangle.  The distances r, the arguments k r, K's geometric factor
-and the log-split rule are filled in row bands on the shared thread pool
-(see ``_pool``), with the same arithmetic for every entry as a
-whole-matrix evaluation, so the sets are bit-identical for any number of
-threads.  S and the B part of N are filled only on the rows that
-compression keeps.
+
+A set is built one order at a time.  H_1 and J_1 of the argument k r
+make T1, written over the H_1 array; K is formed over T1, K and KT are
+compressed, and T1 is freed.  Then H_0 and J_0 make T0 over the H_0 array
+(k r is freed first), and S, B and A are compressed from it.  At most
+three fine (2N)^2 arrays live at once: k r, H_m and J_m.  The kernel
+arguments k r form a symmetric matrix, which specfun evaluates on one
+triangle.  The arguments, D, the tables T_m with K's geometric factor and
+the compressions are filled in row bands on the shared thread pool (see
+``_pool``), each band in blocks of a few ten thousand entries, with the
+same arithmetic for every entry as a whole-matrix evaluation, so the sets
+are bit-identical for any number of threads.  S and the B part of N are
+taken only on the rows that compression keeps.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -40,15 +55,15 @@ same path, with the identity as prolongation.  Each fine matrix is
 compressed as soon as it is built.  No dense product is formed: the
 compression M[::oversample] P applies the transpose of the prolongation P
 to each row by FFT (fine-grid coefficients folded to the coarse modes),
-N's A D P is the same fold with the coefficients times i*m, and its outer
+N's A d/dtau P is the same fold with the coefficients times i*m, and its outer
 derivative on the kept rows is an FFT down each column, aliased onto the
 coarse grid.  That is O(N^2 log N) a set where the products were O(N^3),
 and the transforms run in bands on the pool too.  The results agree with
 the dense ``prolongation_matrix`` and ``spectral_derivative_matrix``
 products to rounding, within 1e-13 of the largest entry at real and
 moderately complex k.  The tables that depend only on the fine grid size
-(log factor, gathered weights, derivative symbol) are cached for the last
-size and returned read-only.
+(D and the derivative symbol) are cached for the last size and returned
+read-only.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -98,98 +113,103 @@ def _check_wavenumber(k: complex) -> complex:
     return k
 
 
-class _KernelData:
-    """Node geometry and cylinder-function values shared by all kernels."""
+class _Nodes:
+    """Node geometry of the fine grid, shared by all kernels."""
 
     def __init__(self, curve: Curve, grid: NodeGrid, k: complex):
-        self.curve, self.grid, self.k = curve, grid, k
+        self.n, self.k = grid.n, k
         t = grid.nodes
         self.pos = curve.x(t)
         self.d = curve.dx(t)
         self.dd = curve.ddx(t)
         self.jac = curve.jacobian(t)
         self.nrm = curve.normal(t)
-        n = grid.n
-        kz = k.real if k.imag == 0 else k  # real arguments take the Cephes path
-        self.r = np.empty((n, n))
+        self.trapz = grid.weight
+
+    def differences(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """x(t) - x(tau) and r = |x(t) - x(tau)| on the given rows, with r = 1 on the diagonal.
+
+        The 1 is a placeholder: every diagonal is set to its analytic limit.
+        """
+        diff = self.pos[rows, None, :] - self.pos[None, :, :]
+        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+        lo = rows.start or 0
+        r[np.arange(len(r)), np.arange(lo, lo + len(r))] = 1.0
+        return diff, r
+
+    def double_layer(self, rows: slice) -> np.ndarray:
+        """k (x(t) - x(tau)) . nu(tau) / r on the given rows, nu = n |x'| (K's factor of (i/4) H_1)."""
+        diff, r = self.differences(rows)
+        dot = diff[..., 0] * self.d[None, :, 1] - diff[..., 1] * self.d[None, :, 0]
+        return self.k * dot / r
+
+    def normal_products(self, rows: slice) -> np.ndarray:
+        """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0)."""
+        return (self.nrm[rows] @ self.nrm.T) * self.jac[None, :]
+
+    def argument(self) -> np.ndarray:
+        """The symmetric kernel argument k r, real at real k (the Cephes path)."""
+        n = self.n
+        kz = self.k.real if self.k.imag == 0 else self.k
         z = np.empty((n, n), dtype=type(kz))
 
-        def band(lo, hi):
-            diff = self.pos[lo:hi, None, :] - self.pos[None, :, :]
-            r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, out=self.r[lo:hi])
-            r[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # placeholder; diagonals are set analytically
-            np.multiply(kz, r, out=z[lo:hi])
+        def block(lo, hi):
+            np.multiply(kz, self.differences(slice(lo, hi))[1], out=z[lo:hi])
 
-        _pool.map_bands(band, n, n * n)
-        self.h = [specfun.hankel1(m, z) for m in (0, 1)]
-        self.j = [specfun.bessel_j(m, z) for m in (0, 1)]
-        self.logsin, self.log_weights = _log_split_tables(n)
-        self.trapz = grid.weight
+        _pool.map_blocks(block, n, n)
+        return z
 
 
 @functools.lru_cache(maxsize=1)
-def _log_split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """log(4 sin^2((t - tau)/2)) (0 on the diagonal) and the weights R_|i-j| on n nodes."""
-    t = make_grid(n).nodes
-    dt = t[:, None] - t[None, :]
-    mask = ~np.eye(n, dtype=bool)
-    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=mask, out=np.zeros_like(dt))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return freeze(logsin), freeze(kress_log_weights(n // 2)[idx])
+def _log_split_table(n: int) -> np.ndarray:
+    """D = (R_|i-j| - (2 pi/n) log(4 sin^2((t - tau)/2))) / (4 pi) on n nodes, read-only.
 
-
-def _per_row(x, rows: slice):
-    """x[rows] for a table with one entry or row per node; x itself when it broadcasts."""
-    return x[rows] if np.ndim(x) and len(x) > 1 else x
-
-
-def _kress_rule(data: _KernelData, order: int, g, m1_diag, m2_diag, step: int = 1) -> np.ndarray:
-    """Log-split rule for the kernel (i/4) H_order(k r) * g(t, tau), on the rows [::step].
-
-    M1 = -(1/4pi) J_order(k r) g and M2 = full - M1 log(4 sin^2((t - tau)/2)),
-    with the diagonals of M1 and M2 set to the given analytic limits.  g is
-    a table or a function of a row slice that returns those rows of it.  The
-    rows are filled in bands on the shared pool, each entry with the same
-    arithmetic as a whole-matrix evaluation.
+    The log factor is 0 on the diagonal, where D is R_0/(4 pi).  The rows
+    are filled in bands on the shared pool.
     """
-    n = data.grid.n
-    out = np.empty((len(range(0, n, step)), n), dtype=complex)
+    t = make_grid(n).nodes
+    weights = kress_log_weights(n // 2)
+    out = np.empty((n, n))
 
-    def band(lo, hi):
-        rows = slice(step * lo, step * hi, step)
-        diag = (np.arange(hi - lo), np.arange(n)[rows])
-        g_rows = g(rows) if callable(g) else _per_row(g, rows)
-        m1 = -_INV_4PI * data.j[order][rows] * g_rows
-        m2 = _QUARTER_I * data.h[order][rows] * g_rows - m1 * data.logsin[rows]
-        m1[diag] = _per_row(m1_diag, rows)
-        m2[diag] = _per_row(m2_diag, rows)
-        w1 = data.log_weights[rows] * m1
-        del m1  # freed before the second product, as a whole-matrix expression would free it
-        np.add(w1, data.trapz * m2, out=out[lo:hi])
+    def block(lo, hi):
+        rows = np.arange(lo, hi)[:, None]
+        cols = np.arange(n)[None, :]
+        dt = t[rows] - t[cols]
+        logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=rows != cols, out=np.zeros_like(dt))
+        np.multiply(weights[(rows - cols) % n] - (2.0 * np.pi / n) * logsin, _INV_4PI, out=out[lo:hi])
 
-    _pool.map_bands(band, len(out), out.size)
-    return out
+    _pool.map_blocks(block, n, n)
+    return freeze(out)
 
 
-def _s_type_matrix(data: _KernelData, g, g_diag, step: int = 1) -> np.ndarray:
-    """Rule for (i/4) H_0(k r) * g: the r -> 0 limits of J_0 and of H_0 - J_0 log."""
-    log_term = np.log(data.k * data.jac / 2.0) / (2.0 * np.pi)
-    h0_limit = _QUARTER_I - specfun.EULER_GAMMA / (2.0 * np.pi) - log_term
-    return _kress_rule(data, 0, g, -_INV_4PI * g_diag, h0_limit * g_diag, step)
+def _log_split(h: np.ndarray, j: np.ndarray, weight: float, diag, g=None) -> np.ndarray:
+    """T o g in place over h, for T = (i/4) w H_m(k r) - D o J_m(k r), with the given diagonal.
 
+    h and j hold H_m and J_m on the fine grid, w is its trapezoid weight and
+    D the log-split table.  Off the diagonal, T o g is the log-split rule for
+    the kernel (i/4) H_m(k r) g(t, tau): weights R_|i-j| for M1 = -(1/4 pi)
+    J_m g, 2 pi/n for M2 = (i/4) H_m g - M1 log(4 sin^2((t - tau)/2)).  g,
+    if given, is a function of a row slice that returns those rows of it;
+    diag holds the diagonal of T o g.  j is overwritten with D o J_m.  The
+    rows are filled in bands on the shared pool, each entry with the same
+    arithmetic in every band.
+    """
+    n = len(h)
+    table = _log_split_table(n)
+    scale = _QUARTER_I * weight
 
-def _k_matrix(data: _KernelData) -> np.ndarray:
-    # kernel (i/4) H_1(k r) * k (x(t) - x(tau)) . nu(tau) / r with nu = n |x'|;
-    # smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
-    pos, d, dd = data.pos, data.d, data.dd
+    def block(lo, hi):
+        rows = slice(lo, hi)
+        t, dj = h[rows], j[rows]
+        dj *= table[rows]
+        t *= scale
+        t -= dj
+        if g is not None:
+            t *= g(rows)
+        t[np.arange(hi - lo), np.arange(lo, hi)] = diag[rows]
 
-    def g(rows):
-        diff = pos[rows, None, :] - pos[None, :, :]
-        dot = diff[..., 0] * d[None, :, 1] - diff[..., 1] * d[None, :, 0]
-        return data.k * dot / data.r[rows]
-
-    diag = (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / data.jac**2
-    return _kress_rule(data, 1, g, 0.0, diag)
+    _pool.map_blocks(block, n, n)
+    return h
 
 
 @functools.lru_cache(maxsize=1)
@@ -201,28 +221,35 @@ def _derivative_symbol(n: int) -> np.ndarray:
     return freeze(1j * m)
 
 
-def _compress(fine: np.ndarray, n: int, derivative: bool = False) -> np.ndarray:
-    """fine @ P, or fine @ D @ P, by FFT along the rows.
+def _compress(fine: np.ndarray, n: int, step: int = 1, derivative: bool = False, scale=None) -> np.ndarray:
+    """(fine o G)[::step] @ P, or (fine o G)[::step] @ D @ P, by FFT along the rows.
 
     P = prolongation_matrix(n, fine.shape[1] // n) and D is the fine grid's
-    spectral_derivative_matrix.  Each row's fine-grid Fourier coefficients
-    (times i*m for the derivative) are folded to n modes, the transpose of
-    the prolongation's embedding: modes below n/2 are kept and the +-n/2
-    pair is averaged, its even Nyquist split.  The folded coefficients are
-    transformed back on the n nodes.  Without the derivative, P is the
-    identity on one grid and fine is returned.  Rows run in bands on the
-    shared pool.
+    spectral_derivative_matrix.  G, if given, is a function of a row slice
+    of fine that returns the factor of those rows (any shape that
+    broadcasts); without it, G is 1.  Each row's fine-grid Fourier
+    coefficients (times i*m for the derivative) are folded to n modes, the
+    transpose of the prolongation's embedding: modes below n/2 are kept and
+    the +-n/2 pair is averaged, its even Nyquist split.  The folded
+    coefficients are transformed back on the n nodes.  Without the
+    derivative, P is the identity on one grid and the rows are copied as
+    they are.  Rows run in bands on the shared pool.
     """
     big = fine.shape[1]
-    if big == n and not derivative:
-        return fine
+    nrows = len(range(0, len(fine), step))
+    same_grid = big == n and not derivative
     half = n // 2
     sym = _derivative_symbol(big)
-    out = np.empty((len(fine), n), dtype=complex)
+    out = np.empty((nrows, n), dtype=complex)
 
-    def band(lo, hi):
+    def block(lo, hi):
+        rows = slice(step * lo, step * hi, step)
+        rows_in = fine[rows] if scale is None else fine[rows] * scale(rows)
+        if same_grid:
+            out[lo:hi] = rows_in
+            return
         # unscaled inverse, then 1/n in the forward transform: the factor big/n of P over big
-        c = np.fft.ifft(fine[lo:hi], axis=1, norm="forward")
+        c = np.fft.ifft(rows_in, axis=1, norm="forward")
         low, high = c[:, : half + 1], c[:, big - half :]  # modes 0..n/2 and -n/2..-1
         if derivative:
             low, high = low * sym[: half + 1], high * sym[big - half :]
@@ -230,7 +257,7 @@ def _compress(fine: np.ndarray, n: int, derivative: bool = False) -> np.ndarray:
         folded = np.concatenate((low[:, :half], nyquist, high[:, 1:]), axis=1)
         out[lo:hi] = np.fft.fft(folded, axis=1, norm="forward")
 
-    _pool.map_bands(band, len(fine), fine.size)
+    _pool.map_blocks(block, nrows, big)
     return out
 
 
@@ -247,24 +274,13 @@ def _derivative_on_kept_rows(y: np.ndarray, oversample: int) -> np.ndarray:
     sym = _derivative_symbol(big)[:, None]
     out = np.empty((n, ncols), dtype=complex)
 
-    def band(lo, hi):
+    def block(lo, hi):
         c = np.fft.fft(y[:, lo:hi], axis=0, norm="forward") * sym
         aliased = c.reshape(oversample, n, hi - lo).sum(axis=0)
         out[:, lo:hi] = np.fft.ifft(aliased, axis=0, norm="forward")
 
-    _pool.map_bands(band, ncols, y.size)
+    _pool.map_blocks(block, ncols, big)
     return out
-
-
-def _n_matrix(data: _KernelData, n: int, oversample: int) -> np.ndarray:
-    """N on the kept rows [::oversample], compressed to n nodes."""
-    def nn_jac(rows):
-        return (data.nrm[rows] @ data.nrm.T) * data.jac[None, :]
-
-    b = _compress(_s_type_matrix(data, nn_jac, data.jac, oversample), n)
-    a_dp = _compress(_s_type_matrix(data, 1.0, 1.0), n, derivative=True)
-    outer = _derivative_on_kept_rows(a_dp, oversample)
-    return data.k**2 * b + outer / data.jac[::oversample, None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -313,23 +329,45 @@ class BoundaryOperators(NamedTuple):
 def boundary_operator_set(
     curve: Curve, grid: NodeGrid, k: complex, oversample: int = DEFAULT_OVERSAMPLE
 ) -> BoundaryOperators:
-    """Assemble S, K, KT and N for one wavenumber, sharing the kernel data.
+    """Assemble S, K, KT and N for one wavenumber, one cylinder order at a time.
 
-    Each fine-grid matrix is compressed to its every oversample-th row times
-    the trigonometric prolongation.
+    Order 1 first: H_1 and J_1 make T1, K is written over it, K and KT are
+    compressed and T1 is freed.  Then H_0 and J_0 make T0, from which S, B
+    and A are compressed.  Each fine-grid matrix is compressed to its every
+    oversample-th row times the trigonometric prolongation.
     """
     k = _check_wavenumber(k)
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
-    data = _KernelData(curve, make_grid(oversample * grid.n), k)
-    rows = slice(None, None, oversample)  # compression uses these rows only
-    s = _compress(_s_type_matrix(data, data.jac[None, :], data.jac, oversample), grid.n)
-    k_fine = _k_matrix(data)
+    nodes = _Nodes(curve, make_grid(oversample * grid.n), k)
+    n, w, jac = grid.n, nodes.trapz, nodes.jac
+    z = nodes.argument()
+
+    # order 1: the double layer, smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
+    d, dd = nodes.d, nodes.dd
+    k_diag = w * (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / jac**2
+    k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, k_diag, nodes.double_layer)
+    k_mat = _compress(k_fine, n, oversample)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
-    kt = _compress(k_fine.T[rows] * data.jac[None, :] / data.jac[rows, None], grid.n)
-    k_mat = _compress(k_fine[rows], grid.n)
-    del k_fine  # no fine matrix stays alive through N's fill, the peak of the set
-    return BoundaryOperators(*map(freeze, (s, k_mat, kt, _n_matrix(data, grid.n, oversample))))
+    kt = _compress(k_fine.T, n, oversample, scale=lambda rows: jac[None, :] / jac[rows, None])
+    del k_fine
+
+    # order 0: S, and B and A of N = k^2 B + (1/|x'|) d/dt o A o d/dtau; the diagonal of T0
+    # is the r -> 0 limit of the rule for J_0 and H_0 - J_0 log
+    h0_limit = _QUARTER_I - specfun.EULER_GAMMA / (2.0 * np.pi) - np.log(k * jac / 2.0) / (2.0 * np.pi)
+    t0_diag = w * h0_limit - _log_split_table(len(jac))[0, 0]
+    t0 = specfun.hankel1(0, z)
+    j0 = specfun.bessel_j(0, z)
+    del z
+    _log_split(t0, j0, w, t0_diag)
+    del j0
+    s = _compress(t0, n, oversample, scale=lambda rows: jac)
+    b = _compress(t0, n, oversample, scale=nodes.normal_products)
+    a_dp = _compress(t0, n, derivative=True)
+    del t0
+    outer = _derivative_on_kept_rows(a_dp, oversample)
+    n_mat = k**2 * b + outer / jac[::oversample, None]
+    return BoundaryOperators(*map(freeze, (s, k_mat, kt, n_mat)))
 
 
 @functools.lru_cache(maxsize=1)

@@ -4,10 +4,13 @@ The systems are small enough (2N <= 4096) for dense LAPACK factorization;
 GMRES is full (no restart) so that the iteration count is the Krylov
 dimension and directly reflects the spectral clustering the second-kind
 formulations are designed to produce.  No preconditioning anywhere.
+LU factorizations and LU solves run one at a time across threads, under
+one module lock.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -37,6 +40,10 @@ def _square(a) -> np.ndarray:
     return a
 
 
+# LAPACK's getrs corrupts the heap when several threads call it at once on some OpenBLAS
+# builds (0.3.31 with scipy 1.17.1): every factorization and LU solve holds this lock
+_LAPACK_LOCK = threading.Lock()
+
 # LU factors and rcond of the last read-only matrix, shared by lu_solve, sigma_min_estimate
 # and rcond_estimate
 _FACTORS = LastValue()
@@ -60,9 +67,10 @@ def _checked_lu_factor(a: np.ndarray):
     gecon estimates the reciprocal condition number from the factors in
     O(n^2); a small pivot alone does not show an ill-conditioned matrix.
     """
-    lu, piv = sla.lu_factor(a)
-    gecon = sla.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, sla.norm(a, 1, check_finite=False), norm="1")
+    with _LAPACK_LOCK:
+        lu, piv = sla.lu_factor(a)
+        gecon = sla.get_lapack_funcs("gecon", (lu,))
+        rcond, _ = gecon(lu, sla.norm(a, 1, check_finite=False), norm="1")
     if not rcond >= np.finfo(float).eps:
         raise np.linalg.LinAlgError(
             f"matrix numerically singular: reciprocal condition number {rcond:.3g} "
@@ -84,7 +92,9 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     a = _square(a)
     b = np.asarray(b)
     t0 = time.perf_counter()
-    x = sla.lu_solve(_lu_factor(a)[0], b)
+    factors = _lu_factor(a)[0]
+    with _LAPACK_LOCK:
+        x = sla.lu_solve(factors, b)
     elapsed = time.perf_counter() - t0
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
@@ -255,7 +265,8 @@ def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(200):
-        w = sla.lu_solve(factors, sla.lu_solve(factors, v, trans=2))
+        with _LAPACK_LOCK:
+            w = sla.lu_solve(factors, sla.lu_solve(factors, v, trans=2))
         norm = np.linalg.norm(w)
         new_lam = norm
         v = w / norm

@@ -313,7 +313,9 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
     a = np.abs(z)
     if np.any(a > 1.0e4):
         raise ValueError("argument outside supported range |z| <= 1e4")
-    if n < 2 and np.isrealobj(z) and np.all(a <= _CEPHES_MAX):
+    cephes = n < 2 and np.isrealobj(z) and np.all(a <= _CEPHES_MAX)
+    del a  # a whole-array temporary, freed before the values are allocated
+    if cephes:
         out = _entrywise(_CEPHES_J[n], z)
     else:
         out = _amos(_sp.jv, n, z)
@@ -345,7 +347,9 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         raise ValueError("argument too close to the singular point z = 0")
     if np.any(a > 1.0e4):
         raise ValueError("argument outside supported range |z| <= 1e4")
-    if np.isrealobj(z) and np.all(z > 0) and np.all(a <= _CEPHES_MAX):
+    cephes = np.isrealobj(z) and np.all(z > 0) and np.all(a <= _CEPHES_MAX)
+    del a  # a whole-array temporary, freed before the values are allocated
+    if cephes:
         out = np.empty(z.shape, dtype=complex)
         _entrywise(_CEPHES_J[n], z, out.real)
         _entrywise(_CEPHES_Y[n], z, out.imag)

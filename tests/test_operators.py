@@ -8,6 +8,7 @@ at 50 digits.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,16 +175,49 @@ def test_real_wavenumber_set_matches_amos_kernels(monkeypatch, oversample):
         assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
 
 
+def fine_kernel_matrices(curve, n, k):
+    """Fine S, K, A and B on n nodes by the M1/M2 log split, whole matrices at a time.
+
+    Each kernel (i/4) H_m(k r) g is split as M1 log(4 sin^2((t - tau)/2)) + M2
+    with M1 = -(1/4 pi) J_m(k r) g and ruled as R_|i-j| M1 + (2 pi/n) M2.  The
+    sum is grouped as M1 (R - (2 pi/n) log) + (2 pi/n) (i/4) H_m g, because at
+    complex k the two log terms are large and nearly cancel.
+    """
+    fine = grid(n)
+    t = fine.nodes
+    pos, d, dd, jac, nrm = curve.x(t), curve.dx(t), curve.ddx(t), curve.jacobian(t), curve.normal(t)
+    diff = pos[:, None, :] - pos[None, :, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)
+    off = ~np.eye(n, dtype=bool)
+    dt = t[:, None] - t[None, :]
+    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=off, out=np.zeros_like(dt))
+    weights = kress_log_weights(n // 2)
+    log_rule = weights[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n] - fine.weight * logsin
+
+    def rule(order, g, m1_diag, m2_diag):
+        m1 = -specfun.bessel_j(order, k * r) * g / (4 * np.pi)
+        mat = m1 * log_rule + fine.weight * 0.25j * specfun.hankel1(order, k * r) * g
+        np.fill_diagonal(mat, weights[0] * m1_diag + fine.weight * m2_diag)
+        return mat
+
+    h0_limit = 0.25j - specfun.EULER_GAMMA / (2 * np.pi) - np.log(k * jac / 2) / (2 * np.pi)
+    s = rule(0, jac[None, :], -jac / (4 * np.pi), h0_limit * jac)
+    g_k = k * (diff[..., 0] * d[None, :, 1] - diff[..., 1] * d[None, :, 0]) / r
+    k_fine = rule(1, g_k, 0.0, (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) / (4 * np.pi * jac**2))
+    a = rule(0, 1.0, -1 / (4 * np.pi), h0_limit)
+    b = rule(0, (nrm @ nrm.T) * jac[None, :], -jac / (4 * np.pi), h0_limit * jac)
+    return s, k_fine, a, b, jac
+
+
 @pytest.mark.parametrize("oversample", [1, 2])
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 def test_hypersingular_kept_rows_match_full_product(k, oversample):
     # N applies d/dt on the kept rows only; the reference forms D A D on the whole fine grid
     kite, n = make_kite(), 64
-    data = operators._KernelData(kite, grid(oversample * n), complex(k))
-    b = operators._s_type_matrix(data, (data.nrm @ data.nrm.T) * data.jac[None, :], data.jac)
-    a = operators._s_type_matrix(data, 1.0, 1.0)
+    _, _, a, b, jac = fine_kernel_matrices(kite, oversample * n, k)
     dmat = spectral_derivative_matrix(oversample * n)
-    full = data.k**2 * b + (dmat @ a @ dmat) / data.jac[:, None]
+    full = k**2 * b + (dmat @ a @ dmat) / jac[:, None]
     ref = full[::oversample] @ prolongation_matrix(n, oversample)
     nn = boundary_operator_set(kite, grid(n), k, oversample=oversample).n
     assert np.abs(nn - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -195,10 +229,8 @@ def test_fft_compression_matches_dense_products(k, oversample):
     # the set compresses by FFT; the dense prolongation matrix is the oracle (for N, whose
     # derivatives are FFTs too, the dense derivative matrix is the oracle of the test above)
     kite, n = make_kite(), 64
-    data = operators._KernelData(kite, grid(oversample * n), complex(k))
-    s = operators._s_type_matrix(data, data.jac[None, :], data.jac)
-    k_fine = operators._k_matrix(data)
-    kt = k_fine.T * data.jac[None, :] / data.jac[:, None]
+    s, k_fine, _, _, jac = fine_kernel_matrices(kite, oversample * n, k)
+    kt = k_fine.T * jac[None, :] / jac[:, None]
     ops = boundary_operator_set(kite, grid(n), k, oversample=oversample)
     for tag, op, fine in zip(("s", "k", "kt"), ops, (s, k_fine, kt)):
         ref = fine[::oversample] @ prolongation_matrix(n, oversample)
@@ -249,9 +281,23 @@ def test_concurrent_sets_from_user_threads(monkeypatch):
     assert all(results[i] == ref[k] for i, k in enumerate(ks))
 
 
+def test_set_peak_memory_in_fine_tables(monkeypatch):
+    # one cylinder order at a time: the argument k r, H_m and J_m are the only fine tables alive
+    # together (3 complex tables at complex k); one worker runs each fill as one band
+    monkeypatch.setattr(operators._pool, "workers", lambda: 1)
+    kite, g = make_kite(), grid(256)
+    boundary_operator_set(kite, g, 8 + 4j)  # caches the log-split table of the fine grid
+    tracemalloc.start()
+    try:
+        boundary_operator_set(kite, g, 8 + 4j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * 512**2) <= 5.0  # complex (2N)^2 tables
+
+
 def test_cached_grid_tables_are_read_only():
-    logsin, weights = operators._log_split_tables(16)
-    tables = (logsin, weights, prolongation_matrix(8, 2), prolongation_matrix(8, 1),
+    tables = (operators._log_split_table(16), prolongation_matrix(8, 2), prolongation_matrix(8, 1),
               spectral_derivative_matrix(16))
     for table in tables:
         with pytest.raises(ValueError):

@@ -61,6 +61,26 @@ def test_serial_cases_run_one_band_on_the_caller(monkeypatch, workers, entries):
     assert threads == {threading.current_thread().name}
 
 
+@pytest.mark.parametrize("row_entries", [1000, 2 * _pool.BAND_ENTRIES])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocks_cover_every_row_once_in_small_blocks(monkeypatch, workers, row_entries):
+    # on one worker the single band is cut into blocks too, which bounds a fill's temporaries
+    monkeypatch.setattr(_pool, "workers", lambda: workers)
+    blocks = []
+    lock = threading.Lock()
+
+    def fn(lo, hi):
+        with lock:
+            blocks.append((lo, hi))
+
+    _pool.map_blocks(fn, 300, row_entries)
+    blocks.sort()
+    assert blocks[0][0] == 0 and blocks[-1][1] == 300
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert all(hi - lo == 1 or (hi - lo) * row_entries <= _pool.BAND_ENTRIES for lo, hi in blocks)
+    assert all(lo < hi for lo, hi in blocks)
+
+
 def test_nested_call_from_a_band_runs_serially(three_workers):
     inner = []
 
