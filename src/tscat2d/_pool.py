@@ -92,11 +92,12 @@ def map_bands(fn, nrows: int, entries: int, row_work=None) -> None:
         f.result()
 
 
-def map_blocks(fn, nrows: int, row_entries: int) -> None:
-    """map_bands over nrows rows of row_entries entries, each band calling fn on blocks of its rows.
+def map_blocks(fn, nrows: int, row_entries: int, row_work=None) -> None:
+    """map_bands over nrows rows of at most row_entries entries, each band calling fn on blocks of its rows.
 
-    A block holds about ``BAND_ENTRIES`` entries (at least one row), so the
-    temporaries of fn stay that small whatever the number of bands.
+    A block holds at most about ``BAND_ENTRIES`` entries (at least one row),
+    so the temporaries of fn stay that small whatever the number of bands.
+    ``row_work`` balances the bands as in map_bands.
     """
     block = max(1, BAND_ENTRIES // row_entries)
 
@@ -104,4 +105,5 @@ def map_blocks(fn, nrows: int, row_entries: int) -> None:
         for first in range(lo, hi, block):
             fn(first, min(first + block, hi))
 
-    map_bands(band, nrows, nrows * row_entries)
+    entries = nrows * row_entries if row_work is None else int(np.sum(row_work))
+    map_bands(band, nrows, entries, row_work)

@@ -37,7 +37,9 @@ compressed, and T1 is freed.  Then H_0 and J_0 make T0 over the H_0 array
 (k r is freed first), and S, B and A are compressed from it.  At most
 three fine (2N)^2 arrays live at once: k r, H_m and J_m.  The kernel
 arguments k r form a symmetric matrix, which specfun evaluates on one
-triangle.  The arguments, D, the tables T_m with K's geometric factor and
+triangle.  The matrix is read-only, so specfun scans it once for the four
+calls, and at real k bessel_j(m, .) takes over the J_m that hankel1(m, .)
+evaluated.  The arguments, D, the tables T_m with K's geometric factor and
 the compressions are filled in row bands on the shared thread pool (see
 ``_pool``), each band in blocks of a few ten thousand entries, with the
 same arithmetic for every entry as a whole-matrix evaluation, so the sets
@@ -119,28 +121,30 @@ class _Nodes:
     def __init__(self, curve: Curve, grid: NodeGrid, k: complex):
         self.n, self.k = grid.n, k
         t = grid.nodes
-        self.pos = curve.x(t)
+        pos = curve.x(t)
+        self.x, self.y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
         self.d = curve.dx(t)
         self.dd = curve.ddx(t)
         self.jac = curve.jacobian(t)
         self.nrm = curve.normal(t)
         self.trapz = grid.weight
 
-    def differences(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """x(t) - x(tau) and r = |x(t) - x(tau)| on the given rows, with r = 1 on the diagonal.
+    def differences(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The parts of x(t) - x(tau) and r = |x(t) - x(tau)| on the given rows, with r = 1 on the diagonal.
 
         The 1 is a placeholder: every diagonal is set to its analytic limit.
         """
-        diff = self.pos[rows, None, :] - self.pos[None, :, :]
-        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+        dx = self.x[rows, None] - self.x[None, :]
+        dy = self.y[rows, None] - self.y[None, :]
+        r = np.sqrt(dx**2 + dy**2)
         lo = rows.start or 0
         r[np.arange(len(r)), np.arange(lo, lo + len(r))] = 1.0
-        return diff, r
+        return dx, dy, r
 
     def double_layer(self, rows: slice) -> np.ndarray:
         """k (x(t) - x(tau)) . nu(tau) / r on the given rows, nu = n |x'| (K's factor of (i/4) H_1)."""
-        diff, r = self.differences(rows)
-        dot = diff[..., 0] * self.d[None, :, 1] - diff[..., 1] * self.d[None, :, 0]
+        dx, dy, r = self.differences(rows)
+        dot = dx * self.d[None, :, 1] - dy * self.d[None, :, 0]
         return self.k * dot / r
 
     def normal_products(self, rows: slice) -> np.ndarray:
@@ -148,16 +152,20 @@ class _Nodes:
         return (self.nrm[rows] @ self.nrm.T) * self.jac[None, :]
 
     def argument(self) -> np.ndarray:
-        """The symmetric kernel argument k r, real at real k (the Cephes path)."""
+        """The symmetric kernel argument k r, real at real k (the Cephes path).
+
+        Read-only, so that ``specfun`` keeps its scan, and at real k its J_n,
+        for the four cylinder calls on it.
+        """
         n = self.n
         kz = self.k.real if self.k.imag == 0 else self.k
         z = np.empty((n, n), dtype=type(kz))
 
         def block(lo, hi):
-            np.multiply(kz, self.differences(slice(lo, hi))[1], out=z[lo:hi])
+            np.multiply(kz, self.differences(slice(lo, hi))[2], out=z[lo:hi])
 
         _pool.map_blocks(block, n, n)
-        return z
+        return freeze(z)
 
 
 @functools.lru_cache(maxsize=1)

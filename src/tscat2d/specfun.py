@@ -39,10 +39,20 @@ Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries are
 evaluated in row bands on the shared thread pool: a symmetric argument's
 triangle in bands of equal numbers of its entries, a few thousand entries
 at a time, every other array (and the Cephes path) by rows, each band
-writing through ``out=``.  The AMOS and Cephes values are bit-identical to
-one whole-array call.  Each public function is still one call on the
-caller's thread, and the range, branch and finiteness checks still see the
-whole array.
+writing through ``out=`` and checking that its values are finite.  The
+AMOS and Cephes values are bit-identical to one whole-array call.
+
+Before any evaluation one pass over the argument, in blocks of rows on
+the pool, finds what the range and branch checks and the choice of path
+need: the extremes of |z|, Re z and Im z, whether z is a symmetric matrix,
+and whether it lies on one ray, with its largest ray parameter.  For a
+read-only argument (see ``_memo``) the result is kept while the argument
+lives, so the four calls an operator set makes on one k r scan it once;
+a writeable argument is scanned on every call.  At a read-only real
+argument, hankel1(n, z) keeps a copy of the J_n it evaluated for its real
+part and hands it to the next bessel_j(n, z) on the same argument, which
+returns it instead of evaluating J_n again; the next hankel1, or the
+argument's end, drops it.
 """
 
 from __future__ import annotations
@@ -54,6 +64,8 @@ import numpy as np
 from scipy import special as _sp
 
 from . import _pool
+from ._memo import LastValue
+from .geometry import is_integer
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -81,25 +93,46 @@ class SpecialFunctionError(ArithmeticError):
     """Evaluation left the supported range (overflow/underflow)."""
 
 
+class _NotFinite(Exception):
+    """A band of values holds an inf or a NaN; the public function reports the overflow."""
+
+
+def _require_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise _NotFinite
+
+
+def _overflow_error(name: str, n, z) -> SpecialFunctionError:
+    return SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {np.max(np.abs(z)):.3g}")
+
+
 def _check_finite(name: str, n, z, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
-        raise SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {np.max(np.abs(z)):.3g}")
+        raise _overflow_error(name, n, z)
     return values
 
 
+def _check_order(n, top: int = _MAX_ORDER, name: str = "order") -> None:
+    if not (is_integer(n) and 0 <= n <= top):
+        raise ValueError(f"{name} must be an integer in [0, {top}], got {n!r}")
+
+
 def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f(z) entrywise, written into out if given.
+    """f(z) entrywise, written into out if given; raises _NotFinite unless every value is finite.
 
     A float or complex array of at least ``_pool.MIN_ENTRIES`` entries is
     filled in row bands on the shared pool, each band through ``out=``.
     """
     if z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED:
-        return f(z) if out is None else f(z, out=out)
+        values = f(z) if out is None else f(z, out=out)
+        _require_finite(values)
+        return values
     if out is None:
         out = np.empty(z.shape, z.dtype)
 
     def band(lo, hi):
         f(z[lo:hi], out=out[lo:hi])
+        _require_finite(out[lo:hi])
 
     _pool.map_bands(band, len(z), z.size)
     return out
@@ -151,27 +184,94 @@ class _Ray(NamedTuple):
         return s.max()
 
 
-def _scan(z: np.ndarray, row_work: np.ndarray, ray: _Ray | None) -> tuple[bool, float | None]:
-    """Whether z == z.T (NaN equals nothing), and z's largest ray parameter if z lies on ray.
+class _Argument(NamedTuple):
+    """What one pass over an argument z finds: all that the checks and the choice of path need.
 
-    One pass in row bands on the shared pool.  A band compares its rows from
-    its first column on with the same columns read down from its first row,
-    so every pair off the diagonal is compared; the block of those rows
-    covers their upper triangle, which is tested against the ray.
+    The extremes ignore NaN entries; their values come out NaN and are
+    reported as an overflow.
     """
-    asymmetric, s_max = [], []
 
-    def band(lo, hi):
-        block = z[lo:hi, lo:]
-        if not np.array_equal(block, z[lo:, lo:hi].T):
-            asymmetric.append(lo)
-        elif ray is not None:
-            s_max.append(ray.max_parameter(block))
+    symmetric: bool  # z is a square float or complex matrix equal to its transpose
+    ray: _Ray | None  # the ray a symmetric complex matrix of MIN_ENTRIES or more lies on, else None
+    s_max: float | None  # the largest ray parameter of z on that ray
+    abs_min: float
+    abs_max: float
+    re_min: float
+    im_min: float  # 0 for a real z
 
-    _pool.map_bands(band, len(z), z.size // 2, row_work)
-    if asymmetric:
-        return False, None
-    return True, (None if ray is None or None in s_max else max(s_max))
+
+def _extremes(v: np.ndarray) -> tuple:
+    """(smallest |v|, largest |v|, smallest Re v, smallest Im v) of a non-empty array, NaN ignored."""
+    a = np.abs(v)
+    if np.iscomplexobj(v):
+        re, im = np.fmin.reduce(v.real, axis=None), np.fmin.reduce(v.imag, axis=None)
+    else:
+        re, im = np.fmin.reduce(v, axis=None), 0.0
+    return np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None), re, im
+
+
+def _scan(z: np.ndarray) -> _Argument:
+    """z's ``_Argument``, from one pass in blocks of rows on the shared pool.
+
+    A square float or complex matrix is read by its upper triangle: a block
+    of rows lo:hi compares z[lo:hi, lo:] with the same columns read down
+    from row lo (NaN equals nothing), so every pair off the diagonal is
+    compared, and takes the extremes of its rows; where rows and columns
+    differ it takes the columns' too, so an asymmetric matrix is read whole.
+    The rows of a complex block are also tested against the ray through
+    z[0, -1].  Any other array is read by rows (by entries if
+    one-dimensional).  A block holds about ``_pool.BAND_ENTRIES`` entries,
+    which bounds the temporaries also when one band runs.
+    """
+    if z.size == 0:
+        return _Argument(False, None, None, np.inf, -np.inf, np.inf, np.inf)
+    square = z.ndim == 2 and z.shape[0] == z.shape[1] and z.dtype in _BANDED
+    tabulable = square and z.dtype == complex and z.size >= _pool.MIN_ENTRIES
+    ray = _Ray.through(z[0, -1]) if tabulable else None
+    found = []  # (rows equal columns, largest ray parameter, extremes) of each block
+
+    if square:
+
+        def block(lo, hi):
+            rows, cols = z[lo:hi, lo:], z[lo:, lo:hi].T
+            if np.array_equal(rows, cols):
+                found.append((True, None if ray is None else ray.max_parameter(rows), _extremes(rows)))
+            else:
+                found.append((False, None, _extremes(rows)))
+                found.append((False, None, _extremes(cols)))
+
+        _pool.map_blocks(block, len(z), len(z), np.arange(len(z), 0, -1))
+    else:
+        rows = z.reshape(len(z), -1) if z.ndim else z.reshape(1, 1)
+
+        def block(lo, hi):
+            found.append((False, None, _extremes(rows[lo:hi])))
+
+        _pool.map_blocks(block, *rows.shape)
+    symmetric = square and all(same for same, _, _ in found)
+    parts = [s for _, s, _ in found]
+    on_ray = symmetric and ray is not None and None not in parts
+    lo, hi, re, im = zip(*(e for _, _, e in found))
+    return _Argument(
+        symmetric,
+        ray if on_ray else None,
+        max(parts) if on_ray else None,
+        functools.reduce(np.fmin, lo),
+        functools.reduce(np.fmax, hi),
+        functools.reduce(np.fmin, re),
+        functools.reduce(np.fmin, im),
+    )
+
+
+# the scan of the last read-only argument, and J_n of the last read-only real argument of
+# hankel1, kept for the next bessel_j(n, z); each holds its argument weakly
+_ARGUMENTS = LastValue()
+_J_HANDOFF = LastValue()
+
+
+def _argument(z: np.ndarray) -> _Argument:
+    """z's scan, kept while a read-only z lives (a writeable z is scanned again)."""
+    return _ARGUMENTS.get((z,), (), lambda: _scan(z))
 
 
 def _interpolation_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,25 +361,21 @@ class _RayTable:
         return out
 
 
-def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
+def _amos(f, n: int, z: np.ndarray, arg: _Argument) -> np.ndarray:
     """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix.
 
-    The triangle is split into row bands holding equal numbers of its
-    entries.  A band evaluates its rows of the triangle in groups of about
-    _CHUNK entries, writes them, and then copies them to their mirror image.  A
-    complex triangle of order 0 or 1 on one ray is evaluated from a
-    ``_RayTable`` built first, on the caller's thread, when the table pays.
+    arg is z's scan.  The triangle is split into row bands holding equal
+    numbers of its entries.  A band evaluates its rows of the triangle in
+    groups of about _CHUNK entries, checks and writes them, and then copies
+    them to their mirror image.  A complex triangle of order 0 or 1 on one
+    ray is evaluated from a ``_RayTable`` built first, on the caller's
+    thread, when the table pays.  Raises _NotFinite unless every value is
+    finite.
     """
-    if z.ndim != 2 or z.shape[0] != z.shape[1] or z.dtype not in _BANDED:
+    if not arg.symmetric:
         return _entrywise(functools.partial(f, n), z)
     m = len(z)
-    row_work = np.arange(m, 0, -1)  # upper-triangle entries of each row
-    tabulable = n < 2 and z.dtype == complex and z.size >= _pool.MIN_ENTRIES
-    ray = _Ray.through(z[0, -1]) if tabulable else None
-    symmetric, s_max = _scan(z, row_work, ray)
-    if not symmetric:
-        return _entrywise(functools.partial(f, n), z)
-    table = None if s_max is None else _RayTable.build(f, n, ray, s_max, z.size)
+    table = None if n > 1 or arg.ray is None else _RayTable.build(f, n, arg.ray, arg.s_max, z.size)
     evaluate = functools.partial(f, n) if table is None else table
     out = np.empty(z.shape, z.dtype)
 
@@ -291,6 +387,7 @@ def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
                 entries += m - last
                 last += 1
             vals = evaluate(np.concatenate([z[i, i:] for i in range(first, last)]))
+            _require_finite(vals)
             start = 0
             for i in range(first, last):
                 out[i, i:] = vals[start : start + m - i]
@@ -301,31 +398,36 @@ def _amos(f, n: int, z: np.ndarray) -> np.ndarray:
             out[i + 1 : hi, i] = out[i, i + 1 : hi]
         out[hi:, lo:hi] = out[lo:hi, hi:].T
 
-    _pool.map_bands(band, m, m * (m + 1) // 2, row_work)
+    _pool.map_bands(band, m, m * (m + 1) // 2, np.arange(m, 0, -1))
     return out
 
 
 def bessel_j(n: int, z) -> np.ndarray | complex:
-    """J_n(z) for integer n >= 0 and real or complex z (scalar or array)."""
-    if n < 0 or n > _MAX_ORDER:
-        raise ValueError(f"order must be in [0, {_MAX_ORDER}], got {n}")
+    """J_n(z) for integer n >= 0 and real or complex z (scalar or array).
+
+    At a read-only real z this is the J_n that hankel1(n, z) computed just
+    before, if it did.
+    """
+    _check_order(n)
     z = np.asarray(z)
-    a = np.abs(z)
-    if np.any(a > 1.0e4):
+    arg = _argument(z)
+    if arg.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
-    cephes = n < 2 and np.isrealobj(z) and np.all(a <= _CEPHES_MAX)
-    del a  # a whole-array temporary, freed before the values are allocated
-    if cephes:
-        out = _entrywise(_CEPHES_J[n], z)
-    else:
-        out = _amos(_sp.jv, n, z)
-    return _check_finite("bessel_j", n, z, out)[()]
+    try:
+        if n < 2 and np.isrealobj(z) and arg.abs_max <= _CEPHES_MAX:
+            out = _J_HANDOFF.take((z,), (n,))
+            if out is None:
+                out = _entrywise(_CEPHES_J[n], z)
+        else:
+            out = _amos(_sp.jv, n, z, arg)
+    except _NotFinite:
+        raise _overflow_error("bessel_j", n, z) from None
+    return out[()]
 
 
 def bessel_y(n: int, x) -> np.ndarray | float:
     """Y_n(x) for integer n >= 0 and real x > 0."""
-    if n < 0 or n > _MAX_ORDER:
-        raise ValueError(f"order must be in [0, {_MAX_ORDER}], got {n}")
+    _check_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("Y_n requires x > 0 (logarithmic singularity at 0)")
@@ -337,28 +439,30 @@ def hankel1(n: int, z) -> np.ndarray | complex:
     """H_n^(1)(z) for n in {0, 1} on the closed upper half plane.
 
     The log-split kernels only ever need orders 0 and 1; higher orders go
-    through hankel1_seq.
+    through hankel1_seq.  At a read-only real z in the Cephes range, J_n is
+    kept for the next bessel_j(n, z).
     """
-    if n not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {n}")
+    _check_order(n, top=1)
     z = np.asarray(z)
-    a = np.abs(z)
-    if np.any(a < 1.0e-14):
+    arg = _argument(z)
+    if arg.abs_min < 1.0e-14:
         raise ValueError("argument too close to the singular point z = 0")
-    if np.any(a > 1.0e4):
+    if arg.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
-    cephes = np.isrealobj(z) and np.all(z > 0) and np.all(a <= _CEPHES_MAX)
-    del a  # a whole-array temporary, freed before the values are allocated
-    if cephes:
-        out = np.empty(z.shape, dtype=complex)
-        _entrywise(_CEPHES_J[n], z, out.real)
-        _entrywise(_CEPHES_Y[n], z, out.imag)
-    else:
-        z = np.asarray(z, dtype=complex)  # no copy of an argument that is already complex
-        if np.any(z.imag < 0):
-            raise ValueError("H_n^(1) supported only for Im z >= 0")
-        out = _amos(_sp.hankel1, n, z)
-    return _check_finite("hankel1", n, z, out)[()]
+    try:
+        if np.isrealobj(z) and arg.re_min > 0 and arg.abs_max <= _CEPHES_MAX:
+            out = np.empty(z.shape, dtype=complex)
+            _entrywise(_CEPHES_J[n], z, out.real)
+            _entrywise(_CEPHES_Y[n], z, out.imag)
+            _J_HANDOFF.put((z,), (n,), out.real.copy)
+        else:
+            if arg.im_min < 0:
+                raise ValueError("H_n^(1) supported only for Im z >= 0")
+            # no copy of an argument that is already complex
+            out = _amos(_sp.hankel1, n, np.asarray(z, dtype=complex), arg)
+    except _NotFinite:
+        raise _overflow_error("hankel1", n, z) from None
+    return out[()]
 
 
 def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
@@ -367,8 +471,7 @@ def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
     The returned values satisfy the three-term recurrence
     H_{n+1} = (2n/z) H_n - H_{n-1} to working accuracy.
     """
-    if n_max < 0 or n_max > _MAX_ORDER:
-        raise ValueError(f"n_max must be in [0, {_MAX_ORDER}], got {n_max}")
+    _check_order(n_max, name="n_max")
     z = complex(z)
     if not 1.0e-14 <= abs(z) <= 1.0e4:
         raise ValueError("argument outside supported range 1e-14 <= |z| <= 1e4")
@@ -380,8 +483,7 @@ def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
 
 def bessel_j_seq(n_max: int, z: complex) -> np.ndarray:
     """J_0(z) .. J_{n_max}(z) for a single real or complex argument."""
-    if n_max < 0 or n_max > _MAX_ORDER:
-        raise ValueError(f"n_max must be in [0, {_MAX_ORDER}], got {n_max}")
+    _check_order(n_max, name="n_max")
     out = _sp.jv(np.arange(n_max + 1), z)
     return _check_finite("bessel_j_seq", n_max, z, np.asarray(out, dtype=complex))
 

@@ -38,3 +38,14 @@ def band_limited_density(n, band, seed=3):
     coefs = np.zeros(n, dtype=complex)
     coefs[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
     return np.fft.ifft(np.fft.ifftshift(coefs)) * n
+
+
+class CephesRecorder:
+    """Stands in for a Cephes ufunc and records the size of each argument."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, x, out=None):
+        self.sizes.append(np.size(x))
+        return self.f(x, out=out)

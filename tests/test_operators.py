@@ -25,7 +25,7 @@ from tscat2d.operators import (
     spectral_derivative,
     spectral_derivative_matrix,
 )
-from conftest import band_limited_density
+from conftest import CephesRecorder, band_limited_density
 
 # mpmath, dps=50, unit circle
 S0_K1 = -0.10608219815307811436 + 0.91974444547346406613j
@@ -255,6 +255,37 @@ def test_banded_fill_bit_identical_to_one_worker(monkeypatch, curve, k, oversamp
     one = boundary_operator_set(c, g, k, oversample=oversample)
     assert _set_bytes(default) == _set_bytes(one)
     assert _set_bytes(three) == _set_bytes(one)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 3], ids=["default-pool", "one-worker", "three-workers"])
+@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+def test_set_bit_identical_with_the_argument_memo_bypassed(monkeypatch, k, workers):
+    # a writeable copy of k r is scanned and evaluated afresh by each of the four cylinder calls
+    if workers is not None:
+        monkeypatch.setattr(operators._pool, "workers", lambda: workers)
+    kite, g = make_kite(), grid(128)
+    kept = boundary_operator_set(kite, g, k)
+    argument = operators._Nodes.argument
+    monkeypatch.setattr(operators._Nodes, "argument", lambda self: argument(self).copy())
+    assert _set_bytes(boundary_operator_set(kite, g, k)) == _set_bytes(kept)
+
+
+@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+def test_one_argument_scan_per_set(monkeypatch, k):
+    scans = []
+    scan = specfun._scan
+    monkeypatch.setattr(specfun, "_scan", lambda z: scans.append(z.shape) or scan(z))
+    boundary_operator_set(make_kite(), grid(64), k)
+    assert scans == [(128, 128)]
+
+
+def test_real_set_evaluates_each_cephes_function_once_per_order(monkeypatch):
+    # J_m of k r comes from hankel1(m, .), and bessel_j(m, .) takes it over
+    j, y = ([CephesRecorder(f) for f in fs] for fs in (specfun._CEPHES_J, specfun._CEPHES_Y))
+    monkeypatch.setattr(specfun, "_CEPHES_J", tuple(j))
+    monkeypatch.setattr(specfun, "_CEPHES_Y", tuple(y))
+    boundary_operator_set(make_kite(), grid(128), 8.0)
+    assert [sum(r.sizes) for r in j + y] == [256**2] * 4
 
 
 def test_concurrent_sets_from_user_threads(monkeypatch):

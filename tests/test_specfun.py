@@ -5,6 +5,11 @@ digits; the Wronskian identities pin every sign and normalization used
 by the kernels and circle symbols downstream.
 """
 
+import itertools
+import sys
+import threading
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from tscat2d import _pool, specfun
+from tscat2d._memo import freeze
+from conftest import CephesRecorder
 
 # mpmath, dps=50
 J0_1 = 0.76519768655796655145
@@ -123,6 +130,33 @@ def test_domain_errors():
                 specfun.hankel1(n, bad)
         with pytest.raises(ValueError):
             specfun.bessel_j(n, -2e4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: specfun.bessel_j(1.5, 2 + 1j),
+        lambda: specfun.bessel_j(1.0, 2.0),
+        lambda: specfun.bessel_j(True, 2.0),
+        lambda: specfun.hankel1(1.0, 2.0),
+        lambda: specfun.hankel1(1.0, 2 + 1j),
+        lambda: specfun.hankel1(False, 2.0),
+        lambda: specfun.bessel_y(0.5, 2.0),
+        lambda: specfun.hankel1_seq(2.0, 1.0),
+        lambda: specfun.bessel_j_seq(True, 1.0),
+    ],
+    ids=["j-1.5-complex", "j-1.0", "j-True", "h-1.0", "h-1.0-complex", "h-False", "y-0.5", "hseq-2.0",
+         "jseq-True"],
+)
+def test_orders_that_are_not_integers_are_refused(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_orders_are_accepted():
+    assert specfun.bessel_j(np.int64(1), 2.0) == specfun.bessel_j(1, 2.0)
+    assert specfun.hankel1(np.uint8(0), 2 + 1j) == specfun.hankel1(0, 2 + 1j)
+    assert len(specfun.hankel1_seq(np.int32(3), 2.0)) == 4
 
 
 def test_overflow_reported():
@@ -368,6 +402,128 @@ def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
 
 
 # ---------------------------------------------------------------------------
+# one scan of a read-only argument, and J_n handed from hankel1 to bessel_j
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def scans(monkeypatch):
+    """The number of argument scans, counted while the test runs."""
+    count = []
+    scan = specfun._scan
+    monkeypatch.setattr(specfun, "_scan", lambda z: count.append(1) or scan(z))
+    return count
+
+
+def four_calls(z):
+    # the calls of an operator set on its argument, order 1 first
+    return [f(n, z) for n in (1, 0) for f in (specfun.hankel1, specfun.bessel_j)]
+
+
+@pytest.mark.parametrize("k", [3.0, 1.0 + 0.5j], ids=["real", "complex"])
+def test_read_only_argument_is_scanned_once(scans, pool_workers, k):
+    z = symmetric_kernel_argument(BAND_N, k=k)
+    fresh = four_calls(z)
+    assert len(scans) == 4  # a writeable argument is scanned on every call
+    scans.clear()
+    kept = four_calls(freeze(z.copy()))
+    assert len(scans) == 1
+    assert all(same_bits(a, b) for a, b in zip(kept, fresh))
+
+
+def test_real_read_only_argument_evaluates_j_once(monkeypatch, pool_workers):
+    rec = [CephesRecorder(f) for f in specfun._CEPHES_J]
+    monkeypatch.setattr(specfun, "_CEPHES_J", tuple(rec))
+    z = symmetric_kernel_argument(BAND_N, k=3.0)
+    fresh = four_calls(z)
+    assert [sum(r.sizes) for r in rec] == [2 * z.size] * 2
+    for r in rec:
+        r.sizes.clear()
+    kept = four_calls(freeze(z.copy()))
+    assert [sum(r.sizes) for r in rec] == [z.size] * 2
+    assert all(same_bits(a, b) for a, b in zip(kept, fresh))
+
+
+def test_bessel_j_on_a_read_only_real_argument_gives_the_same_bits():
+    z = freeze(symmetric_kernel_argument(BAND_N, k=3.0))
+    ref = [entrywise(specfun._CEPHES_J[n], z) for n in (0, 1)]
+    for n in (0, 1):  # no hankel1 before
+        assert same_bits(specfun.bessel_j(n, z), ref[n])
+    specfun.hankel1(1, z)
+    assert same_bits(specfun.bessel_j(0, z), ref[0])  # another order: no hand-off
+    handed = specfun.bessel_j(1, z)
+    assert same_bits(handed, ref[1])
+    handed[...] = 0.0  # the caller owns the array: a later call is not affected
+    again = specfun.bessel_j(1, z)
+    assert not np.shares_memory(again, handed) and same_bits(again, ref[1])
+
+
+def test_writeable_or_mutated_argument_gets_fresh_checks_and_values():
+    z = symmetric_kernel_argument(BAND_N, k=3.0)
+    specfun.hankel1(0, z)
+    z[5, 7] = z[7, 5] = 2e4
+    with pytest.raises(ValueError, match=r"\|z\| <= 1e4"):
+        specfun.bessel_j(0, z)
+    w = symmetric_kernel_argument(BAND_N)
+    specfun.hankel1(0, w)
+    w[3, 4] = w[4, 3] = 5 - 1j
+    with pytest.raises(ValueError, match=r"Im z >= 0"):
+        specfun.hankel1(1, w)
+    # read-only when scanned, then made writeable and changed: neither the scan nor J_n is reused
+    y = freeze(symmetric_kernel_argument(BAND_N, k=3.0))
+    specfun.hankel1(0, y)
+    y.flags.writeable = True
+    y *= 0.5
+    assert same_bits(specfun.bessel_j(0, y), entrywise(specfun._CEPHES_J[0], y))
+    y[5, 7] = y[7, 5] = 1e-15
+    with pytest.raises(ValueError, match="singular point"):
+        specfun.hankel1(0, y)
+
+
+def test_a_handed_on_j_reaches_one_caller():
+    # four threads ask for the J_0 that one hankel1 kept: one gets it, the others evaluate their own
+    z = freeze(symmetric_kernel_argument(60, k=3.0))
+    ref = entrywise(specfun._CEPHES_J[0], z)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            specfun.hankel1(0, z)
+            barrier, got = threading.Barrier(4), [None] * 4
+
+            def call(i):
+                barrier.wait(timeout=10)
+                got[i] = specfun.bessel_j(0, z)
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got, 2))
+            assert all(same_bits(g, ref) for g in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
+def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
+    # one worker scans the whole argument as one band, cut into blocks of rows
+    monkeypatch.setattr(_pool, "workers", lambda: 1)
+    m = 512
+    z = symmetric_kernel_argument(m, k=8 + 4j)
+    if asymmetric:
+        z += np.triu(np.full(z.shape, 1e-3j))
+    tracemalloc.start()
+    try:
+        arg = specfun._scan(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arg.symmetric is not asymmetric and (arg.ray is None) is asymmetric
+    assert peak <= 0.15 * z.nbytes
+
+
+# ---------------------------------------------------------------------------
 # complex arguments on one ray: the Chebyshev table in the ray parameter
 # ---------------------------------------------------------------------------
 EPS = np.finfo(float).eps
@@ -479,7 +635,9 @@ assert RANDOM_RAY_N**2 >= _pool.MIN_ENTRIES
 
 @settings(max_examples=20, deadline=None)
 @given(
-    re=st.floats(0.0, 30.0, allow_subnormal=False),  # a subnormal part is off every ray
+    # a part of k r below the normal range is off every ray: Re k is 0 or large enough that Re k r,
+    # for r at least the spacing of doubles near the largest r, stays normal
+    re=st.one_of(st.just(0.0), st.floats(1e-290, 30.0)),
     im=st.floats(0.01, 15.0),
     z_max=st.floats(10.0, 45.0),
     seed=st.integers(0, 2**32 - 1),
