@@ -10,7 +10,10 @@ outlives one.
 
 Identity is a safe key only for data nobody can change: an array among the
 inputs must be frozen (it and every array it views are read-only), and a
-call with a writeable array skips the memo and computes afresh.
+call with a writeable array skips the memo and computes afresh.  Not
+supported: numpy lets an array's owner set it writeable again, and an
+array that is frozen, used, made writeable, changed in place and frozen
+again keeps its identity, so it gets the stale entries.
 
 A value that one caller may own, such as an array the next call writes
 into, is handed on with ``put`` and ``take`` instead: ``take`` returns it

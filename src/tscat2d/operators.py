@@ -16,7 +16,14 @@ trapezoid weight w = 2*pi/n for the smooth part.  Every kernel here is
     D = (R_|i-j| - w log(4 sin^2((t - tau)/2))) / (4 pi),
 
 with o the entrywise product and the diagonal set to the analytic limit.
-D depends on the grid alone.  T1 o g is K; T0 o g is S, and the two
+D depends on the grid alone.  It is the symmetric circulant D[i, j] =
+c[(i - j) mod n] with the column
+
+    c[m] = (R_m' - w log(4 sin^2(pi m'/n))) / (4 pi),   m' = min(m, n - m),
+
+the log taken from the index difference rather than from two rounded
+nodes, so D is exact to rounding and symmetric bit for bit, and is held
+as that one column.  T1 o g is K; T0 o g is S, and the two
 S-type parts of the hypersingular operator, assembled from its
 tangential-derivative form
 
@@ -39,7 +46,7 @@ three fine (2N)^2 arrays live at once: k r, H_m and J_m.  The kernel
 arguments k r form a symmetric matrix, which specfun evaluates on one
 triangle.  The matrix is read-only, so specfun scans it once for the four
 calls, and at real k bessel_j(m, .) takes over the J_m that hankel1(m, .)
-evaluated.  The arguments, D, the tables T_m with K's geometric factor and
+evaluated.  The arguments, the tables T_m with K's geometric factor and
 the compressions are filled in row bands on the shared thread pool (see
 ``_pool``), each band in blocks of a few ten thousand entries, with the
 same arithmetic for every entry as a whole-matrix evaluation, so the sets
@@ -64,8 +71,8 @@ and the transforms run in bands on the pool too.  The results agree with
 the dense ``prolongation_matrix`` and ``spectral_derivative_matrix``
 products to rounding, within 1e-13 of the largest entry at real and
 moderately complex k.  The tables that depend only on the fine grid size
-(D and the derivative symbol) are cached for the last size and returned
-read-only.
+(D, a read-only strided view of its column, and the derivative symbol)
+are cached for the last size and returned read-only.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -170,24 +177,19 @@ class _Nodes:
 
 @functools.lru_cache(maxsize=1)
 def _log_split_table(n: int) -> np.ndarray:
-    """D = (R_|i-j| - (2 pi/n) log(4 sin^2((t - tau)/2))) / (4 pi) on n nodes, read-only.
+    """D on n nodes, D[i, j] = c[(i - j) mod n], as a read-only strided view of its column c.
 
-    The log factor is 0 on the diagonal, where D is R_0/(4 pi).  The rows
-    are filled in bands on the shared pool.
+    c[m] = (R_m' - (2 pi/n) log(4 sin^2(pi m'/n))) / (4 pi) with
+    m' = min(m, n - m), so c[m] and c[n - m] are the same number; the log
+    factor is 0 at m = 0, where c is R_0/(4 pi).
     """
-    t = make_grid(n).nodes
-    weights = kress_log_weights(n // 2)
-    out = np.empty((n, n))
-
-    def block(lo, hi):
-        rows = np.arange(lo, hi)[:, None]
-        cols = np.arange(n)[None, :]
-        dt = t[rows] - t[cols]
-        logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=rows != cols, out=np.zeros_like(dt))
-        np.multiply(weights[(rows - cols) % n] - (2.0 * np.pi / n) * logsin, _INV_4PI, out=out[lo:hi])
-
-    _pool.map_blocks(block, n, n)
-    return freeze(out)
+    m = np.minimum(np.arange(n), n - np.arange(n))
+    logsin = np.log(4.0 * np.sin(np.pi * m / n) ** 2, where=m > 0, out=np.zeros(n))
+    column = (kress_log_weights(n // 2)[m] - (2.0 * np.pi / n) * logsin) * _INV_4PI
+    # frozen first: freeze stops at the non-array base of the view. Its rows, read from n
+    # down, are c[(j - i) mod n], which is c[(i - j) mod n] as c is symmetric
+    doubled = freeze(np.concatenate((column, column)))
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n:0:-1]
 
 
 def _log_split(h: np.ndarray, j: np.ndarray, weight: float, diag, g=None) -> np.ndarray:

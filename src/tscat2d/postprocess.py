@@ -42,37 +42,33 @@ class FarField:
     convention: str = "sqrt(r) * exp(-i k1 r) * u(r x_hat) -> u_inf(x_hat)"
 
 
-def _check_distance(curve, grid: NodeGrid, points: np.ndarray):
-    pos = curve.x(grid.nodes)
-    d = np.linalg.norm(points[:, None, :] - pos[None, :, :], axis=-1)
-    dmin = d.min()
+def _offsets(curve, grid: NodeGrid, points) -> tuple[np.ndarray, np.ndarray]:
+    """points - x(t_j) and its lengths, for points checked to keep MIN_EVAL_DISTANCE from the nodes."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    diff = points[:, None, :] - curve.x(grid.nodes)[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    dmin = r.min()
     if dmin < MIN_EVAL_DISTANCE:
         raise ValueError(
             f"evaluation point at distance {dmin:.3g} from the boundary; "
             f"minimum supported distance is {MIN_EVAL_DISTANCE}"
         )
+    return diff, r
 
 
 def single_layer_potential(curve, grid: NodeGrid, k: complex, density, points) -> np.ndarray:
     """SL_k[density] at points away from the curve (trapezoid rule)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_distance(curve, grid, points)
-    pos = curve.x(grid.nodes)
+    _, r = _offsets(curve, grid, points)
     jac = curve.jacobian(grid.nodes)
-    r = np.linalg.norm(points[:, None, :] - pos[None, :, :], axis=-1)
     kern = 0.25j * specfun.hankel1(0, k * r)
     return grid.weight * (kern * jac[None, :]) @ np.asarray(density)
 
 
 def double_layer_potential(curve, grid: NodeGrid, k: complex, density, points) -> np.ndarray:
     """DL_k[density] at points away from the curve (trapezoid rule)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_distance(curve, grid, points)
-    pos = curve.x(grid.nodes)
+    diff, r = _offsets(curve, grid, points)
     nrm = curve.normal(grid.nodes)
     jac = curve.jacobian(grid.nodes)
-    diff = points[:, None, :] - pos[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
     dot = diff[..., 0] * nrm[None, :, 0] + diff[..., 1] * nrm[None, :, 1]
     kern = 0.25j * k * specfun.hankel1(1, k * r) * dot / r
     return grid.weight * (kern * jac[None, :]) @ np.asarray(density)

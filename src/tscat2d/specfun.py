@@ -36,10 +36,12 @@ entry's value depends on the entry and the table alone, so the results
 are bit-identical for any number of pool workers.
 
 Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries are
-evaluated in row bands on the shared thread pool: a symmetric argument's
-triangle in bands of equal numbers of its entries, a few thousand entries
-at a time, every other array (and the Cephes path) by rows, each band
-writing through ``out=`` and checking that its values are finite.  The
+evaluated in row bands on the shared thread pool (``_pool.map_blocks``), a
+symmetric argument's triangle in bands of equal numbers of its entries,
+every other array (and the Cephes path) by rows.  Each band works in
+blocks of rows of at most about ``_pool.BAND_ENTRIES`` entries, each block
+writing through ``out=`` and checking that its values are finite, so the
+temporaries stay that small also when one band covers the array.  The
 AMOS and Cephes values are bit-identical to one whole-array call.
 
 Before any evaluation one pass over the argument, in blocks of rows on
@@ -83,9 +85,8 @@ _RAY_NEAR = 2.0  # |z| below which the entries stay on AMOS
 _RAY_MIN_SHARE = 16  # a table has at most 1/16 as many points as the argument has entries
 _RAY_TOL = 4.0 * np.finfo(float).eps  # largest relative deviation of an entry's other part from q s
 _RAY_MAX_VALUE = 1.0e300  # largest table value; the interpolant stays below overflow
-_CHUNK = 16384  # triangle entries evaluated at a time in a band, which bounds the temporaries
 
-# dtypes whose ufunc results keep the argument's dtype, so bands can write into a preallocated output
+# dtypes whose ufunc results keep the argument's dtype, so blocks can write into a preallocated output
 _BANDED = (np.dtype(float), np.dtype(complex))
 
 
@@ -94,7 +95,7 @@ class SpecialFunctionError(ArithmeticError):
 
 
 class _NotFinite(Exception):
-    """A band of values holds an inf or a NaN; the public function reports the overflow."""
+    """A block of values holds an inf or a NaN; the public function reports the overflow."""
 
 
 def _require_finite(values) -> None:
@@ -121,7 +122,7 @@ def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f(z) entrywise, written into out if given; raises _NotFinite unless every value is finite.
 
     A float or complex array of at least ``_pool.MIN_ENTRIES`` entries is
-    filled in row bands on the shared pool, each band through ``out=``.
+    filled in blocks of rows on the shared pool, each block through ``out=``.
     """
     if z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED:
         values = f(z) if out is None else f(z, out=out)
@@ -130,11 +131,11 @@ def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(z.shape, z.dtype)
 
-    def band(lo, hi):
+    def block(lo, hi):
         f(z[lo:hi], out=out[lo:hi])
         _require_finite(out[lo:hi])
 
-    _pool.map_bands(band, len(z), z.size)
+    _pool.map_blocks(block, len(z), z.size // len(z))
     return out
 
 
@@ -365,12 +366,12 @@ def _amos(f, n: int, z: np.ndarray, arg: _Argument) -> np.ndarray:
     """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix.
 
     arg is z's scan.  The triangle is split into row bands holding equal
-    numbers of its entries.  A band evaluates its rows of the triangle in
-    groups of about _CHUNK entries, checks and writes them, and then copies
-    them to their mirror image.  A complex triangle of order 0 or 1 on one
-    ray is evaluated from a ``_RayTable`` built first, on the caller's
-    thread, when the table pays.  Raises _NotFinite unless every value is
-    finite.
+    numbers of its entries, and each band into blocks of rows of at most
+    about ``_pool.BAND_ENTRIES`` entries.  A block evaluates its rows of the
+    triangle, checks and writes them, and then copies them to their mirror
+    image.  A complex triangle of order 0 or 1 on one ray is evaluated from
+    a ``_RayTable`` built first, on the caller's thread, when the table
+    pays.  Raises _NotFinite unless every value is finite.
     """
     if not arg.symmetric:
         return _entrywise(functools.partial(f, n), z)
@@ -379,26 +380,19 @@ def _amos(f, n: int, z: np.ndarray, arg: _Argument) -> np.ndarray:
     evaluate = functools.partial(f, n) if table is None else table
     out = np.empty(z.shape, z.dtype)
 
-    def band(lo, hi):
-        first = lo
-        while first < hi:
-            last, entries = first + 1, m - first
-            while last < hi and entries + m - last <= _CHUNK:
-                entries += m - last
-                last += 1
-            vals = evaluate(np.concatenate([z[i, i:] for i in range(first, last)]))
-            _require_finite(vals)
-            start = 0
-            for i in range(first, last):
-                out[i, i:] = vals[start : start + m - i]
-                start += m - i
-            first = last
+    def block(lo, hi):
+        vals = evaluate(np.concatenate([z[i, i:] for i in range(lo, hi)]))
+        _require_finite(vals)
+        start = 0
+        for i in range(lo, hi):
+            out[i, i:] = vals[start : start + m - i]
+            start += m - i
         # the mirror image: the diagonal block column by column, the rest as one block
         for i in range(lo, hi):
             out[i + 1 : hi, i] = out[i, i + 1 : hi]
         out[hi:, lo:hi] = out[lo:hi, hi:].T
 
-    _pool.map_bands(band, m, m * (m + 1) // 2, np.arange(m, 0, -1))
+    _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
     return out
 
 

@@ -22,7 +22,7 @@ from tscat2d.formulations import (
 )
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set
-from tscat2d.solver import lu_solve, norm2_estimate
+from tscat2d.solver import gmres, lu_solve, norm2_estimate
 from tscat2d.postprocess import far_field
 from conftest import band_limited_density
 
@@ -337,3 +337,24 @@ def test_blocks_are_views_of_the_stored_matrix():
         assert np.array_equal(block, system.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n])
     d = combined_source_blocks_explicit(ops[4 + 0j], ops[6 + 0j], ops[4 + 2j], 2.0)
     assert np.array_equal(system.matrix, np.block([[d[0], d[1]], [d[2], d[3]]]))
+
+
+def _gmres_iterations(curve, k1, k2, n, formulation, tol):
+    cfg = TransmissionConfig(curve=curve, k1=k1, k2=k2, nu=2.0)
+    system = assemble(cfg, grid(n), IncidentWave(0.0, k1), formulation)
+    return gmres(system.matrix, system.rhs, tol=tol, maxit=2 * n).iterations
+
+
+@pytest.mark.parametrize("n", [192, 256, 320])
+def test_circle_gcsie_iterations_at_default_kappa(n):
+    # kappa = 20+10i: the Kress split cancels J_n(kappa r), which grows like exp(Im kappa r),
+    # so an asymmetric log-split table at rounding level showed as 56 iterations at every N
+    assert _gmres_iterations(make_circle(1.0), 20.0, 30.0, n, "gcsie", 1e-10) <= 48
+
+
+def test_kite_gcsie_beats_classical_at_k1_24():
+    # the paper's claim of fewer iterations than the classical system, at N = 768 (kappa = 24+12i)
+    kite = make_kite()
+    composed = _gmres_iterations(kite, 24.0, 36.0, 768, "gcsie", 1e-8)
+    classical = _gmres_iterations(kite, 24.0, 36.0, 768, "classical", 1e-8)
+    assert composed < classical, (composed, classical)

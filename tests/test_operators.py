@@ -10,11 +10,13 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from tscat2d import analytic, operators, specfun
+from tscat2d._memo import is_frozen
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import (
     boundary_operator_set,
@@ -189,11 +191,12 @@ def fine_kernel_matrices(curve, n, k):
     diff = pos[:, None, :] - pos[None, :, :]
     r = np.hypot(diff[..., 0], diff[..., 1])
     np.fill_diagonal(r, 1.0)
-    off = ~np.eye(n, dtype=bool)
-    dt = t[:, None] - t[None, :]
-    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=off, out=np.zeros_like(dt))
+    # the log factor and the weights from the index difference m = (i - j) mod n, at min(m, n - m)
+    m = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    m = np.minimum(m, n - m)
+    logsin = np.log(4.0 * np.sin(np.pi * m / n) ** 2, where=m != 0, out=np.zeros((n, n)))
     weights = kress_log_weights(n // 2)
-    log_rule = weights[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n] - fine.weight * logsin
+    log_rule = weights[m] - fine.weight * logsin
 
     def rule(order, g, m1_diag, m2_diag):
         m1 = -specfun.bessel_j(order, k * r) * g / (4 * np.pi)
@@ -327,12 +330,42 @@ def test_set_peak_memory_in_fine_tables(monkeypatch):
     assert peak / (16 * 512**2) <= 5.0  # complex (2N)^2 tables
 
 
+def log_split_column_mpmath(n):
+    """c[m] = (R_m - (2 pi/n) log(4 sin^2(pi m/n))) / (4 pi) for m = 0 .. n/2, the log taken as 0 at m = 0.
+
+    R is the Kress weight on n nodes, summed as in ``kress_log_weights``
+    with cos(2 pi l m/n) reduced exactly to the index (l m) mod n.
+    """
+    with mpmath.workdps(40):
+        half, pi = n // 2, mpmath.pi
+        cos = [mpmath.cos(2 * pi * p / n) for p in range(n)]
+        column = []
+        for m in range(half + 1):
+            r = -(2 * pi / half) * mpmath.fsum(cos[(l * m) % n] / l for l in range(1, half)) \
+                - (pi / half**2) * (-1) ** m
+            log = mpmath.log(4 * mpmath.sin(pi * m / n) ** 2) if m else 0
+            column.append(float((r - (2 * pi / n) * log) / (4 * pi)))
+    return np.array(column)
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_log_split_table_is_an_exact_symmetric_circulant(n):
+    table = operators._log_split_table(n)
+    column = np.array(table[:, 0])
+    i = np.arange(n)
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(table, column[(i[:, None] - i[None, :]) % n])
+    ref = log_split_column_mpmath(n)
+    assert np.abs(column[: n // 2 + 1] - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_cached_grid_tables_are_read_only():
     tables = (operators._log_split_table(16), prolongation_matrix(8, 2), prolongation_matrix(8, 1),
               spectral_derivative_matrix(16))
     for table in tables:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+    assert all(map(is_frozen, tables))
     assert spectral_derivative_matrix(16) is tables[-1]
 
 

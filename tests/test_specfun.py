@@ -523,6 +523,22 @@ def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
     assert peak <= 0.15 * z.nbytes
 
 
+@pytest.mark.parametrize("shape", [(512, 512), (512 * 512,)], ids=["matrix", "vector"])
+def test_entrywise_temporaries_stay_in_blocks(monkeypatch, shape):
+    # one worker fills the whole array as one band; its finiteness checks run block by block
+    monkeypatch.setattr(_pool, "workers", lambda: 1)
+    z = np.linspace(0.5, 200.0, np.prod(shape)).reshape(shape)
+    out = np.empty_like(z)
+    tracemalloc.start()
+    try:
+        specfun._entrywise(special.j0, z, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, special.j0(z))
+    assert peak <= 0.05 * z.nbytes
+
+
 # ---------------------------------------------------------------------------
 # complex arguments on one ray: the Chebyshev table in the ray parameter
 # ---------------------------------------------------------------------------
