@@ -136,7 +136,8 @@ def combined_source_symbol_matrix(
     """2x2 per-mode symbol of the combined-source system matrix.
 
     Runs ``formulations.combined_source_blocks``, the block algebra of the
-    assembled system, on 1x1 symbol arrays.  With regularizer="exact" the
+    assembled system, on 1x1 symbol arrays; its stacked result is the
+    2x2 matrix.  With regularizer="exact" the
     admittance blocks make the matrix the identity; with "smoothed" it is
     identity plus decaying blocks.
     """
@@ -147,8 +148,7 @@ def combined_source_symbol_matrix(
         r = smoothed_regularizer(ok.s, ok.n, nu)
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
-    d = combined_source_blocks(_symbol_set(radius, k1, n), _symbol_set(radius, k2, n), r, nu)
-    return np.block([[d[0], d[1]], [d[2], d[3]]])
+    return combined_source_blocks(_symbol_set(radius, k1, n), _symbol_set(radius, k2, n), r, nu)
 
 
 def smoothing_order(samples) -> float:

@@ -172,27 +172,45 @@ def smoothed_regularizer(s_kappa, n_kappa, nu: float):
     return nu / c, -2.0 / c * s_kappa, 2.0 * nu / c * n_kappa, 1.0 / c
 
 
+def _stacked(n: int):
+    """A zero 2n x 2n complex matrix and its four n x n quarters, as views."""
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    return out, (out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:])
+
+
 def combined_source_blocks(o1: BoundaryOperators, o2: BoundaryOperators, r, nu: float):
-    """Composed form of the combined-source blocks.
+    """Composed form of the combined-source system, as the stacked 2N x 2N matrix.
 
     D11 = I/2 - K2 + (K1 + K2) R11 - (S1 + S2/nu) R21, and analogously
     for the other three blocks.  The operators are square arrays: Nystrom
     matrices, or 1x1 per-mode symbols on the circle.  R12 and R21 are
     applied with ``@``; R11 and R22 are applied with ``*``, so they are
-    scalars (multiples of I) or, on the circle, 1x1 symbols.
+    scalars (multiples of I) or, on the circle, 1x1 symbols.  Each block is
+    written into its quarter of one array, one block row at a time.
     """
     r11, r12, r21, r22 = r
-    eye = np.eye(o1.s.shape[0])
-    sum_s = o1.s + o2.s / nu
+    out, (d11, d12, d21, d22) = _stacked(o1.s.shape[0])
+    np.fill_diagonal(out, 0.5)  # I/2 in D11 and D22
+
+    d12[...] = o2.s / nu
+    sum_s = o1.s + d12
     sum_k = o1.k + o2.k
+    d11 -= o2.k
+    d11 += r11 * sum_k
+    d11 -= sum_s @ r21
+    d12 += sum_k @ r12
+    d12 -= r22 * sum_s
+    del sum_s, sum_k
+
     sum_kt = o1.kt + o2.kt
     sum_n = o1.n + nu * o2.n
-
-    d11 = 0.5 * eye - o2.k + r11 * sum_k - sum_s @ r21
-    d12 = o2.s / nu + sum_k @ r12 - r22 * sum_s
-    d21 = -nu * o2.n + r11 * sum_n - sum_kt @ r21
-    d22 = 0.5 * eye + o2.kt + sum_n @ r12 - r22 * sum_kt
-    return d11, d12, d21, d22
+    d21[...] = -nu * o2.n
+    d21 += r11 * sum_n
+    d21 -= sum_kt @ r21
+    d22 += o2.kt
+    d22 += sum_n @ r12
+    d22 -= r22 * sum_kt
+    return out
 
 
 def combined_source_blocks_explicit(
@@ -201,47 +219,49 @@ def combined_source_blocks_explicit(
     ok: BoundaryOperators,
     nu: float,
 ):
-    """Calderon-simplified form of the combined-source blocks.
+    """Calderon-simplified form of the combined-source system, as the stacked matrix.
 
     Equal to the composed form for the exact operators; the discrete
     difference is the residual of the discrete Calderon identities.
     """
-    eye = np.eye(o1.s.shape[0])
     c = 1.0 + nu
     s1, k1m, kt1, n1 = o1
     s2, k2m, kt2, n2 = o2
     sk, nk, ktk = ok.s, ok.n, ok.kt
+    out, (d11, d12, d21, d22) = _stacked(s1.shape[0])
+    np.fill_diagonal(out, 1.0)  # I in D11 and D22
 
-    d11 = (
-        eye
-        - k2m / c
-        + nu / c * k1m
-        - 2.0 * nu / c * (s1 @ (nk - n1))
-        - 2.0 * nu / c * (k1m @ k1m)
-        - 2.0 / c * (s2 @ (nk - n2))
-        - 2.0 / c * (k2m @ k2m)
-    )
-    d12 = (s2 - s1) / c - 2.0 / c * ((k1m + k2m) @ sk)
-    d21 = nu / c * (n1 - n2) - 2.0 * nu / c * ((kt1 + kt2) @ nk)
-    d22 = (
-        eye
-        + nu / c * kt2
-        - kt1 / c
-        - 2.0 / c * ((n1 - nk) @ sk)
-        - 2.0 * nu / c * ((n2 - nk) @ sk)
-        - 2.0 * (ktk @ ktk)
-    )
-    return d11, d12, d21, d22
+    d11 -= k2m / c
+    d11 += nu / c * k1m
+    d11 -= 2.0 * nu / c * (s1 @ (nk - n1))
+    d11 -= 2.0 * nu / c * (k1m @ k1m)
+    d11 -= 2.0 / c * (s2 @ (nk - n2))
+    d11 -= 2.0 / c * (k2m @ k2m)
+    d12[...] = (s2 - s1) / c
+    d12 -= 2.0 / c * ((k1m + k2m) @ sk)
+
+    d21[...] = nu / c * (n1 - n2)
+    d21 -= 2.0 * nu / c * ((kt1 + kt2) @ nk)
+    d22 += nu / c * kt2
+    d22 -= kt1 / c
+    d22 -= 2.0 / c * ((n1 - nk) @ sk)
+    d22 -= 2.0 * nu / c * ((n2 - nk) @ sk)
+    d22 -= 2.0 * (ktk @ ktk)
+    return out
 
 
 def classical_blocks(o1: BoundaryOperators, o2: BoundaryOperators, nu: float):
-    """Direct second-kind blocks in the interior Cauchy data (phi, psi)."""
-    eye = np.eye(o1.s.shape[0])
-    d11 = eye - o1.k + o2.k
-    d12 = nu * o1.s - o2.s
-    d21 = o2.n - o1.n
-    d22 = 0.5 * (1.0 + nu) * eye + nu * o1.kt - o2.kt
-    return d11, d12, d21, d22
+    """Direct second-kind system in the interior Cauchy data (phi, psi), as the stacked matrix."""
+    out, (d11, d12, d21, d22) = _stacked(o1.s.shape[0])
+    np.fill_diagonal(d11, 1.0)
+    d11 -= o1.k
+    d11 += o2.k
+    np.subtract(nu * o1.s, o2.s, out=d12)
+    np.subtract(o2.n, o1.n, out=d21)
+    np.fill_diagonal(d22, 0.5 * (1.0 + nu))
+    d22 += nu * o1.kt
+    d22 -= o2.kt
+    return out
 
 
 # the last composed matrix, while its operator arrays live
@@ -251,15 +271,11 @@ _SYSTEM_MATRIX = LastValue()
 def _composed_matrix(formulation: str, used, nu: float) -> np.ndarray:
     """Stacked read-only 2N x 2N matrix of one formulation from its operator sets."""
     if formulation == "classical":
-        blocks = classical_blocks(*used, nu)
-    else:
-        o1, o2, ok = used
-        if formulation == "gcsie":
-            blocks = combined_source_blocks(o1, o2, smoothed_regularizer(ok.s, ok.n, nu), nu)
-        else:
-            blocks = combined_source_blocks_explicit(o1, o2, ok, nu)
-    d11, d12, d21, d22 = blocks
-    return freeze(np.block([[d11, d12], [d21, d22]]))
+        return freeze(classical_blocks(*used, nu))
+    o1, o2, ok = used
+    if formulation == "gcsie":
+        return freeze(combined_source_blocks(o1, o2, smoothed_regularizer(ok.s, ok.n, nu), nu))
+    return freeze(combined_source_blocks_explicit(o1, o2, ok, nu))
 
 
 def assemble(

@@ -109,7 +109,15 @@ def kress_log_weights(n: int) -> np.ndarray:
         raise ValueError(f"log-quadrature needs n >= 2, got {n}")
     t = np.pi * np.arange(2 * n) / n
     m = np.arange(1, n)
-    r = -(2.0 * np.pi / n) * (np.cos(np.outer(t, m)) / m).sum(axis=1)
+    sums = np.empty(2 * n)
+
+    def block(lo, hi):
+        sums[lo:hi] = (np.cos(np.outer(t[lo:hi], m)) / m).sum(axis=1)
+
+    # rows in blocks of about _pool.BAND_ENTRIES entries: the 2n x (n - 1) table is never formed,
+    # and each row's sum is the one it has in the whole table
+    _pool.map_blocks(block, 2 * n, n - 1)
+    r = -(2.0 * np.pi / n) * sums
     return r - (np.pi / n**2) * np.cos(n * t)
 
 

@@ -5,7 +5,9 @@ GMRES is full (no restart) so that the iteration count is the Krylov
 dimension and directly reflects the spectral clustering the second-kind
 formulations are designed to produce.  No preconditioning anywhere.
 LU factorizations and LU solves run one at a time across threads, under
-one module lock.
+one module lock.  The conditioning diagnostics, ||A - s I||_2 and
+sigma_min(A) = 1 / ||A^-1||_2, are the largest singular values of
+Golub-Kahan-Lanczos bidiagonalizations with full reorthogonalization.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     )
 
 
-_GMRES_FIRST_SIZE = 16
+# Krylov bases (GMRES, Golub-Kahan-Lanczos) start with room for this many steps and double when full
+_FIRST_BASIS_SIZE = 16
 
 
 def _grown(a: np.ndarray, shape) -> np.ndarray:
@@ -166,7 +169,7 @@ def gmres(
         )
 
     # Krylov basis and Hessenberg matrix for `size` steps, doubled when full
-    size = min(maxit, _GMRES_FIRST_SIZE)
+    size = min(maxit, _FIRST_BASIS_SIZE)
     v = np.empty((size + 1, n), dtype=complex)
     h = np.zeros((size + 1, size), dtype=complex)
     cs = np.zeros(maxit, dtype=complex)
@@ -223,55 +226,109 @@ def gmres(
     )
 
 
+# Golub-Kahan-Lanczos: at most this many steps, stopped early when the estimate changes by at
+# most this much, relative, from one step to the next
+_LANCZOS_STEPS = 200
+_LANCZOS_RTOL = 1e-10
+
+
+def _projection(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the span of the orthonormal rows of q.
+
+    The coefficients conj(q_i) . x are conj(q @ conj(x)), so no conjugate
+    of the basis is formed.
+    """
+    return q.T @ (q @ x.conj()).conj()
+
+
+def _bidiagonal_norm(alpha: np.ndarray, beta: np.ndarray) -> float:
+    """Largest singular value of the upper bidiagonal matrix B with diagonal alpha and superdiagonal beta.
+
+    It is the root of the largest eigenvalue of the tridiagonal B^T B, whose
+    diagonal is alpha_i^2 + beta_(i-1)^2 and off-diagonal alpha_i beta_i.
+    """
+    d = alpha**2
+    d[1:] += beta**2
+    k = len(d)
+    lam = sla.eigvalsh_tridiagonal(d, alpha[:-1] * beta, select="i", select_range=(k - 1, k - 1))
+    return float(np.sqrt(lam[0]))
+
+
+def _largest_singular_value(matvec, rmatvec, n: int, seed: int) -> float:
+    """Largest singular value of an n x n operator M by Golub-Kahan-Lanczos bidiagonalization.
+
+    matvec(x) returns M x and rmatvec(y) returns M^H y.  Step j extends
+    orthonormal bases u_1..u_j and v_1..v_j with M V_j = U_j B_j, where B_j
+    is upper bidiagonal (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965);
+    the largest singular value of B_j grows to that of M.  Both bases are
+    reorthogonalized against all their earlier vectors at every step.  The
+    iteration stops when that value changes by at most 1e-10 relative from
+    one step to the next, when an alpha or beta is 0 (the Krylov space is
+    invariant and the value exact), or after 200 steps.  v_1 is a complex
+    Gaussian vector drawn from ``seed``.  The bases start with room for 16
+    steps and double when full, so their memory follows the steps taken.
+    """
+    steps = min(_LANCZOS_STEPS, n)
+    size = min(steps, _FIRST_BASIS_SIZE)
+    u = np.empty((size, n), dtype=complex)
+    v = np.empty((size + 1, n), dtype=complex)
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    rng = np.random.default_rng(seed)
+    v[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v[0] /= np.linalg.norm(v[0])
+    p = matvec(v[0])
+    sigma = 0.0
+    for j in range(steps):
+        if j == size:
+            size = min(2 * size, steps)
+            u = _grown(u, (size, n))
+            v = _grown(v, (size + 1, n))
+        p -= _projection(u[:j], p)
+        alpha[j] = np.linalg.norm(p)
+        previous, sigma = sigma, _bidiagonal_norm(alpha[: j + 1], beta[:j])
+        if alpha[j] == 0.0 or abs(sigma - previous) <= _LANCZOS_RTOL * sigma or j + 1 == steps:
+            break
+        u[j] = p / alpha[j]
+        r = rmatvec(u[j]) - alpha[j] * v[j]
+        r -= _projection(v[: j + 1], r)
+        beta[j] = np.linalg.norm(r)
+        if beta[j] == 0.0:
+            break
+        v[j + 1] = r / beta[j]
+        p = matvec(v[j + 1]) - beta[j] * u[j]
+    return sigma
+
+
 def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
-    """Largest singular value of (A - shift*I) by power iteration.
+    """Largest singular value of (A - shift*I) by Golub-Kahan-Lanczos bidiagonalization.
 
     The shift is applied inside the products, (A - s I) v = A v - s v and
     (A - s I)^H u = A^H u - conj(s) u, so no shifted copy of A is formed.
-    200 iterations or 1e-6 relative stagnation, whichever comes first.
+    Stops at 1e-10 relative change between steps, or after 200 steps.
     """
     a = _square(a)
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(200):
-        u = a @ v - shift * v
+    return _largest_singular_value(
+        lambda x: _matvec(a, x) - shift * x,
         # A^H u without copying conj(A)
-        w = np.conj(a.T @ np.conj(u)) - np.conj(shift) * u
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_sigma = np.sqrt(norm)
-        v = w / norm
-        if sigma > 0 and abs(new_sigma - sigma) <= 1e-6 * sigma:
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+        lambda y: _matvec(a.T, y.conj()).conj() - np.conj(shift) * y,
+        a.shape[0],
+        seed,
+    )
 
 
 def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
-    """Smallest singular value by inverse power iteration on A^H A.
+    """Smallest singular value, 1 / ||A^-1||_2, by Golub-Kahan-Lanczos on A^-1.
 
-    Each step solves with A and A^H from one LU factorization, the one
-    lu_solve used if A is the same read-only matrix.
+    The products with A^-1 and A^-H are LU solves with one factorization,
+    the one lu_solve used if A is the same read-only matrix.  Stops at
+    1e-10 relative change between steps, or after 200 steps.
     """
     a = _square(a)
-    n = a.shape[0]
     factors = _lu_factor(a)[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(200):
+
+    def solve(x, trans=0):
         with _LAPACK_LOCK:
-            w = sla.lu_solve(factors, sla.lu_solve(factors, v, trans=2))
-        norm = np.linalg.norm(w)
-        new_lam = norm
-        v = w / norm
-        if lam > 0 and abs(new_lam - lam) <= 1e-9 * lam:
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(1.0 / np.sqrt(lam))
+            return sla.lu_solve(factors, x, trans=trans)
+
+    return 1.0 / _largest_singular_value(solve, lambda y: solve(y, trans=2), a.shape[0], seed)

@@ -153,7 +153,7 @@ def test_explicit_collapse_at_equal_wavenumbers():
     kite = make_kite()
     g = grid(64)
     ops = boundary_operator_set(kite, g, 3.0)
-    d11, d12, d21, d22 = combined_source_blocks_explicit(ops, ops, ops, 1.0)
+    d12 = combined_source_blocks_explicit(ops, ops, ops, 1.0)[:64, 64:]
     target = -2.0 * (ops.k @ ops.s)
     assert np.abs(d12 - target).max() <= 1e-12
 
@@ -335,8 +335,57 @@ def test_blocks_are_views_of_the_stored_matrix():
     for (i, j), block in blocks.items():
         assert block.base is system.matrix
         assert np.array_equal(block, system.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n])
-    d = combined_source_blocks_explicit(ops[4 + 0j], ops[6 + 0j], ops[4 + 2j], 2.0)
-    assert np.array_equal(system.matrix, np.block([[d[0], d[1]], [d[2], d[3]]]))
+    stacked = combined_source_blocks_explicit(ops[4 + 0j], ops[6 + 0j], ops[4 + 2j], 2.0)
+    assert np.array_equal(system.matrix, stacked)
+
+
+def _blocks_out_of_place(formulation, used, nu):
+    """The four blocks of each formulation, each one expression, as a reference."""
+    eye = np.eye(used[0].s.shape[0])
+    if formulation == "classical":
+        o1, o2 = used
+        return (
+            eye - o1.k + o2.k,
+            nu * o1.s - o2.s,
+            o2.n - o1.n,
+            0.5 * (1.0 + nu) * eye + nu * o1.kt - o2.kt,
+        )
+    o1, o2, ok = used
+    if formulation == "gcsie":
+        r11, r12, r21, r22 = smoothed_regularizer(ok.s, ok.n, nu)
+        sum_s = o1.s + o2.s / nu
+        sum_k = o1.k + o2.k
+        sum_kt = o1.kt + o2.kt
+        sum_n = o1.n + nu * o2.n
+        return (
+            0.5 * eye - o2.k + r11 * sum_k - sum_s @ r21,
+            o2.s / nu + sum_k @ r12 - r22 * sum_s,
+            -nu * o2.n + r11 * sum_n - sum_kt @ r21,
+            0.5 * eye + o2.kt + sum_n @ r12 - r22 * sum_kt,
+        )
+    c = 1.0 + nu
+    s1, k1m, kt1, n1 = o1
+    s2, k2m, kt2, n2 = o2
+    sk, nk, ktk = ok.s, ok.n, ok.kt
+    return (
+        eye - k2m / c + nu / c * k1m - 2.0 * nu / c * (s1 @ (nk - n1))
+        - 2.0 * nu / c * (k1m @ k1m) - 2.0 / c * (s2 @ (nk - n2)) - 2.0 / c * (k2m @ k2m),
+        (s2 - s1) / c - 2.0 / c * ((k1m + k2m) @ sk),
+        nu / c * (n1 - n2) - 2.0 * nu / c * ((kt1 + kt2) @ nk),
+        eye + nu / c * kt2 - kt1 / c - 2.0 / c * ((n1 - nk) @ sk)
+        - 2.0 * nu / c * ((n2 - nk) @ sk) - 2.0 * (ktk @ ktk),
+    )
+
+
+@pytest.mark.parametrize("formulation", ["gcsie", "gcsie-explicit", "classical"])
+def test_composed_in_place_equals_the_out_of_place_blocks_bit_for_bit(formulation):
+    cfg, g, ops = _kite_sweep_setup(n=48)
+    used = [ops[k] for k in (4 + 0j, 6 + 0j, 4 + 2j)[: 2 if formulation == "classical" else 3]]
+    d = _blocks_out_of_place(formulation, used, cfg.nu)
+    reference = np.block([[d[0], d[1]], [d[2], d[3]]])
+    matrix = assemble(cfg, g, IncidentWave(0.0, cfg.k1), formulation, ops=ops).matrix
+    assert matrix.dtype == reference.dtype
+    assert matrix.tobytes() == reference.tobytes()
 
 
 def _gmres_iterations(curve, k1, k2, n, formulation, tol):

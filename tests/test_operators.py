@@ -66,6 +66,26 @@ def test_kress_rule_integrates_cos_against_log():
     assert abs(val - (-2 * np.pi)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+def test_kress_log_weights_equal_the_whole_table_sum_bit_for_bit(n):
+    t = np.pi * np.arange(2 * n) / n
+    m = np.arange(1, n)
+    whole = -(2.0 * np.pi / n) * (np.cos(np.outer(t, m)) / m).sum(axis=1)
+    whole -= (np.pi / n**2) * np.cos(n * t)
+    assert kress_log_weights(n).tobytes() == whole.tobytes()
+
+
+def test_kress_log_weights_never_form_the_cosine_table():
+    # the whole 4096 x 2047 table and its quotient would be 134 MB at n = 2048
+    tracemalloc.start()
+    try:
+        kress_log_weights(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_kress_rule_exact_on_degree_three():
     # int cos(3 tau) log(4 sin^2((t - tau)/2)) dtau = -(2 pi / 3) cos(3 t)
     n = 8

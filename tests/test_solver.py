@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tscat2d import solver
+from tscat2d import IncidentWave, TransmissionConfig, assemble, grid, make_kite, solver
 from tscat2d.solver import gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 
 
@@ -150,6 +150,45 @@ def test_norm2_estimate_known_singular_values():
     svals = np.concatenate([[3.5, 1.0], 0.5 * rng.random(28)])
     a = q1 @ np.diag(svals) @ q2.conj().T
     assert norm2_estimate(a) == pytest.approx(3.5, abs=1e-4)
+
+
+def _random_complex(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _kite_system_matrix(n):
+    cfg = TransmissionConfig(curve=make_kite(), k1=8.0, k2=12.0, nu=2.0, kappa=8 + 4j, n_nodes=n)
+    return assemble(cfg, grid(n), IncidentWave(0.0, cfg.k1), "gcsie").matrix
+
+
+@pytest.mark.parametrize("matrix", [lambda: _random_complex(300, 0), lambda: _kite_system_matrix(64)],
+                         ids=["random-300", "kite-gcsie-64"])
+def test_estimators_agree_with_a_dense_svd(matrix):
+    a = matrix()
+    eye = np.eye(a.shape[0])
+    assert norm2_estimate(a, shift=1.0) == pytest.approx(
+        np.linalg.svd(a - eye, compute_uv=False)[0], rel=1e-10
+    )
+    assert norm2_estimate(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-10)
+    assert sigma_min_estimate(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[-1], rel=1e-10)
+
+
+def test_rcond_forms_no_abs_a():
+    # scipy.linalg.norm(a, 1) runs LAPACK lange on the Fortran-ordered a.T for a contiguous a
+    a = _random_complex(512, 8)
+    lu = solver.sla.lu_factor(a)[0]
+    gecon = solver.sla.get_lapack_funcs("gecon", (lu,))
+    expected = gecon(lu, np.abs(a).sum(axis=0).max(), norm="1")[0]
+    tracemalloc.start()
+    try:
+        rcond = rcond_estimate(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rcond == pytest.approx(expected, rel=1e-12)
+    # the LU factors are one copy of A; |A| would add half of one more
+    assert peak < 1.25 * a.nbytes
 
 
 def test_sigma_min_diagonal():
