@@ -56,6 +56,7 @@ from .solver import (
 )
 from .specfun import (
     EULER_GAMMA,
+    KernelArgument,
     SpecialFunctionError,
     bessel_j,
     bessel_j_seq,

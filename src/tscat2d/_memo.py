@@ -14,15 +14,10 @@ call with a writeable array skips the memo and computes afresh.  Not
 supported: numpy lets an array's owner set it writeable again, and an
 array that is frozen, used, made writeable, changed in place and frozen
 again keeps its identity, so it gets the stale entries.
-
-A value that one caller may own, such as an array the next call writes
-into, is handed on with ``put`` and ``take`` instead: ``take`` returns it
-once and empties the memo.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 
 import numpy as np
@@ -56,7 +51,6 @@ class LastValue:
 
     def __init__(self):
         self._entry = None
-        self._take_lock = threading.Lock()
 
     def get(self, objects, values, build):
         """build(), or the stored value of an earlier call with the same key.
@@ -69,49 +63,17 @@ class LastValue:
         if not all(map(is_frozen, objects)):
             return build()
         entry = self._entry
-        if self._matches(entry, objects, values):
-            return entry[2]
-        self._entry = None  # free the old value before building the new one
-        value = build()
-        self._store(objects, values, value)
-        return value
-
-    def put(self, objects, values, build):
-        """Store build() under the key of ``get`` if every array among ``objects`` is frozen.
-
-        build is not called otherwise.
-        """
-        objects = tuple(objects)
-        if all(map(is_frozen, objects)):
-            self._store(objects, values, build())
-
-    def take(self, objects, values):
-        """The value stored under this key, removed from the memo; None if there is none.
-
-        Two threads taking at once never both get the value.
-        """
-        objects = tuple(objects)
-        if not all(map(is_frozen, objects)):
-            return None
-        with self._take_lock:
-            entry = self._entry
-            if not self._matches(entry, objects, values):
-                return None
-            self._entry = None
-        return entry[2]
-
-    @staticmethod
-    def _matches(entry, objects, values) -> bool:
-        return (
+        if (
             entry is not None
             and len(entry[0]) == len(objects)
             and all(ref() is obj for ref, obj in zip(entry[0], objects))
             and entry[1] == values
-        )
-
-    def _store(self, objects, values, value):
-        refs = tuple(weakref.ref(obj, self._drop) for obj in objects)
-        self._entry = (refs, values, value)
+        ):
+            return entry[2]
+        self._entry = None  # free the old value before building the new one
+        value = build()
+        self._entry = (tuple(weakref.ref(obj, self._drop) for obj in objects), values, value)
+        return value
 
     def _drop(self, dead: weakref.ref):
         """Weak-reference callback: forget the entry if ``dead`` is one of its keys."""

@@ -77,6 +77,8 @@ def grid(n: int) -> NodeGrid:
     Even n is required by the spectral differentiation and the split
     log-quadrature; fewer than 4 nodes leaves no quadrature rule at all.
     """
+    if not is_integer(n):
+        raise ValueError(f"grid size must be an integer, got {n!r}")
     n = int(n)
     if n % 2 != 0:
         raise ValueError(f"grid size must be even, got {n}")

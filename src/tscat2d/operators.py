@@ -41,17 +41,19 @@ kernel at (tau, t) times |x'(tau)|/|x'(t)|, and the rule is symmetric.
 A set is built one order at a time.  H_1 and J_1 of the argument k r
 make T1, written over the H_1 array; K is formed over T1, K and KT are
 compressed, and T1 is freed.  Then H_0 and J_0 make T0 over the H_0 array
-(k r is freed first), and S, B and A are compressed from it.  At most
-three fine (2N)^2 arrays live at once: k r, H_m and J_m.  The kernel
-arguments k r form a symmetric matrix, which specfun evaluates on one
-triangle.  The matrix is read-only, so specfun scans it once for the four
-calls, and at real k bessel_j(m, .) takes over the J_m that hankel1(m, .)
-evaluated.  The arguments, the tables T_m with K's geometric factor and
-the compressions are filled in row bands on the shared thread pool (see
-``_pool``), each band in blocks of a few ten thousand entries, with the
-same arithmetic for every entry as a whole-matrix evaluation, so the sets
-are bit-identical for any number of threads.  S and the B part of N are
-taken only on the rows that compression keeps.
+(the argument is freed first), and S, B and A are compressed from it.  At
+most three fine (2N)^2 arrays live at once: the real distances r, H_m and
+J_m.  The argument is a ``specfun.KernelArgument`` of k and the symmetric
+r, checked once for the four calls.  specfun forms k r from r block by
+block, evaluates it by rows at real k (Cephes) and on one triangle
+otherwise, and at real k bessel_j(m, .) takes over the J_m that
+hankel1(m, .) left on it.  The distances, the tables T_m with K's
+geometric factor and the compressions are filled in row bands on the
+shared thread pool (see ``_pool``), each band in blocks of a few ten
+thousand entries, with the same arithmetic for every entry as a
+whole-matrix evaluation, so the sets are bit-identical for any number of
+threads.  S and the B part of N are taken only on the rows that
+compression keeps.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -87,7 +89,7 @@ import numpy as np
 
 from . import _pool, specfun
 from ._memo import freeze
-from .geometry import Curve, NodeGrid, grid as make_grid
+from .geometry import Curve, NodeGrid, grid as make_grid, is_integer
 
 _QUARTER_I = 0.25j
 _INV_4PI = 1.0 / (4.0 * np.pi)
@@ -166,21 +168,16 @@ class _Nodes:
         """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0)."""
         return (self.nrm[rows] @ self.nrm.T) * self.jac[None, :]
 
-    def argument(self) -> np.ndarray:
-        """The symmetric kernel argument k r, real at real k (the Cephes path).
-
-        Read-only, so that ``specfun`` keeps its scan, and at real k its J_n,
-        for the four cylinder calls on it.
-        """
+    def argument(self) -> specfun.KernelArgument:
+        """The kernel argument k r, from the distances r on the fine grid (1 on the diagonal)."""
         n = self.n
-        kz = self.k.real if self.k.imag == 0 else self.k
-        z = np.empty((n, n), dtype=type(kz))
+        r = np.empty((n, n))
 
         def block(lo, hi):
-            np.multiply(kz, self.differences(slice(lo, hi))[2], out=z[lo:hi])
+            r[lo:hi] = self.differences(slice(lo, hi))[2]
 
         _pool.map_blocks(block, n, n)
-        return freeze(z)
+        return specfun.KernelArgument(self.k, r)
 
 
 @functools.lru_cache(maxsize=1)
@@ -355,8 +352,8 @@ def boundary_operator_set(
     oversample-th row times the trigonometric prolongation.
     """
     k = _check_wavenumber(k)
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    if not (is_integer(oversample) and oversample >= 1):
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     nodes = _Nodes(curve, make_grid(oversample * grid.n), k)
     n, w, jac = grid.n, nodes.trapz, nodes.jac
     z = nodes.argument()

@@ -11,54 +11,49 @@ about twenty times faster than the complex AMOS routines and within
 1e-14 of them for 0 < x <= 256.  Complex arguments, negative reals in
 hankel1, arguments past 256 and all other orders go through AMOS.
 
-A Nystrom kernel depends on r = |x(t) - x(tau)| only, so every argument
-matrix k r the operators pass in is symmetric.  When an AMOS argument is a
-square matrix equal to its transpose, AMOS runs on the upper triangle only
-and the values are mirrored: half the points, bit-identical results.  The
-test for symmetry compares the two triangles in row bands on the pool.
+hankel1 and bessel_j take a scalar or an array z, evaluated entry by
+entry after one pass over it that finds the extremes of |z|, Re z and
+Im z for the range and branch checks, or a ``KernelArgument``: the
+argument k r of a Nystrom kernel, from the wavenumber k and the symmetric
+distance matrix r = |x(t) - x(tau)|, checked once when it is built.  No
+complex k r matrix is stored; k r is formed from r block by block and
+evaluated
 
-At a complex wavenumber k every argument k r lies on the ray from 0
-through k.  A symmetric complex matrix of at least ``_pool.MIN_ENTRIES``
-entries that lies on one ray of the closed first quadrant (tested in the
-same banded pass as the symmetry) takes a table instead of AMOS: H_n or
-J_n (n = 0, 1) as a function of the ray parameter, the larger of Re z and
-Im z, is interpolated at degree 12 on panels 0.5 wide in |z|, from AMOS
-values at the panels' Chebyshev points.  The table is built once per call
-on the caller's thread and used only when its points number at most 1/16
-of the argument's entries.  Entries with |z| < 2, where H_n is log- or
-1/z-singular, stay on AMOS, as do off-ray, non-symmetric and smaller
-arrays, scalars and every argument of the other functions.  Against
-mpmath the table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) on the rays
-through 8+4i, 20+10i, 1+0.5i, 30+0.05i and 1+8i for 2 <= |z| <= 70 (AMOS
-itself is within 0.6 eps (1 + |z|) there), and a kernel call at N=256
-takes a third to a half of the time AMOS takes on the triangle.  Each
-entry's value depends on the entry and the table alone, so the results
-are bit-identical for any number of pool workers.
+* at a real k in the Cephes range, by rows;
+* otherwise on the upper triangle, the values mirrored: half the points,
+  bit-identical results;
+* at a complex k, where every entry lies on the ray from 0 through k,
+  from a table when the argument has at least ``_pool.MIN_ENTRIES``
+  entries: H_n or J_n (n = 0, 1) as a function of the ray parameter, the
+  larger of Re z and Im z, is interpolated at degree 12 on panels 0.5
+  wide in |z|, from AMOS values at the panels' Chebyshev points.  The
+  table is built once per call on the caller's thread and used only when
+  its points number at most 1/16 of the argument's entries.  Entries with
+  |z| < 2, where H_n is log- or 1/z-singular, stay on AMOS.  Against
+  mpmath the table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) on the
+  rays through 8+4i, 20+10i, 1+0.5i, 30+0.05i and 1+8i for 2 <= |z| <= 70
+  (AMOS itself is within 0.6 eps (1 + |z|) there), and a kernel call at
+  N=256 takes a third to a half of the time AMOS takes on the triangle.
+  Each entry's value depends on the entry and the table alone, so the
+  results are bit-identical for any number of pool workers.
 
-Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries are
-evaluated in row bands on the shared thread pool (``_pool.map_blocks``), a
-symmetric argument's triangle in bands of equal numbers of its entries,
-every other array (and the Cephes path) by rows.  Each band works in
-blocks of rows of at most about ``_pool.BAND_ENTRIES`` entries, each block
-writing through ``out=`` and checking that its values are finite, so the
-temporaries stay that small also when one band covers the array.  The
-AMOS and Cephes values are bit-identical to one whole-array call.
+At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
+next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
+again.  The module itself keeps no state between calls.
 
-Before any evaluation one pass over the argument, in blocks of rows on
-the pool, finds what the range and branch checks and the choice of path
-need: the extremes of |z|, Re z and Im z, whether z is a symmetric matrix,
-and whether it lies on one ray, with its largest ray parameter.  For a
-read-only argument (see ``_memo``) the result is kept while the argument
-lives, so the four calls an operator set makes on one k r scan it once;
-a writeable argument is scanned on every call.  At a read-only real
-argument, hankel1(n, z) keeps a copy of the J_n it evaluated for its real
-part and hands it to the next bessel_j(n, z) on the same argument, which
-returns it instead of evaluating J_n again; the next hankel1, or the
-argument's end, drops it.
+Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries, and
+kernel arguments, are evaluated in row bands on the shared thread pool
+(``_pool.map_blocks``), a triangle in bands of equal numbers of its
+entries.  Each band works in blocks of rows of at most about
+``_pool.BAND_ENTRIES`` entries, each block writing through ``out=`` and
+checking that its values are finite, so the temporaries stay that small
+also when one band covers the array.  The AMOS and Cephes values are
+bit-identical to one whole-array call.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from typing import NamedTuple
 
@@ -66,7 +61,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import _pool
-from ._memo import LastValue
+from ._memo import freeze
 from .geometry import is_integer
 
 EULER_GAMMA = 0.5772156649015329
@@ -83,7 +78,6 @@ _RAY_DEGREE = 12
 _RAY_PANEL = 0.5  # panel width in |z|
 _RAY_NEAR = 2.0  # |z| below which the entries stay on AMOS
 _RAY_MIN_SHARE = 16  # a table has at most 1/16 as many points as the argument has entries
-_RAY_TOL = 4.0 * np.finfo(float).eps  # largest relative deviation of an entry's other part from q s
 _RAY_MAX_VALUE = 1.0e300  # largest table value; the interpolant stays below overflow
 
 # dtypes whose ufunc results keep the argument's dtype, so blocks can write into a preallocated output
@@ -103,13 +97,13 @@ def _require_finite(values) -> None:
         raise _NotFinite
 
 
-def _overflow_error(name: str, n, z) -> SpecialFunctionError:
-    return SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {np.max(np.abs(z)):.3g}")
+def _overflow_error(name: str, n, abs_max) -> SpecialFunctionError:
+    return SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {abs_max:.3g}")
 
 
 def _check_finite(name: str, n, z, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
-        raise _overflow_error(name, n, z)
+        raise _overflow_error(name, n, np.max(np.abs(z)))
     return values
 
 
@@ -118,25 +112,45 @@ def _check_order(n, top: int = _MAX_ORDER, name: str = "order") -> None:
         raise ValueError(f"{name} must be an integer in [0, {top}], got {n!r}")
 
 
-def _entrywise(f, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f(z) entrywise, written into out if given; raises _NotFinite unless every value is finite.
+class _Extremes(NamedTuple):
+    """What the range and branch checks and the choice of path need of an argument z.
 
-    A float or complex array of at least ``_pool.MIN_ENTRIES`` entries is
-    filled in blocks of rows on the shared pool, each block through ``out=``.
+    NaN entries are ignored; their values come out NaN and are reported
+    as an overflow.
     """
-    if z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED:
-        values = f(z) if out is None else f(z, out=out)
-        _require_finite(values)
-        return values
-    if out is None:
-        out = np.empty(z.shape, z.dtype)
+
+    abs_min: float
+    abs_max: float
+    re_min: float
+    im_min: float  # 0 for a real z
+
+
+def _extremes(z: np.ndarray) -> _Extremes:
+    """z's ``_Extremes``, from one pass by rows (by entries if one-dimensional) on the shared pool.
+
+    A block holds about ``_pool.BAND_ENTRIES`` entries, which bounds the
+    temporaries also when one band runs.
+    """
+    if z.size == 0:
+        return _Extremes(np.inf, -np.inf, np.inf, np.inf)
+    rows = z.reshape(len(z), -1) if z.ndim else z.reshape(1, 1)
+    found = []
 
     def block(lo, hi):
-        f(z[lo:hi], out=out[lo:hi])
-        _require_finite(out[lo:hi])
+        v = rows[lo:hi]
+        a = np.abs(v)
+        re = np.fmin.reduce(v.real, axis=None)
+        im = np.fmin.reduce(v.imag, axis=None) if np.iscomplexobj(v) else 0.0
+        found.append((np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None), re, im))
 
-    _pool.map_blocks(block, len(z), z.size // len(z))
-    return out
+    _pool.map_blocks(block, *rows.shape)
+    lo, hi, re, im = zip(*found)
+    return _Extremes(
+        functools.reduce(np.fmin, lo),
+        functools.reduce(np.fmax, hi),
+        functools.reduce(np.fmin, re),
+        functools.reduce(np.fmin, im),
+    )
 
 
 class _Ray(NamedTuple):
@@ -169,110 +183,99 @@ class _Ray(NamedTuple):
         np.multiply(self.q, s, out=other)
         return z
 
-    def max_parameter(self, z: np.ndarray) -> float | None:
-        """The largest ray parameter of z if every entry lies on the ray, else None.
 
-        An entry lies on the ray when its other part is q s to within a few
-        roundings, as in k r for real r, where k's two parts and q each
-        carry one.
-        """
-        s, other = self.split(z)
-        with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is off the ray: a NaN or inf ratio
-            ratio = other / s
-        tol = _RAY_TOL * self.q
-        if not (ratio.min() >= self.q - tol and ratio.max() <= self.q + tol):
-            return None
-        return s.max()
+class KernelArgument:
+    """The argument k r of a Nystrom kernel, from a wavenumber k and a symmetric distance matrix r.
 
+    k must be finite with Im k >= 0, and r a non-empty square float matrix
+    that equals its transpose, is finite and is >= 0; anything else raises
+    ``ValueError``.  One pass over r's upper triangle, in row bands of equal
+    numbers of its entries on the shared pool, checks r and takes its
+    extremes.  r is frozen (see ``_memo``), not copied, and what is found
+    here holds only while it stays unchanged.
 
-class _Argument(NamedTuple):
-    """What one pass over an argument z finds: all that the checks and the choice of path need.
-
-    The extremes ignore NaN entries; their values come out NaN and are
-    reported as an overflow.
+    ``k`` is a float at a real wavenumber (Im k = 0), and the argument is
+    then real.  ``size`` is r's, and ``extremes`` holds the extremes of
+    |k r|, Re k r and Im k r.  A complex argument of at least
+    ``_pool.MIN_ENTRIES`` entries carries the ray through k r[0, -1]
+    (None if k is off the closed first quadrant) and ``s_max``, the
+    largest ray parameter of its entries.
     """
 
-    symmetric: bool  # z is a square float or complex matrix equal to its transpose
-    ray: _Ray | None  # the ray a symmetric complex matrix of MIN_ENTRIES or more lies on, else None
-    s_max: float | None  # the largest ray parameter of z on that ray
-    abs_min: float
-    abs_max: float
-    re_min: float
-    im_min: float  # 0 for a real z
+    def __init__(self, k, r):
+        k = complex(k)
+        if not (cmath.isfinite(k) and k.imag >= 0):
+            raise ValueError(f"wavenumber must be finite with Im k >= 0, got {k!r}")
+        r = np.asarray(r)
+        if not (r.dtype == float and r.ndim == 2 and r.shape[0] == r.shape[1] and r.size):
+            raise ValueError(f"distances must be a non-empty square float matrix, got {r.dtype} {r.shape}")
+        m = len(r)
+        found = []  # (rows equal columns, smallest, largest) of each block of rows of the triangle
+
+        def block(lo, hi):
+            rows = r[lo:hi, lo:]
+            found.append((np.array_equal(rows, r[lo:, lo:hi].T), rows.min(), rows.max()))
+
+        _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
+        same, lo, hi = zip(*found)
+        r_min, r_max = np.min(lo), np.max(hi)
+        if not (r_min >= 0 and np.isfinite(r_max)):
+            raise ValueError(f"distances must be finite and >= 0, got a range [{r_min}, {r_max}]")
+        if not all(same):
+            raise ValueError("distances must equal their transpose")
+
+        self.k = k.real if k.imag == 0 else k
+        self.r = freeze(r)
+        self.shape, self.size, self.dtype = r.shape, r.size, np.dtype(type(self.k))
+        # |k r|, Re k r and Im k r are monotone in r >= 0, and so are their roundings
+        ends = self.k * np.array([r_min, r_max])
+        mags = np.abs(ends)
+        self.extremes = _Extremes(mags[0], mags[1], ends.real.min(), ends.imag.min())
+        self.ray = self.s_max = None
+        if self.dtype == complex and self.size >= _pool.MIN_ENTRIES:
+            self.ray = _Ray.through(self.k * r[0, -1])
+            if self.ray is not None:
+                self.s_max = self.ray.split(ends)[0][1]
+        self._j = {}  # n -> the J_n that hankel1(n, self) left for bessel_j(n, self)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """k r on rows lo:hi."""
+        return self.k * self.r[lo:hi]
+
+    def triangle(self, lo: int, hi: int) -> np.ndarray:
+        """k r on rows lo:hi of the upper triangle, diagonal included, one row after the other."""
+        return self.k * np.concatenate([self.r[i, i:] for i in range(lo, hi)])
 
 
-def _extremes(v: np.ndarray) -> tuple:
-    """(smallest |v|, largest |v|, smallest Re v, smallest Im v) of a non-empty array, NaN ignored."""
-    a = np.abs(v)
-    if np.iscomplexobj(v):
-        re, im = np.fmin.reduce(v.real, axis=None), np.fmin.reduce(v.imag, axis=None)
-    else:
-        re, im = np.fmin.reduce(v, axis=None), 0.0
-    return np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None), re, im
+def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
+    """z as a ``KernelArgument`` or an array, and its extremes."""
+    if isinstance(z, KernelArgument):
+        return z, z.extremes
+    z = np.asarray(z)
+    return z, _extremes(z)
 
 
-def _scan(z: np.ndarray) -> _Argument:
-    """z's ``_Argument``, from one pass in blocks of rows on the shared pool.
+def _entrywise(f, z, out: np.ndarray | None = None) -> np.ndarray:
+    """f(z) entrywise, written into out if given; raises _NotFinite unless every value is finite.
 
-    A square float or complex matrix is read by its upper triangle: a block
-    of rows lo:hi compares z[lo:hi, lo:] with the same columns read down
-    from row lo (NaN equals nothing), so every pair off the diagonal is
-    compared, and takes the extremes of its rows; where rows and columns
-    differ it takes the columns' too, so an asymmetric matrix is read whole.
-    The rows of a complex block are also tested against the ray through
-    z[0, -1].  Any other array is read by rows (by entries if
-    one-dimensional).  A block holds about ``_pool.BAND_ENTRIES`` entries,
-    which bounds the temporaries also when one band runs.
+    z is an array or a ``KernelArgument``.  A kernel argument, and a float
+    or complex array of at least ``_pool.MIN_ENTRIES`` entries, is filled in
+    blocks of rows on the shared pool, each block through ``out=``.
     """
-    if z.size == 0:
-        return _Argument(False, None, None, np.inf, -np.inf, np.inf, np.inf)
-    square = z.ndim == 2 and z.shape[0] == z.shape[1] and z.dtype in _BANDED
-    tabulable = square and z.dtype == complex and z.size >= _pool.MIN_ENTRIES
-    ray = _Ray.through(z[0, -1]) if tabulable else None
-    found = []  # (rows equal columns, largest ray parameter, extremes) of each block
+    kernel = isinstance(z, KernelArgument)
+    if not kernel and (z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED):
+        values = f(z) if out is None else f(z, out=out)
+        _require_finite(values)
+        return values
+    if out is None:
+        out = np.empty(z.shape, z.dtype)
 
-    if square:
+    def block(lo, hi):
+        f(z.rows(lo, hi) if kernel else z[lo:hi], out=out[lo:hi])
+        _require_finite(out[lo:hi])
 
-        def block(lo, hi):
-            rows, cols = z[lo:hi, lo:], z[lo:, lo:hi].T
-            if np.array_equal(rows, cols):
-                found.append((True, None if ray is None else ray.max_parameter(rows), _extremes(rows)))
-            else:
-                found.append((False, None, _extremes(rows)))
-                found.append((False, None, _extremes(cols)))
-
-        _pool.map_blocks(block, len(z), len(z), np.arange(len(z), 0, -1))
-    else:
-        rows = z.reshape(len(z), -1) if z.ndim else z.reshape(1, 1)
-
-        def block(lo, hi):
-            found.append((False, None, _extremes(rows[lo:hi])))
-
-        _pool.map_blocks(block, *rows.shape)
-    symmetric = square and all(same for same, _, _ in found)
-    parts = [s for _, s, _ in found]
-    on_ray = symmetric and ray is not None and None not in parts
-    lo, hi, re, im = zip(*(e for _, _, e in found))
-    return _Argument(
-        symmetric,
-        ray if on_ray else None,
-        max(parts) if on_ray else None,
-        functools.reduce(np.fmin, lo),
-        functools.reduce(np.fmax, hi),
-        functools.reduce(np.fmin, re),
-        functools.reduce(np.fmin, im),
-    )
-
-
-# the scan of the last read-only argument, and J_n of the last read-only real argument of
-# hankel1, kept for the next bessel_j(n, z); each holds its argument weakly
-_ARGUMENTS = LastValue()
-_J_HANDOFF = LastValue()
-
-
-def _argument(z: np.ndarray) -> _Argument:
-    """z's scan, kept while a read-only z lives (a writeable z is scanned again)."""
-    return _ARGUMENTS.get((z,), (), lambda: _scan(z))
+    _pool.map_blocks(block, len(out), z.size // len(out))
+    return out
 
 
 def _interpolation_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,26 +365,26 @@ class _RayTable:
         return out
 
 
-def _amos(f, n: int, z: np.ndarray, arg: _Argument) -> np.ndarray:
-    """f(n, z) entrywise, evaluated on one triangle when z is a symmetric matrix.
+def _amos(f, n: int, z, dtype) -> np.ndarray:
+    """f(n, z) entrywise as an array of dtype, a ``KernelArgument`` on one triangle.
 
-    arg is z's scan.  The triangle is split into row bands holding equal
-    numbers of its entries, and each band into blocks of rows of at most
-    about ``_pool.BAND_ENTRIES`` entries.  A block evaluates its rows of the
-    triangle, checks and writes them, and then copies them to their mirror
-    image.  A complex triangle of order 0 or 1 on one ray is evaluated from
-    a ``_RayTable`` built first, on the caller's thread, when the table
-    pays.  Raises _NotFinite unless every value is finite.
+    The triangle is split into row bands holding equal numbers of its
+    entries, and each band into blocks of rows of at most about
+    ``_pool.BAND_ENTRIES`` entries.  A block forms its rows of the triangle
+    of k r, evaluates, checks and writes them, and then copies them to their
+    mirror image.  A complex argument of order 0 or 1 with a ray is
+    evaluated from a ``_RayTable`` built first, on the caller's thread, when
+    the table pays.  Raises _NotFinite unless every value is finite.
     """
-    if not arg.symmetric:
-        return _entrywise(functools.partial(f, n), z)
-    m = len(z)
-    table = None if n > 1 or arg.ray is None else _RayTable.build(f, n, arg.ray, arg.s_max, z.size)
+    if not isinstance(z, KernelArgument):
+        return _entrywise(functools.partial(f, n), np.asarray(z, dtype))
+    m = len(z.r)
+    table = None if n > 1 or z.ray is None else _RayTable.build(f, n, z.ray, z.s_max, z.size)
     evaluate = functools.partial(f, n) if table is None else table
-    out = np.empty(z.shape, z.dtype)
+    out = np.empty(z.shape, dtype)
 
     def block(lo, hi):
-        vals = evaluate(np.concatenate([z[i, i:] for i in range(lo, hi)]))
+        vals = evaluate(np.asarray(z.triangle(lo, hi), dtype))
         _require_finite(vals)
         start = 0
         for i in range(lo, hi):
@@ -397,25 +400,24 @@ def _amos(f, n: int, z: np.ndarray, arg: _Argument) -> np.ndarray:
 
 
 def bessel_j(n: int, z) -> np.ndarray | complex:
-    """J_n(z) for integer n >= 0 and real or complex z (scalar or array).
+    """J_n(z) for integer n >= 0 and real or complex z (scalar, array or ``KernelArgument``).
 
-    At a read-only real z this is the J_n that hankel1(n, z) computed just
-    before, if it did.
+    At a real kernel argument this is the J_n that hankel1(n, z) left on it
+    just before, if it did.
     """
     _check_order(n)
-    z = np.asarray(z)
-    arg = _argument(z)
-    if arg.abs_max > 1.0e4:
+    z, ext = _with_extremes(z)
+    if ext.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
     try:
-        if n < 2 and np.isrealobj(z) and arg.abs_max <= _CEPHES_MAX:
-            out = _J_HANDOFF.take((z,), (n,))
+        if n < 2 and np.isrealobj(z) and ext.abs_max <= _CEPHES_MAX:
+            out = z._j.pop(n, None) if isinstance(z, KernelArgument) else None
             if out is None:
                 out = _entrywise(_CEPHES_J[n], z)
         else:
-            out = _amos(_sp.jv, n, z, arg)
+            out = _amos(_sp.jv, n, z, z.dtype)
     except _NotFinite:
-        raise _overflow_error("bessel_j", n, z) from None
+        raise _overflow_error("bessel_j", n, ext.abs_max) from None
     return out[()]
 
 
@@ -430,32 +432,31 @@ def bessel_y(n: int, x) -> np.ndarray | float:
 
 
 def hankel1(n: int, z) -> np.ndarray | complex:
-    """H_n^(1)(z) for n in {0, 1} on the closed upper half plane.
+    """H_n^(1)(z) for n in {0, 1} on the closed upper half plane (scalar, array or ``KernelArgument``).
 
     The log-split kernels only ever need orders 0 and 1; higher orders go
-    through hankel1_seq.  At a read-only real z in the Cephes range, J_n is
-    kept for the next bessel_j(n, z).
+    through hankel1_seq.  At a real kernel argument in the Cephes range, a
+    copy of J_n is left on it for the next bessel_j(n, z).
     """
     _check_order(n, top=1)
-    z = np.asarray(z)
-    arg = _argument(z)
-    if arg.abs_min < 1.0e-14:
+    z, ext = _with_extremes(z)
+    if ext.abs_min < 1.0e-14:
         raise ValueError("argument too close to the singular point z = 0")
-    if arg.abs_max > 1.0e4:
+    if ext.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
     try:
-        if np.isrealobj(z) and arg.re_min > 0 and arg.abs_max <= _CEPHES_MAX:
+        if np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
             out = np.empty(z.shape, dtype=complex)
             _entrywise(_CEPHES_J[n], z, out.real)
             _entrywise(_CEPHES_Y[n], z, out.imag)
-            _J_HANDOFF.put((z,), (n,), out.real.copy)
+            if isinstance(z, KernelArgument):
+                z._j = {n: out.real.copy()}
         else:
-            if arg.im_min < 0:
+            if ext.im_min < 0:
                 raise ValueError("H_n^(1) supported only for Im z >= 0")
-            # no copy of an argument that is already complex
-            out = _amos(_sp.hankel1, n, np.asarray(z, dtype=complex), arg)
+            out = _amos(_sp.hankel1, n, z, complex)
     except _NotFinite:
-        raise _overflow_error("hankel1", n, z) from None
+        raise _overflow_error("hankel1", n, ext.abs_max) from None
     return out[()]
 
 

@@ -87,6 +87,10 @@ def test_grid_rejects_odd_and_tiny():
         grid(7)
     with pytest.raises(ValueError):
         grid(2)
+    for size in (6.5, 8.0, True):  # not truncated to an integer
+        with pytest.raises(ValueError, match="must be an integer"):
+            grid(size)
+    assert grid(np.int64(8)).n == 8
 
 
 @pytest.mark.parametrize("curve", [make_circle(1.3), make_ellipse(2.0, 1.0), make_kite()])

@@ -190,8 +190,8 @@ def test_real_wavenumber_set_matches_amos_kernels(monkeypatch, oversample):
     # real k takes the Cephes path for every kernel value; AMOS on complex arguments is the oracle
     kite, g = make_kite(), grid(64)
     fast = boundary_operator_set(kite, g, 8.0, oversample=oversample)
-    monkeypatch.setattr(specfun, "hankel1", lambda n, z: special.hankel1(n, z.astype(complex)))
-    monkeypatch.setattr(specfun, "bessel_j", lambda n, z: special.jv(n, z.astype(complex)))
+    monkeypatch.setattr(specfun, "hankel1", lambda n, arg: special.hankel1(n, arg.k * arg.r + 0j))
+    monkeypatch.setattr(specfun, "bessel_j", lambda n, arg: special.jv(n, arg.k * arg.r + 0j))
     ref = boundary_operator_set(kite, g, 8.0, oversample=oversample)
     for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
         assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
@@ -283,23 +283,37 @@ def test_banded_fill_bit_identical_to_one_worker(monkeypatch, curve, k, oversamp
 @pytest.mark.parametrize("workers", [None, 1, 3], ids=["default-pool", "one-worker", "three-workers"])
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 def test_set_bit_identical_with_the_argument_memo_bypassed(monkeypatch, k, workers):
-    # a writeable copy of k r is scanned and evaluated afresh by each of the four cylinder calls
+    # the J_m that hankel1(m, .) leaves on the kernel argument is never kept: bessel_j evaluates its own
     if workers is not None:
         monkeypatch.setattr(operators._pool, "workers", lambda: workers)
     kite, g = make_kite(), grid(128)
     kept = boundary_operator_set(kite, g, k)
-    argument = operators._Nodes.argument
-    monkeypatch.setattr(operators._Nodes, "argument", lambda self: argument(self).copy())
+    hankel1 = specfun.hankel1
+
+    def no_hand_off(n, arg):
+        h = hankel1(n, arg)
+        arg._j.clear()
+        return h
+
+    monkeypatch.setattr(specfun, "hankel1", no_hand_off)
     assert _set_bytes(boundary_operator_set(kite, g, k)) == _set_bytes(kept)
 
 
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 def test_one_argument_scan_per_set(monkeypatch, k):
-    scans = []
-    scan = specfun._scan
-    monkeypatch.setattr(specfun, "_scan", lambda z: scans.append(z.shape) or scan(z))
+    # the kernel argument is checked once, when it is built; no call scans an argument array
+    built, scans = [], []
+    argument, extremes = specfun.KernelArgument, specfun._extremes
+
+    class Recorded(argument):
+        def __init__(self, k, r):
+            built.append(r.shape)
+            super().__init__(k, r)
+
+    monkeypatch.setattr(specfun, "KernelArgument", Recorded)
+    monkeypatch.setattr(specfun, "_extremes", lambda z: scans.append(z.shape) or extremes(z))
     boundary_operator_set(make_kite(), grid(64), k)
-    assert scans == [(128, 128)]
+    assert built == [(128, 128)] and scans == []
 
 
 def test_real_set_evaluates_each_cephes_function_once_per_order(monkeypatch):
@@ -336,8 +350,8 @@ def test_concurrent_sets_from_user_threads(monkeypatch):
 
 
 def test_set_peak_memory_in_fine_tables(monkeypatch):
-    # one cylinder order at a time: the argument k r, H_m and J_m are the only fine tables alive
-    # together (3 complex tables at complex k); one worker runs each fill as one band
+    # one cylinder order at a time: the distances r, H_m and J_m are the only fine tables alive
+    # together (2.5 complex tables); one worker runs each fill as one band
     monkeypatch.setattr(operators._pool, "workers", lambda: 1)
     kite, g = make_kite(), grid(256)
     boundary_operator_set(kite, g, 8 + 4j)  # caches the log-split table of the fine grid
@@ -347,7 +361,7 @@ def test_set_peak_memory_in_fine_tables(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * 512**2) <= 5.0  # complex (2N)^2 tables
+    assert peak / (16 * 512**2) <= 4.0  # complex (2N)^2 tables
 
 
 def log_split_column_mpmath(n):
@@ -433,8 +447,10 @@ def test_wavenumber_validation():
         boundary_operator_set(c, g, 0.0)
     with pytest.raises(ValueError):
         boundary_operator_set(c, g, 1 - 1j)
-    with pytest.raises(ValueError, match="oversample"):
-        boundary_operator_set(c, g, 1.0, oversample=0)
+    for bad in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="oversample"):
+            boundary_operator_set(c, g, 1.0, oversample=bad)
+    assert boundary_operator_set(c, g, 1.0, oversample=np.int64(2)).s.shape == (16, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -214,14 +214,53 @@ def test_real_arguments_up_to_256_skip_amos(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# AMOS on one triangle of a symmetric argument matrix
+# kernel arguments: checked when built, evaluated on one triangle
 # ---------------------------------------------------------------------------
-def symmetric_kernel_argument(n=96, k=1.0 + 0.5j):
-    # k r for r = |u_i - u_j| spanning 1e-3 .. 60, the kernels' range; 1 on the diagonal
+def kernel_distances(n=96):
+    # r = |u_i - u_j| spanning 1e-3 .. 60, the kernels' range; 1 on the diagonal
     u = np.geomspace(1e-3, 60.0, n)
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
-    return k * r
+    return r
+
+
+def symmetric_kernel_argument(n=96, k=1.0 + 0.5j):
+    return specfun.KernelArgument(k, kernel_distances(n))
+
+
+def values(z):
+    # the entries k r of a kernel argument; an array as it is
+    return z.k * z.r if isinstance(z, specfun.KernelArgument) else z
+
+
+def test_kernel_argument_holds_k_and_its_frozen_distances():
+    r = kernel_distances(40)
+    arg = specfun.KernelArgument(2 + 0j, r)
+    assert arg.r is r and not r.flags.writeable  # frozen, not copied
+    assert arg.k == 2.0 and isinstance(arg.k, float) and arg.dtype == float
+    assert arg.shape == r.shape and arg.size == r.size
+    assert specfun.KernelArgument(2 + 1j, r.copy()).dtype == complex
+
+
+@pytest.mark.parametrize(
+    "k,r,match",
+    [
+        (1.0, kernel_distances(40) + np.triu(np.full((40, 40), 1e-3)), "transpose"),
+        (1.0, -kernel_distances(40), ">= 0"),
+        (1.0, np.where(np.eye(40) > 0, np.nan, kernel_distances(40)), ">= 0"),
+        (1.0, np.full((40, 40), np.inf), ">= 0"),
+        (1.0, kernel_distances(40)[:, :39], "square"),
+        (1.0, kernel_distances(40).astype(np.float32), "float"),
+        (1.0, np.empty((0, 0)), "non-empty"),
+        (1 - 1e-9j, kernel_distances(40), r"Im k >= 0"),
+        (complex(np.nan, 1.0), kernel_distances(40), "finite"),
+    ],
+    ids=["asymmetric", "negative", "nan", "inf", "non-square", "float32", "empty", "im-k-negative",
+         "k-nan"],
+)
+def test_kernel_argument_rejects_what_is_not_a_kernel_argument(k, r, match):
+    with pytest.raises(ValueError, match=match):
+        specfun.KernelArgument(k, r)
 
 
 class AmosRecorder:
@@ -242,9 +281,10 @@ class AmosRecorder:
 @pytest.mark.parametrize("n", [0, 1])
 def test_symmetric_argument_bit_identical_to_entrywise_amos(n):
     z = symmetric_kernel_argument()
-    assert np.array_equal(z, z.T)
-    entrywise_h = special.hankel1(n, z.ravel()).reshape(z.shape)
-    entrywise_j = special.jv(n, z.ravel()).reshape(z.shape)
+    kr = values(z)
+    assert np.array_equal(kr, kr.T)
+    entrywise_h = special.hankel1(n, kr.ravel()).reshape(z.shape)
+    entrywise_j = special.jv(n, kr.ravel()).reshape(z.shape)
     assert np.array_equal(specfun.hankel1(n, z), entrywise_h)
     assert np.array_equal(specfun.bessel_j(n, z), entrywise_j)
 
@@ -261,11 +301,12 @@ def test_symmetric_argument_evaluates_one_triangle(monkeypatch):
 @pytest.mark.parametrize(
     "z",
     [
-        symmetric_kernel_argument(n=40)[:, :39],  # not square
-        symmetric_kernel_argument(n=40) + np.triu(np.full((40, 40), 1e-3j)),  # not symmetric
+        (1.0 + 0.5j) * kernel_distances(40)[:, :39],  # not square
+        (1.0 + 0.5j) * kernel_distances(40) + np.triu(np.full((40, 40), 1e-3j)),  # not symmetric
         np.asarray(2.0 + 1.0j),  # scalar
+        (1.0 + 0.5j) * kernel_distances(40),  # symmetric, but an array
     ],
-    ids=["non-square", "non-symmetric", "scalar"],
+    ids=["non-square", "non-symmetric", "scalar", "symmetric-array"],
 )
 def test_other_arguments_take_the_plain_call(monkeypatch, z):
     rec = AmosRecorder()
@@ -299,26 +340,26 @@ def same_bits(a, b):
 
 def entrywise(f, *args):
     # one flat call: every entry of the reference is evaluated independently
-    z = args[-1]
+    z = values(args[-1])
     return f(*args[:-1], z.ravel()).reshape(z.shape)
 
 
-def off_ray_kernel_argument(n=BAND_N, k=1.0 + 0.5j):
-    # symmetric, with entries off every ray from 0, so AMOS evaluates every entry of one triangle
-    r = symmetric_kernel_argument(n, k=1.0).real
-    return k * r + 1e-3j * r**2
+def off_table_kernel_argument(n=BAND_N):
+    # |k r| up to 2,400: a ray table would need more points than 1/16 of the entries, so AMOS
+    # evaluates every entry of one triangle
+    return symmetric_kernel_argument(n, k=40.0 + 1.0j)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_banded_symmetric_argument_bit_identical_to_entrywise_amos(pool_workers, n):
-    z = off_ray_kernel_argument(BAND_N)
+    z = off_table_kernel_argument(BAND_N)
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_workers, n):
-    z = symmetric_kernel_argument(BAND_N) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
+    z = values(symmetric_kernel_argument(BAND_N)) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
     flat = z[:, :150].ravel()  # one-dimensional: bands of entries
@@ -327,12 +368,26 @@ def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_worke
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_banded_real_argument_bit_identical_to_entrywise_cephes(pool_workers, n):
-    x = symmetric_kernel_argument(BAND_N, k=3.0).real
+    r = kernel_distances(BAND_N)
+    x = 3.0 * r
     ref = np.empty(x.shape, dtype=complex)
     ref.real = entrywise(specfun._CEPHES_J[n], x)
     ref.imag = entrywise(specfun._CEPHES_Y[n], x)
-    assert same_bits(specfun.hankel1(n, x), ref)
-    assert same_bits(specfun.bessel_j(n, -x), entrywise(specfun._CEPHES_J[n], -x))
+    j_ref = entrywise(specfun._CEPHES_J[n], -x)
+    for h, j in ((x, -x), (specfun.KernelArgument(3.0, r), specfun.KernelArgument(-3.0, r))):
+        assert same_bits(specfun.hankel1(n, h), ref)
+        assert same_bits(specfun.bessel_j(n, j), j_ref)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_raw_symmetric_array_evaluated_entry_by_entry(monkeypatch, pool_workers, n):
+    # no symmetry or ray is looked for in an array: AMOS sees every entry once, in blocks of rows
+    rec = BandRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
+    z = values(symmetric_kernel_argument(BAND_N))
+    assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
+    assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
+    assert sum(rec.sizes) == 2 * z.size and max(rec.sizes) <= 2 * _pool.BAND_ENTRIES
 
 
 class BandRecorder(AmosRecorder):
@@ -350,7 +405,7 @@ class BandRecorder(AmosRecorder):
 def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_workers):
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
-    z = off_ray_kernel_argument(BAND_N)
+    z = off_table_kernel_argument(BAND_N)
     specfun.hankel1(0, z)
     specfun.bessel_j(1, z)
     assert sum(rec.sizes) == 2 * BAND_N * (BAND_N + 1) // 2
@@ -361,7 +416,7 @@ def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_work
 def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, pool_workers):
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
-    z = symmetric_kernel_argument(BAND_N) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
+    z = values(symmetric_kernel_argument(BAND_N)) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
     specfun.hankel1(1, z)
     assert sum(rec.sizes) == z.size
 
@@ -370,46 +425,59 @@ def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, po
     "i,j", [(0, BAND_N - 1), (BAND_N - 1, 0), (BAND_N - 2, BAND_N - 1), (BAND_N // 2, BAND_N // 2 + 1)]
 )
 def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, j):
-    # the symmetry test runs in bands; a single unequal pair in any of them must be seen
+    # the symmetry test of a kernel argument runs in bands; a single unequal pair in any of them
+    # must be seen. An array with that pair is evaluated entry by entry, as every array is
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
-    z = symmetric_kernel_argument(BAND_N)
-    z[i, j] += 1e-12
+    r = kernel_distances(BAND_N)
+    r[i, j] += 1e-12
+    with pytest.raises(ValueError, match="transpose"):
+        specfun.KernelArgument(1.0 + 0.5j, r)
+    z = (1.0 + 0.5j) * r
     assert same_bits(specfun.hankel1(0, z), entrywise(special.hankel1, 0, z))
     assert sum(rec.sizes) == z.size
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
 def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
-    # one bad entry (and its mirror image) deep in the last band of a banded argument
-    def planted(value):
-        z = symmetric_kernel_argument(BAND_N)
-        if not symmetric:
-            z = z + np.triu(np.full(z.shape, 1e-3j))
-        z[-3, -2] = value
+    def planted(k, distance):
+        # one bad distance (and its mirror image) deep in the last band, of a kernel argument or
+        # of an array that is not symmetric
+        r = kernel_distances(BAND_N)
+        r[-3, -2] = r[-2, -3] = distance
         if symmetric:
-            z[-2, -3] = value
-        return z
+            return specfun.KernelArgument(k, r)
+        return k * r + np.triu(np.full(r.shape, 1e-3j))
 
     with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed at \|z\| ~ 800"):
-        specfun.bessel_j(0, planted(800j))  # I_0(800) is past double range
-    with pytest.raises(ValueError, match=r"H_n\^\(1\) supported only for Im z >= 0"):
-        specfun.hankel1(1, planted(5 - 1j))
+        specfun.bessel_j(0, planted(1j, 800.0))  # I_0(800) is past double range
+    # a kernel argument refuses a negative distance; an array's k r then has Im z < 0
+    refused = r"finite and >= 0" if symmetric else r"H_n\^\(1\) supported only for Im z >= 0"
+    with pytest.raises(ValueError, match=refused):
+        specfun.hankel1(1, planted(5 + 1j, -1.0))
     with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
-        specfun.hankel1(0, planted(2e4 + 1j))
+        specfun.hankel1(0, planted(1 + 1e-4j, 2e4))
     with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
-        specfun.bessel_j(1, planted(2e4))
+        specfun.bessel_j(1, planted(1.0, 2e4))
 
 
 # ---------------------------------------------------------------------------
-# one scan of a read-only argument, and J_n handed from hankel1 to bessel_j
+# checks once per kernel argument, and J_n handed from hankel1 to bessel_j
 # ---------------------------------------------------------------------------
+EPS = np.finfo(float).eps
+
+
+def envelope(n, z):
+    # max(|J_n|, |H_n|), the scale of the rounding in either at complex z
+    return np.maximum(np.abs(special.jv(n, z)), np.abs(special.hankel1(n, z)))
+
+
 @pytest.fixture
 def scans(monkeypatch):
-    """The number of argument scans, counted while the test runs."""
+    """The number of passes over an argument array, counted while the test runs."""
     count = []
-    scan = specfun._scan
-    monkeypatch.setattr(specfun, "_scan", lambda z: count.append(1) or scan(z))
+    extremes = specfun._extremes
+    monkeypatch.setattr(specfun, "_extremes", lambda z: count.append(1) or extremes(z))
     return count
 
 
@@ -420,30 +488,37 @@ def four_calls(z):
 
 @pytest.mark.parametrize("k", [3.0, 1.0 + 0.5j], ids=["real", "complex"])
 def test_read_only_argument_is_scanned_once(scans, pool_workers, k):
-    z = symmetric_kernel_argument(BAND_N, k=k)
+    # a kernel argument is checked once, when it is built, and its distances frozen
+    z = k * kernel_distances(BAND_N)
     fresh = four_calls(z)
-    assert len(scans) == 4  # a writeable argument is scanned on every call
+    assert len(scans) == 4  # an array is scanned on every call
     scans.clear()
-    kept = four_calls(freeze(z.copy()))
-    assert len(scans) == 1
-    assert all(same_bits(a, b) for a, b in zip(kept, fresh))
+    arg = specfun.KernelArgument(k, kernel_distances(BAND_N))
+    assert not arg.r.flags.writeable
+    kept = four_calls(arg)
+    assert len(scans) == 0
+    if k.imag == 0:
+        assert all(same_bits(a, b) for a, b in zip(kept, fresh))
+    else:  # the kernel argument takes the ray table, the array AMOS on every entry
+        for n, got, ref in zip((1, 1, 0, 0), kept, fresh):
+            assert np.all(np.abs(got - ref) <= 8 * EPS * (1 + np.abs(z)) * envelope(n, z))
 
 
 def test_real_read_only_argument_evaluates_j_once(monkeypatch, pool_workers):
     rec = [CephesRecorder(f) for f in specfun._CEPHES_J]
     monkeypatch.setattr(specfun, "_CEPHES_J", tuple(rec))
-    z = symmetric_kernel_argument(BAND_N, k=3.0)
+    z = 3.0 * kernel_distances(BAND_N)
     fresh = four_calls(z)
     assert [sum(r.sizes) for r in rec] == [2 * z.size] * 2
     for r in rec:
         r.sizes.clear()
-    kept = four_calls(freeze(z.copy()))
+    kept = four_calls(specfun.KernelArgument(3.0, kernel_distances(BAND_N)))
     assert [sum(r.sizes) for r in rec] == [z.size] * 2
     assert all(same_bits(a, b) for a, b in zip(kept, fresh))
 
 
 def test_bessel_j_on_a_read_only_real_argument_gives_the_same_bits():
-    z = freeze(symmetric_kernel_argument(BAND_N, k=3.0))
+    z = symmetric_kernel_argument(BAND_N, k=3.0)
     ref = [entrywise(specfun._CEPHES_J[n], z) for n in (0, 1)]
     for n in (0, 1):  # no hankel1 before
         assert same_bits(specfun.bessel_j(n, z), ref[n])
@@ -457,18 +532,18 @@ def test_bessel_j_on_a_read_only_real_argument_gives_the_same_bits():
 
 
 def test_writeable_or_mutated_argument_gets_fresh_checks_and_values():
-    z = symmetric_kernel_argument(BAND_N, k=3.0)
+    z = 3.0 * kernel_distances(BAND_N)
     specfun.hankel1(0, z)
     z[5, 7] = z[7, 5] = 2e4
     with pytest.raises(ValueError, match=r"\|z\| <= 1e4"):
         specfun.bessel_j(0, z)
-    w = symmetric_kernel_argument(BAND_N)
+    w = (1.0 + 0.5j) * kernel_distances(BAND_N)
     specfun.hankel1(0, w)
     w[3, 4] = w[4, 3] = 5 - 1j
     with pytest.raises(ValueError, match=r"Im z >= 0"):
         specfun.hankel1(1, w)
-    # read-only when scanned, then made writeable and changed: neither the scan nor J_n is reused
-    y = freeze(symmetric_kernel_argument(BAND_N, k=3.0))
+    # read-only when evaluated, then made writeable and changed: nothing of the first call is reused
+    y = freeze(3.0 * kernel_distances(BAND_N))
     specfun.hankel1(0, y)
     y.flags.writeable = True
     y *= 0.5
@@ -478,9 +553,21 @@ def test_writeable_or_mutated_argument_gets_fresh_checks_and_values():
         specfun.hankel1(0, y)
 
 
+def test_refrozen_argument_gets_fresh_checks():
+    # frozen, evaluated, made writeable, changed and frozen again: the same array object, which
+    # an identity memo would have taken for the old one
+    z = freeze(3.0 * kernel_distances(BAND_N))
+    specfun.hankel1(0, z)
+    z.flags.writeable = True
+    z[5, 7] = z[7, 5] = 2e4
+    freeze(z)
+    with pytest.raises(ValueError, match=r"\|z\| <= 1e4"):
+        specfun.bessel_j(0, z)
+
+
 def test_a_handed_on_j_reaches_one_caller():
-    # four threads ask for the J_0 that one hankel1 kept: one gets it, the others evaluate their own
-    z = freeze(symmetric_kernel_argument(60, k=3.0))
+    # four threads ask for the J_0 that one hankel1 left: one gets it, the others evaluate their own
+    z = symmetric_kernel_argument(60, k=3.0)
     ref = entrywise(specfun._CEPHES_J[0], z)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -507,20 +594,24 @@ def test_a_handed_on_j_reaches_one_caller():
 
 @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
 def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
-    # one worker scans the whole argument as one band, cut into blocks of rows
+    # one worker checks a kernel argument's distances, or scans an array, as one band cut into
+    # blocks of rows
     monkeypatch.setattr(_pool, "workers", lambda: 1)
     m = 512
-    z = symmetric_kernel_argument(m, k=8 + 4j)
+    r = kernel_distances(m)
+    z = (8 + 4j) * r
     if asymmetric:
         z += np.triu(np.full(z.shape, 1e-3j))
     tracemalloc.start()
     try:
-        arg = specfun._scan(z)
+        ext = specfun._extremes(z) if asymmetric else specfun.KernelArgument(8 + 4j, r).extremes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert arg.symmetric is not asymmetric and (arg.ray is None) is asymmetric
-    assert peak <= 0.15 * z.nbytes
+    # the extremes of the kernel argument, from those of r, are the entries' own to the bit
+    assert ext.abs_min == np.abs(z).min() and ext.abs_max == np.abs(z).max()
+    assert ext.re_min == z.real.min() and ext.im_min == z.imag.min()
+    assert peak <= 0.15 * (z.nbytes if asymmetric else r.nbytes)
 
 
 @pytest.mark.parametrize("shape", [(512, 512), (512 * 512,)], ids=["matrix", "vector"])
@@ -542,14 +633,6 @@ def test_entrywise_temporaries_stay_in_blocks(monkeypatch, shape):
 # ---------------------------------------------------------------------------
 # complex arguments on one ray: the Chebyshev table in the ray parameter
 # ---------------------------------------------------------------------------
-EPS = np.finfo(float).eps
-
-
-def envelope(n, z):
-    # max(|J_n|, |H_n|), the scale of the rounding in either at complex z
-    return np.maximum(np.abs(special.jv(n, z)), np.abs(special.hankel1(n, z)))
-
-
 @pytest.mark.parametrize("n", [0, 1])
 def test_ray_argument_bit_identical_for_any_worker_count(monkeypatch, n):
     z = symmetric_kernel_argument(BAND_N)  # on the ray through 1 + 0.5i
@@ -563,7 +646,8 @@ def test_ray_argument_bit_identical_for_any_worker_count(monkeypatch, n):
         assert same_bits(h, results[0][0]) and same_bits(j, results[0][1])
     h, j = results[0]
     assert np.array_equal(h, h.T) and np.array_equal(j, j.T)
-    bound = 8 * EPS * (1 + np.abs(z)) * envelope(n, z)
+    kr = values(z)
+    bound = 8 * EPS * (1 + np.abs(kr)) * envelope(n, kr)
     assert np.all(np.abs(h - entrywise(special.hankel1, n, z)) <= bound)
     assert np.all(np.abs(j - entrywise(special.jv, n, z)) <= bound)
 
@@ -572,9 +656,9 @@ def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_w
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N)
-    panels = int((np.abs(z).max() - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1
+    panels = int((np.abs(values(z)).max() - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1
     nodes = specfun._RAY_DEGREE * panels + 1
-    near = np.count_nonzero(np.triu(np.abs(z) < specfun._RAY_NEAR))
+    near = np.count_nonzero(np.triu(np.abs(values(z)) < specfun._RAY_NEAR))
     assert 0 < near and nodes * specfun._RAY_MIN_SHARE <= z.size
     specfun.hankel1(0, z)
     assert rec.sizes[0] == nodes  # the table, built first
@@ -588,7 +672,7 @@ def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
     # a table for |z| up to 2000 would need more points than the array has entries over 16
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
-    z = symmetric_kernel_argument(BAND_N) * 30.0
+    z = symmetric_kernel_argument(BAND_N, k=30.0 + 15.0j)
     assert same_bits(specfun.hankel1(1, z), entrywise(special.hankel1, 1, z))
     assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
 
@@ -599,7 +683,7 @@ def test_overflow_on_a_ray_is_reported():
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
     with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed"):
-        specfun.bessel_j(0, (1 + 8j) * r)
+        specfun.bessel_j(0, specfun.KernelArgument(1 + 8j, r))
 
 
 def test_higher_orders_stay_on_amos(monkeypatch):
@@ -626,12 +710,12 @@ def mpmath_values(n, pts):
 
 @pytest.mark.parametrize("k", RAYS, ids=str)
 def test_ray_table_matches_mpmath(k):
-    # k r on a symmetric array large enough for the table, |k r| from 0 to 70
+    # a kernel argument large enough for the table, |k r| from 0 to 70
     u = np.linspace(0.0, 70.0 / abs(k), 220)
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
-    z = k * r
-    row = z[0, 1:]
+    z = specfun.KernelArgument(k, r)
+    row = values(z)[0, 1:]
     pick = np.flatnonzero(np.abs(row) >= specfun._RAY_NEAR)
     pick = np.union1d(pick[:4], np.append(pick[::9], pick[-1]))  # the first panel and a spread to |z| = 70
     pts = row[pick]
@@ -664,7 +748,7 @@ def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
     u = np.random.default_rng(seed).uniform(0.0, z_max / abs(k), m)
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
-    z = k * r
+    z = specfun.KernelArgument(k, r)
     rec = BandRecorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specfun, "_sp", rec)
@@ -672,6 +756,6 @@ def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
     assert sum(rec.sizes) < 4 * m * (m + 1) // 2  # the table took part
     for n, (h, j) in got.items():
         h_ref, j_ref = entrywise(special.hankel1, n, z), entrywise(special.jv, n, z)
-        bound = 8 * EPS * (1 + np.abs(z)) * np.maximum(np.abs(h_ref), np.abs(j_ref))
+        bound = 8 * EPS * (1 + np.abs(values(z))) * np.maximum(np.abs(h_ref), np.abs(j_ref))
         assert np.all(np.abs(h - h_ref) <= bound)
         assert np.all(np.abs(j - j_ref) <= bound)
