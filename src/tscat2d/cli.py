@@ -29,7 +29,7 @@ from .formulations import (
 from .geometry import grid, is_finite_real, is_integer, make_curve
 from .operators import fourier_modes
 from .postprocess import far_field
-from .solver import gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
+from .solver import MAX_DIRECT_UNKNOWNS, gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 from .specfun import SpecialFunctionError
 
 DEFAULT_CONFIG = {
@@ -89,8 +89,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> TransmissionConfig:
-    """TransmissionConfig from the JSON values (it checks them), then the CLI-only fields."""
+def validate_config(cfg: dict, lu: bool | None = None) -> TransmissionConfig:
+    """TransmissionConfig from the JSON values (it checks them), then the CLI-only fields.
+
+    ``lu``: whether the run factors its 2N x 2N system, which caps N; None: as a solve does.
+    """
     curve_spec = cfg.get("curve")
     if not isinstance(curve_spec, dict) or "kind" not in curve_spec:
         raise ConfigError("curve", "must be an object with a 'kind' field")
@@ -117,12 +120,12 @@ def validate_config(cfg: dict) -> TransmissionConfig:
             )
     except ConfigError as exc:
         raise ConfigError("N" if exc.path == "n_nodes" else exc.path, exc.message) from exc
-    _check_run_fields(cfg, tcfg.n_nodes)
+    _check_run_fields(cfg, tcfg.n_nodes, lu)
     return tcfg
 
 
-def _check_run_fields(cfg: dict, n_nodes: int) -> None:
-    """The fields only the CLI reads: formulation, solver, angles, diagnostics and seed."""
+def _check_run_fields(cfg: dict, n_nodes: int, lu: bool | None) -> None:
+    """The fields only the CLI reads: formulation, solver, angles, diagnostics and seed; N where LU runs."""
     if cfg.get("formulation") not in FORMULATIONS:
         raise ConfigError(
             "formulation", f"must be one of {FORMULATIONS}, got {cfg.get('formulation')!r}"
@@ -146,6 +149,9 @@ def _check_run_fields(cfg: dict, n_nodes: int) -> None:
         raise ConfigError("diagnostics", f"must be true or false, got {cfg.get('diagnostics')!r}")
     if not is_integer(cfg.get("seed")):
         raise ConfigError("seed", "must be an integer")
+    lu = (sv["type"] == "lu" or cfg["diagnostics"]) if lu is None else lu
+    if lu and 2 * n_nodes > MAX_DIRECT_UNKNOWNS:
+        raise ConfigError("N", f"must be at most {MAX_DIRECT_UNKNOWNS // 2} where LU runs, got {n_nodes}")
 
 
 def _resolved(cfg: dict, tcfg: TransmissionConfig) -> dict:
@@ -249,8 +255,9 @@ def run_solve(cfg: dict) -> int:
 
 
 def run_convergence(cfg: dict, n_list: list[int]) -> int:
-    if not n_list or sorted(n_list) != n_list or any(n % 2 for n in n_list):
-        raise ConfigError("N-list", f"need a non-empty ascending list of even sizes, got {n_list}")
+    if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])) or any(n % 2 for n in n_list):
+        raise ConfigError("N-list", f"need a non-empty strictly ascending list of even sizes, got {n_list}")
+    tcfgs = {n: validate_config(dict(cfg, N=n), lu=True) for n in n_list}  # every solve is LU
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     wave_angle = float(cfg["angle"])
@@ -259,9 +266,7 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
 
     fields = {}
     disagreements = {}
-    for n in n_list:
-        run_cfg = dict(cfg, N=int(n))
-        tcfg = validate_config(run_cfg)
+    for n, tcfg in tcfgs.items():
         g = grid(n)
         wave = IncidentWave(angle=wave_angle, k1=tcfg.k1)
         ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
@@ -295,7 +300,6 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
         fields[n] = ff.values
 
     if is_circle:
-        tcfg = validate_config(cfg)
         mie = analytic.mie_solve(
             cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=wave_angle
         )
@@ -316,7 +320,7 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
 
 
 def run_compare(cfg: dict) -> int:
-    tcfg = validate_config(cfg)
+    tcfg = validate_config(cfg, lu=False)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     g = grid(tcfg.n_nodes)
@@ -335,7 +339,7 @@ def run_compare(cfg: dict) -> int:
 
 
 def run_symbols(cfg: dict, n_min: int, n_max: int) -> int:
-    tcfg = validate_config(cfg)
+    tcfg = validate_config(cfg, lu=False)
     if cfg["curve"]["kind"] != "circle":
         raise ConfigError("curve.kind", "symbols experiment requires the circle")
     if not 0 <= n_min < n_max:
@@ -424,7 +428,7 @@ def main(argv=None) -> int:
         _add_common(p)
         if name == "convergence":
             p.add_argument("--N-list", dest="n_list", required=True,
-                           help="comma-separated ascending even grid sizes")
+                           help="comma-separated strictly ascending even grid sizes")
         if name == "symbols":
             p.add_argument("--n-min", dest="n_min", type=int, default=0)
             p.add_argument("--n-max", dest="n_max", type=int, default=64)

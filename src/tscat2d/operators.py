@@ -45,10 +45,10 @@ compressed, and T1 is freed.  Then H_0 and J_0 make T0 over the H_0 array
 most three fine (2N)^2 arrays live at once: the real distances r, H_m and
 J_m.  The argument is a ``specfun.KernelArgument`` of k and the symmetric
 r, checked once for the four calls.  specfun forms k r from r block by
-block, evaluates it by rows at real k (Cephes) and on one triangle
-otherwise, and at real k bessel_j(m, .) takes over the J_m that
-hankel1(m, .) left on it.  The distances, the tables T_m with K's
-geometric factor and the compressions are filled in row bands on the
+block and evaluates it on one triangle, and at real k bessel_j(m, .)
+takes over the J_m that hankel1(m, .) left on it.  K's geometric factor
+divides by the argument's r.  The distances, the tables T_m with that
+factor and the compressions are filled in row bands on the
 shared thread pool (see ``_pool``), each band in blocks of a few ten
 thousand entries, with the same arithmetic for every entry as a
 whole-matrix evaluation, so the sets are bit-identical for any number of
@@ -146,23 +146,15 @@ class _Nodes:
         self.nrm = curve.normal(t)
         self.trapz = grid.weight
 
-    def differences(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The parts of x(t) - x(tau) and r = |x(t) - x(tau)| on the given rows, with r = 1 on the diagonal.
+    def differences(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The parts of x(t) - x(tau) on the given rows."""
+        return self.x[rows, None] - self.x[None, :], self.y[rows, None] - self.y[None, :]
 
-        The 1 is a placeholder: every diagonal is set to its analytic limit.
-        """
-        dx = self.x[rows, None] - self.x[None, :]
-        dy = self.y[rows, None] - self.y[None, :]
-        r = np.sqrt(dx**2 + dy**2)
-        lo = rows.start or 0
-        r[np.arange(len(r)), np.arange(lo, lo + len(r))] = 1.0
-        return dx, dy, r
-
-    def double_layer(self, rows: slice) -> np.ndarray:
-        """k (x(t) - x(tau)) . nu(tau) / r on the given rows, nu = n |x'| (K's factor of (i/4) H_1)."""
-        dx, dy, r = self.differences(rows)
+    def double_layer(self, rows: slice, r: np.ndarray) -> np.ndarray:
+        """k (x(t) - x(tau)) . nu(tau) / r on the given rows of r, nu = n |x'| (K's factor of (i/4) H_1)."""
+        dx, dy = self.differences(rows)
         dot = dx * self.d[None, :, 1] - dy * self.d[None, :, 0]
-        return self.k * dot / r
+        return self.k * dot / r[rows]
 
     def normal_products(self, rows: slice) -> np.ndarray:
         """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0)."""
@@ -174,7 +166,10 @@ class _Nodes:
         r = np.empty((n, n))
 
         def block(lo, hi):
-            r[lo:hi] = self.differences(slice(lo, hi))[2]
+            dx, dy = self.differences(slice(lo, hi))
+            rows = r[lo:hi]
+            np.sqrt(dx**2 + dy**2, out=rows)
+            rows[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # placeholder: every diagonal is set to its limit
 
         _pool.map_blocks(block, n, n)
         return specfun.KernelArgument(self.k, r)
@@ -361,7 +356,9 @@ def boundary_operator_set(
     # order 1: the double layer, smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
     d, dd = nodes.d, nodes.dd
     k_diag = w * (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / jac**2
-    k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, k_diag, nodes.double_layer)
+    factor = functools.partial(nodes.double_layer, r=z.r)  # dropped before z, so r is freed with it
+    k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, k_diag, factor)
+    del factor
     k_mat = _compress(k_fine, n, oversample)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
     kt = _compress(k_fine.T, n, oversample, scale=lambda rows: jac[None, :] / jac[rows, None])

@@ -1,6 +1,6 @@
 """Dense direct and iterative solvers with conditioning diagnostics.
 
-The systems are small enough (2N <= 4096) for dense LAPACK factorization;
+The systems are small enough (2N <= ``MAX_DIRECT_UNKNOWNS``) for dense LAPACK factorization;
 GMRES is full (no restart) so that the iteration count is the Krylov
 dimension and directly reflects the spectral clustering the second-kind
 formulations are designed to produce.  No preconditioning anywhere.
@@ -42,6 +42,8 @@ def _square(a) -> np.ndarray:
     return a
 
 
+MAX_DIRECT_UNKNOWNS = 4096  # the largest system the dense LU factors
+
 # LAPACK's getrs corrupts the heap when several threads call it at once on some OpenBLAS
 # builds (0.3.31 with scipy 1.17.1): every factorization and LU solve holds this lock
 _LAPACK_LOCK = threading.Lock()
@@ -58,8 +60,8 @@ def _lu_factor(a: np.ndarray):
     A is kept while A lives and reused when A is passed again; a writeable A
     is factored on every call.
     """
-    if a.shape[0] > 4096:
-        raise ValueError(f"dense direct solve capped at 4096 unknowns, got {a.shape[0]}")
+    if a.shape[0] > MAX_DIRECT_UNKNOWNS:
+        raise ValueError(f"dense direct solve capped at {MAX_DIRECT_UNKNOWNS} unknowns, got {a.shape[0]}")
     return _FACTORS.get([a], (), lambda: _checked_lu_factor(a))
 
 

@@ -17,43 +17,40 @@ Im z for the range and branch checks, or a ``KernelArgument``: the
 argument k r of a Nystrom kernel, from the wavenumber k and the symmetric
 distance matrix r = |x(t) - x(tau)|, checked once when it is built.  No
 complex k r matrix is stored; k r is formed from r block by block and
-evaluated
-
-* at a real k in the Cephes range, by rows;
-* otherwise on the upper triangle, the values mirrored: half the points,
-  bit-identical results;
-* at a complex k, where every entry lies on the ray from 0 through k,
-  from a table when the argument has at least ``_pool.MIN_ENTRIES``
-  entries: H_n or J_n (n = 0, 1) as a function of the ray parameter, the
-  larger of Re z and Im z, is interpolated at degree 12 on panels 0.5
-  wide in |z|, from AMOS values at the panels' Chebyshev points.  The
-  table is built once per call on the caller's thread and used only when
-  its points number at most 1/16 of the argument's entries.  Entries with
-  |z| < 2, where H_n is log- or 1/z-singular, stay on AMOS.  Against
-  mpmath the table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) on the
-  rays through 8+4i, 20+10i, 1+0.5i, 30+0.05i and 1+8i for 2 <= |z| <= 70
-  (AMOS itself is within 0.6 eps (1 + |z|) there), and a kernel call at
-  N=256 takes a third to a half of the time AMOS takes on the triangle.
-  Each entry's value depends on the entry and the table alone, so the
-  results are bit-identical for any number of pool workers.
+evaluated on the upper triangle, the values mirrored: half the points,
+bit-identical results.  At a complex k, where every entry lies on the ray
+from 0 through k, orders 0 and 1 come from a table when the argument has
+at least ``_pool.MIN_ENTRIES`` entries: H_n or J_n as a function of the
+ray parameter, the larger of Re z and Im z, is interpolated at degree 12
+on panels 0.5 wide in |z|, from AMOS values at the panels' Chebyshev
+points.  The table is built once per call on the caller's thread and used
+only when its points number at most 1/16 of the argument's entries.
+Entries with |z| < 2, where H_n is log- or 1/z-singular, stay on AMOS.
+Against mpmath the table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) on
+the rays through 8+4i, 20+10i, 1+0.5i, 30+0.05i and 1+8i for
+2 <= |z| <= 70 (AMOS itself is within 0.6 eps (1 + |z|) there), and a
+kernel call at N=256 takes a third to a half of the time AMOS takes on
+the triangle.  Each entry's value depends on the entry and the table
+alone, so the results are bit-identical for any number of pool workers.
 
 At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
 next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
 again.  The module itself keeps no state between calls.
 
-Arrays of at least ``_pool.MIN_ENTRIES`` float or complex entries, and
-kernel arguments, are evaluated in row bands on the shared thread pool
-(``_pool.map_blocks``), a triangle in bands of equal numbers of its
-entries.  Each band works in blocks of rows of at most about
-``_pool.BAND_ENTRIES`` entries, each block writing through ``out=`` and
-checking that its values are finite, so the temporaries stay that small
-also when one band covers the array.  The AMOS and Cephes values are
-bit-identical to one whole-array call.
+One loop, ``_evaluate``, fills every result on the shared thread pool
+(``_pool.map_blocks``): a kernel argument's triangle in row bands of equal
+numbers of its entries, an array of at least ``_pool.MIN_ENTRIES``
+entries in row bands.  Each band works in blocks of rows of at most about
+``_pool.BAND_ENTRIES`` entries, each block checking that its values are
+finite, so the temporaries stay that small also when one band covers the
+argument.  The AMOS and Cephes values are bit-identical to one
+whole-array call.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 from typing import NamedTuple
 
@@ -80,9 +77,6 @@ _RAY_NEAR = 2.0  # |z| below which the entries stay on AMOS
 _RAY_MIN_SHARE = 16  # a table has at most 1/16 as many points as the argument has entries
 _RAY_MAX_VALUE = 1.0e300  # largest table value; the interpolant stays below overflow
 
-# dtypes whose ufunc results keep the argument's dtype, so blocks can write into a preallocated output
-_BANDED = (np.dtype(float), np.dtype(complex))
-
 
 class SpecialFunctionError(ArithmeticError):
     """Evaluation left the supported range (overflow/underflow)."""
@@ -92,19 +86,20 @@ class _NotFinite(Exception):
     """A block of values holds an inf or a NaN; the public function reports the overflow."""
 
 
-def _require_finite(values) -> None:
+def _require_finite(values):
+    """values, if every one is finite; raises _NotFinite otherwise."""
     if not np.isfinite(values).all():
         raise _NotFinite
-
-
-def _overflow_error(name: str, n, abs_max) -> SpecialFunctionError:
-    return SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {abs_max:.3g}")
-
-
-def _check_finite(name: str, n, z, values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise _overflow_error(name, n, np.max(np.abs(z)))
     return values
+
+
+@contextlib.contextmanager
+def _overflow_reported(name: str, n, abs_max):
+    """Reports a _NotFinite raised inside as the overflow of name(n) at |z| ~ abs_max."""
+    try:
+        yield
+    except _NotFinite:
+        raise SpecialFunctionError(f"{name}(n={n}) overflowed at |z| ~ {abs_max:.3g}") from None
 
 
 def _check_order(n, top: int = _MAX_ORDER, name: str = "order") -> None:
@@ -238,14 +233,6 @@ class KernelArgument:
                 self.s_max = self.ray.split(ends)[0][1]
         self._j = {}  # n -> the J_n that hankel1(n, self) left for bessel_j(n, self)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """k r on rows lo:hi."""
-        return self.k * self.r[lo:hi]
-
-    def triangle(self, lo: int, hi: int) -> np.ndarray:
-        """k r on rows lo:hi of the upper triangle, diagonal included, one row after the other."""
-        return self.k * np.concatenate([self.r[i, i:] for i in range(lo, hi)])
-
 
 def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
     """z as a ``KernelArgument`` or an array, and its extremes."""
@@ -255,26 +242,43 @@ def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
     return z, _extremes(z)
 
 
-def _entrywise(f, z, out: np.ndarray | None = None) -> np.ndarray:
-    """f(z) entrywise, written into out if given; raises _NotFinite unless every value is finite.
+def _evaluate(f, z, dtype) -> np.ndarray:
+    """f at every entry of z, as an array of dtype; raises _NotFinite unless every value is finite.
 
-    z is an array or a ``KernelArgument``.  A kernel argument, and a float
-    or complex array of at least ``_pool.MIN_ENTRIES`` entries, is filled in
-    blocks of rows on the shared pool, each block through ``out=``.
+    f(x) returns its values at the entries of an array x, and writes them
+    into ``out`` when called as f(x, out=out).  A ``KernelArgument`` is
+    evaluated on its upper triangle: its rows are cut into bands holding
+    equal numbers of the triangle's entries, and each block of rows lo:hi
+    makes one call on k r over the triangle of its diagonal block and the
+    rectangle right of it, checks the values, writes them and copies them
+    to their mirror image.  An array is evaluated in one call when it is
+    0-d or under ``_pool.MIN_ENTRIES`` entries, and otherwise in blocks of
+    rows, each written through ``out=``.
     """
-    kernel = isinstance(z, KernelArgument)
-    if not kernel and (z.ndim == 0 or z.size < _pool.MIN_ENTRIES or z.dtype not in _BANDED):
-        values = f(z) if out is None else f(z, out=out)
-        _require_finite(values)
-        return values
-    if out is None:
-        out = np.empty(z.shape, z.dtype)
+    if not isinstance(z, KernelArgument):
+        if z.ndim == 0 or z.size < _pool.MIN_ENTRIES:
+            return _require_finite(np.asarray(f(z), dtype))
+        out = np.empty(z.shape, dtype)
+
+        def block(lo, hi):
+            _require_finite(f(z[lo:hi], out=out[lo:hi]))
+
+        _pool.map_blocks(block, len(out), z.size // len(out))
+        return out
+    m = len(z.r)
+    out = np.empty(z.shape, dtype)
 
     def block(lo, hi):
-        f(z.rows(lo, hi) if kernel else z[lo:hi], out=out[lo:hi])
-        _require_finite(out[lo:hi])
+        upper = np.triu_indices(hi - lo)
+        corner, right = slice(lo, hi), slice(hi, None)
+        x = z.k * np.concatenate((z.r[corner, corner][upper], z.r[corner, right].ravel()))
+        values = _require_finite(f(x))
+        t = len(upper[0])
+        out[corner, corner][upper] = out[corner, corner].T[upper] = values[:t]
+        out[corner, right] = values[t:].reshape(hi - lo, m - hi)
+        out[right, corner] = out[corner, right].T
 
-    _pool.map_blocks(block, len(out), z.size // len(out))
+    _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
     return out
 
 
@@ -366,36 +370,24 @@ class _RayTable:
 
 
 def _amos(f, n: int, z, dtype) -> np.ndarray:
-    """f(n, z) entrywise as an array of dtype, a ``KernelArgument`` on one triangle.
+    """f(n, z) entrywise as an array of dtype; raises _NotFinite unless every value is finite.
 
-    The triangle is split into row bands holding equal numbers of its
-    entries, and each band into blocks of rows of at most about
-    ``_pool.BAND_ENTRIES`` entries.  A block forms its rows of the triangle
-    of k r, evaluates, checks and writes them, and then copies them to their
-    mirror image.  A complex argument of order 0 or 1 with a ray is
-    evaluated from a ``_RayTable`` built first, on the caller's thread, when
-    the table pays.  Raises _NotFinite unless every value is finite.
+    A complex kernel argument of order 0 or 1 with a ray is evaluated from
+    a ``_RayTable`` built first, on the caller's thread, when the table
+    pays.  An array is converted to dtype first.
     """
     if not isinstance(z, KernelArgument):
-        return _entrywise(functools.partial(f, n), np.asarray(z, dtype))
-    m = len(z.r)
+        return _evaluate(functools.partial(f, n), np.asarray(z, dtype), dtype)
     table = None if n > 1 or z.ray is None else _RayTable.build(f, n, z.ray, z.s_max, z.size)
-    evaluate = functools.partial(f, n) if table is None else table
-    out = np.empty(z.shape, dtype)
+    return _evaluate(functools.partial(f, n) if table is None else table, z, dtype)
 
-    def block(lo, hi):
-        vals = evaluate(np.asarray(z.triangle(lo, hi), dtype))
-        _require_finite(vals)
-        start = 0
-        for i in range(lo, hi):
-            out[i, i:] = vals[start : start + m - i]
-            start += m - i
-        # the mirror image: the diagonal block column by column, the rest as one block
-        for i in range(lo, hi):
-            out[i + 1 : hi, i] = out[i, i + 1 : hi]
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
 
-    _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
+def _cephes_hankel1(n: int, x, out=None) -> np.ndarray:
+    """H_n^(1)(x) = J_n(x) + i Y_n(x) for real x > 0 from Cephes, written into out if given."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
+    _CEPHES_J[n](x, out=out.real)
+    _CEPHES_Y[n](x, out=out.imag)
     return out
 
 
@@ -409,15 +401,14 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
     z, ext = _with_extremes(z)
     if ext.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
-    try:
-        if n < 2 and np.isrealobj(z) and ext.abs_max <= _CEPHES_MAX:
+    dtype = complex if np.iscomplexobj(z) else float
+    with _overflow_reported("bessel_j", n, ext.abs_max):
+        if n < 2 and dtype == float and ext.abs_max <= _CEPHES_MAX:
             out = z._j.pop(n, None) if isinstance(z, KernelArgument) else None
             if out is None:
-                out = _entrywise(_CEPHES_J[n], z)
+                out = _evaluate(_CEPHES_J[n], z, float)
         else:
-            out = _amos(_sp.jv, n, z, z.dtype)
-    except _NotFinite:
-        raise _overflow_error("bessel_j", n, ext.abs_max) from None
+            out = _amos(_sp.jv, n, z, dtype)
     return out[()]
 
 
@@ -427,8 +418,8 @@ def bessel_y(n: int, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("Y_n requires x > 0 (logarithmic singularity at 0)")
-    out = _sp.yv(n, x)
-    return _check_finite("bessel_y", n, x, out)[()]
+    with _overflow_reported("bessel_y", n, np.max(x, initial=0.0)):
+        return _require_finite(_sp.yv(n, x))[()]
 
 
 def hankel1(n: int, z) -> np.ndarray | complex:
@@ -444,19 +435,15 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         raise ValueError("argument too close to the singular point z = 0")
     if ext.abs_max > 1.0e4:
         raise ValueError("argument outside supported range |z| <= 1e4")
-    try:
+    with _overflow_reported("hankel1", n, ext.abs_max):
         if np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
-            out = np.empty(z.shape, dtype=complex)
-            _entrywise(_CEPHES_J[n], z, out.real)
-            _entrywise(_CEPHES_Y[n], z, out.imag)
+            out = _evaluate(functools.partial(_cephes_hankel1, n), z, complex)
             if isinstance(z, KernelArgument):
                 z._j = {n: out.real.copy()}
         else:
             if ext.im_min < 0:
                 raise ValueError("H_n^(1) supported only for Im z >= 0")
             out = _amos(_sp.hankel1, n, z, complex)
-    except _NotFinite:
-        raise _overflow_error("hankel1", n, ext.abs_max) from None
     return out[()]
 
 
@@ -472,15 +459,15 @@ def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
         raise ValueError("argument outside supported range 1e-14 <= |z| <= 1e4")
     if z.imag < 0:
         raise ValueError("H_n^(1) supported only for Im z >= 0")
-    out = _sp.hankel1(np.arange(n_max + 1), z)
-    return _check_finite("hankel1_seq", n_max, z, np.asarray(out, dtype=complex))
+    with _overflow_reported("hankel1_seq", n_max, abs(z)):
+        return _require_finite(np.asarray(_sp.hankel1(np.arange(n_max + 1), z), dtype=complex))
 
 
 def bessel_j_seq(n_max: int, z: complex) -> np.ndarray:
     """J_0(z) .. J_{n_max}(z) for a single real or complex argument."""
     _check_order(n_max, name="n_max")
-    out = _sp.jv(np.arange(n_max + 1), z)
-    return _check_finite("bessel_j_seq", n_max, z, np.asarray(out, dtype=complex))
+    with _overflow_reported("bessel_j_seq", n_max, np.max(np.abs(z))):
+        return _require_finite(np.asarray(_sp.jv(np.arange(n_max + 1), z), dtype=complex))
 
 
 def derivative_seq(values: np.ndarray, z: complex) -> np.ndarray:

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from tscat2d.cli import main
+from tscat2d import formulations
+from tscat2d.cli import DEFAULT_CONFIG, main, validate_config
+from tscat2d.formulations import ConfigError
+from tscat2d.solver import MAX_DIRECT_UNKNOWNS
 
 # first zero of J_0: forces an interior Dirichlet pole at mode 0
 J0_FIRST_ZERO = 2.404825557695773
@@ -288,6 +291,49 @@ def test_convergence_rejects_bad_list(tmp_path, capsys):
         assert code == 2
         assert "config error: N-list: " in capsys.readouterr().err
     assert not (tmp_path / "z" / "convergence.csv").exists()
+
+
+def test_convergence_rejects_repeated_sizes(tmp_path, capsys):
+    # a repeated size used to be solved twice and written as two identical rows
+    code = run(["convergence", "--N-list", "8,8", "--out", tmp_path / "x"])
+    assert code == 2
+    assert "config error: N-list: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _no_operator_sets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator set was built")
+
+    monkeypatch.setattr(formulations, "boundary_operator_set", refuse)
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        (["solve"], {}),  # diagnostics on by default: sigma_min and rcond factor the system
+        (["solve"], {"diagnostics": False, "solver": {"type": "lu", "tol": 1e-8, "maxit": None}}),
+        (["convergence", "--N-list", "64,2050"], {"diagnostics": False}),  # LU on every size
+    ],
+    ids=["solve-diagnostics", "solve-lu", "convergence"],
+)
+def test_sizes_past_the_lu_cap_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command, cfg):
+    _no_operator_sets(monkeypatch)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg | {"N": 2050}))
+    out = tmp_path / "out"
+    assert run([*command, "--config", path, "--out", out]) == 2
+    assert f"config error: N: must be at most {MAX_DIRECT_UNKNOWNS // 2}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gmres_without_diagnostics_is_not_capped():
+    cfg = DEFAULT_CONFIG | {"N": 2050, "diagnostics": False}
+    assert validate_config(cfg).n_nodes == 2050
+    assert validate_config(cfg | {"diagnostics": True}, lu=False).n_nodes == 2050  # compare, symbols
+    with pytest.raises(ConfigError, match="N: must be at most 2048"):
+        validate_config(cfg, lu=True)
+    assert validate_config(DEFAULT_CONFIG | {"N": 2048}).n_nodes == 2048
 
 
 def test_symbols_csv_schema_and_slopes(tmp_path):
