@@ -157,8 +157,14 @@ class _Nodes:
         return self.k * dot / r[rows]
 
     def normal_products(self, rows: slice) -> np.ndarray:
-        """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0)."""
-        return (self.nrm[rows] @ self.nrm.T) * self.jac[None, :]
+        """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0).
+
+        The dot product is written out, not a BLAS product, whose rounding
+        can depend on the number of rows, so every band rounds alike.
+        """
+        nrm = self.nrm
+        dot = nrm[rows, 0, None] * nrm[None, :, 0] + nrm[rows, 1, None] * nrm[None, :, 1]
+        return dot * self.jac[None, :]
 
     def argument(self) -> specfun.KernelArgument:
         """The kernel argument k r, from the distances r on the fine grid (1 on the diagonal)."""

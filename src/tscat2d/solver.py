@@ -4,10 +4,13 @@ The systems are small enough (2N <= ``MAX_DIRECT_UNKNOWNS``) for dense LAPACK fa
 GMRES is full (no restart) so that the iteration count is the Krylov
 dimension and directly reflects the spectral clustering the second-kind
 formulations are designed to produce.  No preconditioning anywhere.
-LU factorizations and LU solves run one at a time across threads, under
-one module lock.  The conditioning diagnostics, ||A - s I||_2 and
-sigma_min(A) = 1 / ||A^-1||_2, are the largest singular values of
-Golub-Kahan-Lanczos bidiagonalizations with full reorthogonalization.
+An LU solve takes one right-hand side: it gathers b by the row permutation
+of the factorization, kept with the factors, and makes two BLAS-2 triangular
+solves (trsv), with no LAPACK getrs.  LU factorizations and LU solves run one
+at a time across threads, under one module lock.  The conditioning
+diagnostics, ||A - s I||_2 and sigma_min(A) = 1 / ||A^-1||_2, are the largest
+singular values of Golub-Kahan-Lanczos bidiagonalizations with full
+reorthogonalization.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ def _square(a) -> np.ndarray:
 
 MAX_DIRECT_UNKNOWNS = 4096  # the largest system the dense LU factors
 
-# LAPACK's getrs corrupts the heap when several threads call it at once on some OpenBLAS
-# builds (0.3.31 with scipy 1.17.1): every factorization and LU solve holds this lock
+# LAPACK's getrs corrupted the heap when several threads called it at once on an OpenBLAS
+# build (0.3.31 with scipy 1.17.1). Every factorization (getrf and gecon) and every LU solve
+# (its two trsv calls) holds this lock; on one thread it costs nothing
 _LAPACK_LOCK = threading.Lock()
 
 # LU factors and rcond of the last read-only matrix, shared by lu_solve, sigma_min_estimate
@@ -80,7 +84,42 @@ def _checked_lu_factor(a: np.ndarray):
             f"matrix numerically singular: reciprocal condition number {rcond:.3g} "
             "is below machine epsilon"
         )
-    return (lu, piv), float(rcond)
+    return (lu, _row_permutation(piv)), float(rcond)
+
+
+def _row_permutation(piv: np.ndarray) -> np.ndarray:
+    """The permutation p with A[p] = L U, from getrf's row swaps (row i with row piv[i], in order)."""
+    p = list(range(len(piv)))
+    for i, j in enumerate(piv.tolist()):
+        p[i], p[j] = p[j], p[i]
+    return np.array(p)
+
+
+def _lu_apply(factors, b, adjoint: bool = False) -> np.ndarray:
+    """A^-1 b, or A^-H b if adjoint, from the factors L U = A[p] of A.
+
+    A x = b is L U x = b[p]; A^H x = b is U^H L^H y = b with x[p] = y.  Each
+    is one gather or scatter and two trsv calls.  b must be one finite vector
+    of A's size, else ValueError.  A complex b against real factors is solved
+    as its real and imaginary parts, so the factors are never converted.
+    """
+    lu, p = factors
+    b = np.asarray(b)
+    if b.shape != p.shape:
+        raise ValueError(f"right-hand side must be a vector of length {p.size}, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must contain only finite numbers")
+    if np.iscomplexobj(b) and not np.iscomplexobj(lu):
+        return _lu_apply(factors, b.real, adjoint) + 1j * _lu_apply(factors, b.imag, adjoint)
+    trsv = sla.get_blas_funcs("trsv", (lu, b))
+    with _LAPACK_LOCK:
+        if not adjoint:
+            y = trsv(lu, b[p], lower=1, diag=1, overwrite_x=1)
+            return trsv(lu, y, overwrite_x=1)
+        y = trsv(lu, trsv(lu, b, trans=2), lower=1, diag=1, trans=2, overwrite_x=1)
+    x = np.empty_like(y)
+    x[p] = y
+    return x
 
 
 def rcond_estimate(a: np.ndarray) -> float:
@@ -92,13 +131,14 @@ def rcond_estimate(a: np.ndarray) -> float:
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
-    """Direct solve via partial-pivoting LU factorization."""
+    """Direct solve via partial-pivoting LU factorization, for one right-hand side b.
+
+    A b that is not a finite vector of A's size raises ValueError.
+    """
     a = _square(a)
     b = np.asarray(b)
     t0 = time.perf_counter()
-    factors = _lu_factor(a)[0]
-    with _LAPACK_LOCK:
-        x = sla.lu_solve(factors, b)
+    x = _lu_apply(_lu_factor(a)[0], b)
     elapsed = time.perf_counter() - t0
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
@@ -328,9 +368,9 @@ def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     """
     a = _square(a)
     factors = _lu_factor(a)[0]
-
-    def solve(x, trans=0):
-        with _LAPACK_LOCK:
-            return sla.lu_solve(factors, x, trans=trans)
-
-    return 1.0 / _largest_singular_value(solve, lambda y: solve(y, trans=2), a.shape[0], seed)
+    return 1.0 / _largest_singular_value(
+        lambda x: _lu_apply(factors, x),
+        lambda y: _lu_apply(factors, y, adjoint=True),
+        a.shape[0],
+        seed,
+    )

@@ -268,16 +268,20 @@ def _set_bytes(ops):
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 @pytest.mark.parametrize("curve", ["kite", "circle"])
 def test_banded_fill_bit_identical_to_one_worker(monkeypatch, curve, k, oversample):
-    # N = 128 puts every fill, at both oversamples, above the banding threshold
-    c, g = (make_kite() if curve == "kite" else make_circle(1.0)), grid(128)
-    assert g.n * g.n >= operators._pool.MIN_ENTRIES
-    default = boundary_operator_set(c, g, k, oversample=oversample)
-    monkeypatch.setattr(operators._pool, "workers", lambda: 3)
-    three = boundary_operator_set(c, g, k, oversample=oversample)
-    monkeypatch.setattr(operators._pool, "workers", lambda: 1)
-    one = boundary_operator_set(c, g, k, oversample=oversample)
-    assert _set_bytes(default) == _set_bytes(one)
-    assert _set_bytes(three) == _set_bytes(one)
+    # N = 128 and 130 put every fill, at both oversamples, above the banding threshold; at
+    # N = 130 the bands of 1, 2 and 3 workers hold different row counts
+    c = make_kite() if curve == "kite" else make_circle(1.0)
+    for n in (128, 130):
+        g = grid(n)
+        assert g.n * g.n >= operators._pool.MIN_ENTRIES
+        with monkeypatch.context() as patch:
+            default = boundary_operator_set(c, g, k, oversample=oversample)
+            patch.setattr(operators._pool, "workers", lambda: 3)
+            three = boundary_operator_set(c, g, k, oversample=oversample)
+            patch.setattr(operators._pool, "workers", lambda: 1)
+            one = boundary_operator_set(c, g, k, oversample=oversample)
+        assert _set_bytes(default) == _set_bytes(one)
+        assert _set_bytes(three) == _set_bytes(one)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 3], ids=["default-pool", "one-worker", "three-workers"])

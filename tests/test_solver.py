@@ -21,6 +21,15 @@ def _well_conditioned(n, seed):
     return a + 2 * np.sqrt(n) * np.eye(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _pivoted(n, seed, complex_matrix=True):
+    """A well-conditioned n x n matrix whose largest entries sit off the diagonal, so getrf swaps rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if complex_matrix:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + 2 * np.sqrt(n) * np.eye(n)[rng.permutation(n)]
+
+
 def test_lu_identity():
     b = np.array([1.0, -2.0, 3.0], dtype=complex)
     rep = lu_solve(np.eye(3), b)
@@ -73,6 +82,40 @@ def test_lu_rejects_nonsquare_and_oversize():
         lu_solve(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError):
         lu_solve(np.broadcast_to(1.0, (5000, 5000)), np.ones(5000))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 130, 512])
+@pytest.mark.parametrize("kind", ["complex", "real", "real-matrix-complex-b"])
+def test_lu_solve_matches_scipy_lu_solve_on_the_same_factors(kind, n):
+    a = _pivoted(n, n, complex_matrix=kind == "complex")
+    rng = np.random.default_rng(n + 1)
+    b = rng.standard_normal(n) + (0 if kind == "real" else 1j * rng.standard_normal(n))
+    factors = solver.sla.lu_factor(a)
+    if n > 2:
+        assert not np.array_equal(factors[1], np.arange(n))
+    for x, expected in [
+        (lu_solve(a, b).x, solver.sla.lu_solve(factors, b)),
+        (solver._lu_apply(solver._lu_factor(a)[0], b, adjoint=True), solver.sla.lu_solve(factors, b, trans=2)),
+    ]:
+        assert x.dtype == expected.dtype
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        lambda b: np.where(np.arange(b.size) == 3, np.nan, b),
+        lambda b: np.where(np.arange(b.size) == 3, np.inf, b),
+        lambda b: np.append(b, 1.0),
+        lambda b: b[:-1],
+        lambda b: b[:, None],
+    ],
+    ids=["nan", "inf", "too-long", "too-short", "column"],
+)
+def test_lu_solve_rejects_a_right_hand_side_that_is_not_one_finite_vector(rhs):
+    a, b = _well_conditioned(8, 18)
+    with pytest.raises(ValueError, match="right-hand side"):
+        lu_solve(a, rhs(b))
 
 
 def test_gmres_identity_one_iteration():
@@ -162,8 +205,11 @@ def _kite_system_matrix(n):
     return assemble(cfg, grid(n), IncidentWave(0.0, cfg.k1), "gcsie").matrix
 
 
-@pytest.mark.parametrize("matrix", [lambda: _random_complex(300, 0), lambda: _kite_system_matrix(64)],
-                         ids=["random-300", "kite-gcsie-64"])
+@pytest.mark.parametrize(
+    "matrix",
+    [lambda: _random_complex(300, 0), lambda: _kite_system_matrix(64), lambda: _pivoted(512, 17)],
+    ids=["random-300", "kite-gcsie-64", "pivoted-512"],
+)
 def test_estimators_agree_with_a_dense_svd(matrix):
     a = matrix()
     eye = np.eye(a.shape[0])
