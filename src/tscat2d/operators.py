@@ -48,9 +48,9 @@ r, checked once for the four calls.  specfun forms k r from r block by
 block and evaluates it on one triangle, and at real k bessel_j(m, .)
 takes over the J_m that hankel1(m, .) left on it.  K's geometric factor
 divides by the argument's r.  The distances, the tables T_m with that
-factor and the compressions are filled in row bands on the
-shared thread pool (see ``_pool``), each band in blocks of a few ten
-thousand entries, with the same arithmetic for every entry as a
+factor and the compressions are filled in blocks of rows of a few ten
+thousand entries, dealt to the caller's thread and the shared thread pool
+(see ``_pool``), with the same arithmetic for every entry as a
 whole-matrix evaluation, so the sets are bit-identical for any number of
 threads.  S and the B part of N are taken only on the rows that
 compression keeps.
@@ -69,7 +69,7 @@ to each row by FFT (fine-grid coefficients folded to the coarse modes),
 N's A d/dtau P is the same fold with the coefficients times i*m, and its outer
 derivative on the kept rows is an FFT down each column, aliased onto the
 coarse grid.  That is O(N^2 log N) a set where the products were O(N^3),
-and the transforms run in bands on the pool too.  The results agree with
+and the transforms run in blocks on the pool too.  The results agree with
 the dense ``prolongation_matrix`` and ``spectral_derivative_matrix``
 products to rounding, within 1e-13 of the largest entry at real and
 moderately complex k.  The tables that depend only on the fine grid size
@@ -160,7 +160,7 @@ class _Nodes:
         """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0).
 
         The dot product is written out, not a BLAS product, whose rounding
-        can depend on the number of rows, so every band rounds alike.
+        can depend on the number of rows, so every block rounds alike.
         """
         nrm = self.nrm
         dot = nrm[rows, 0, None] * nrm[None, :, 0] + nrm[rows, 1, None] * nrm[None, :, 1]
@@ -207,8 +207,8 @@ def _log_split(h: np.ndarray, j: np.ndarray, weight: float, diag, g=None) -> np.
     J_m g, 2 pi/n for M2 = (i/4) H_m g - M1 log(4 sin^2((t - tau)/2)).  g,
     if given, is a function of a row slice that returns those rows of it;
     diag holds the diagonal of T o g.  j is overwritten with D o J_m.  The
-    rows are filled in bands on the shared pool, each entry with the same
-    arithmetic in every band.
+    rows are filled in blocks on the shared pool, each entry with the same
+    arithmetic in every block.
     """
     n = len(h)
     table = _log_split_table(n)
@@ -249,7 +249,7 @@ def _compress(fine: np.ndarray, n: int, step: int = 1, derivative: bool = False,
     the +-n/2 pair is averaged, its even Nyquist split.  The folded
     coefficients are transformed back on the n nodes.  Without the
     derivative, P is the identity on one grid and the rows are copied as
-    they are.  Rows run in bands on the shared pool.
+    they are.  Rows run in blocks on the shared pool.
     """
     big = fine.shape[1]
     nrows = len(range(0, len(fine), step))
@@ -282,7 +282,7 @@ def _derivative_on_kept_rows(y: np.ndarray, oversample: int) -> np.ndarray:
 
     On the kept nodes the fine modes that differ by a multiple of the coarse
     size coincide, so the derivative's coefficients are summed over those
-    aliases and transformed on the coarse grid.  Columns run in bands on
+    aliases and transformed on the coarse grid.  Columns run in blocks on
     the shared pool.
     """
     big, ncols = y.shape

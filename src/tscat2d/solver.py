@@ -23,6 +23,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ._memo import LastValue
+from .geometry import is_integer
 
 
 @dataclass
@@ -38,10 +39,10 @@ class SolveReport:
 
 
 def _square(a) -> np.ndarray:
-    """a as an array; raises ValueError unless it is a square matrix."""
+    """a as an array; raises ValueError unless it is a non-empty square matrix."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
     return a
 
 
@@ -195,8 +196,8 @@ def gmres(
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if maxit is None:
         maxit = n
-    if maxit > 2 * n:
-        raise ValueError(f"maxit {maxit} exceeds twice the system size {n}")
+    if not (is_integer(maxit) and 1 <= maxit <= 2 * n):
+        raise ValueError(f"maxit must be an integer in [1, {2 * n}] (twice the system size), got {maxit!r}")
 
     t0 = time.perf_counter()
     bnorm = np.linalg.norm(b)

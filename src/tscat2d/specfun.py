@@ -37,14 +37,13 @@ At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
 next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
 again.  The module itself keeps no state between calls.
 
-One loop, ``_evaluate``, fills every result on the shared thread pool
-(``_pool.map_blocks``): a kernel argument's triangle in row bands of equal
+One loop, ``_evaluate``, fills every result in blocks of rows of about
+``_pool.BAND_ENTRIES`` entries on the shared thread pool
+(``_pool.map_blocks``): a kernel argument's triangle in blocks of equal
 numbers of its entries, an array of at least ``_pool.MIN_ENTRIES``
-entries in row bands.  Each band works in blocks of rows of at most about
-``_pool.BAND_ENTRIES`` entries, each block checking that its values are
-finite, so the temporaries stay that small also when one band covers the
-argument.  The AMOS and Cephes values are bit-identical to one
-whole-array call.
+entries in blocks of equal numbers of rows.  Each block checks that its
+values are finite, so the temporaries stay that small.  The AMOS and
+Cephes values are bit-identical to one whole-array call.
 """
 
 from __future__ import annotations
@@ -121,11 +120,7 @@ class _Extremes(NamedTuple):
 
 
 def _extremes(z: np.ndarray) -> _Extremes:
-    """z's ``_Extremes``, from one pass by rows (by entries if one-dimensional) on the shared pool.
-
-    A block holds about ``_pool.BAND_ENTRIES`` entries, which bounds the
-    temporaries also when one band runs.
-    """
+    """z's ``_Extremes``, from one pass by rows (by entries if one-dimensional) on the shared pool."""
     if z.size == 0:
         return _Extremes(np.inf, -np.inf, np.inf, np.inf)
     rows = z.reshape(len(z), -1) if z.ndim else z.reshape(1, 1)
@@ -184,10 +179,10 @@ class KernelArgument:
 
     k must be finite with Im k >= 0, and r a non-empty square float matrix
     that equals its transpose, is finite and is >= 0; anything else raises
-    ``ValueError``.  One pass over r's upper triangle, in row bands of equal
-    numbers of its entries on the shared pool, checks r and takes its
-    extremes.  r is frozen (see ``_memo``), not copied, and what is found
-    here holds only while it stays unchanged.
+    ``ValueError``.  One pass over r's upper triangle, in blocks of rows
+    holding equal numbers of its entries on the shared pool, checks r and
+    takes its extremes.  r is frozen (see ``_memo``), not copied, and what
+    is found here holds only while it stays unchanged.
 
     ``k`` is a float at a real wavenumber (Im k = 0), and the argument is
     then real.  ``size`` is r's, and ``extremes`` holds the extremes of
@@ -247,7 +242,7 @@ def _evaluate(f, z, dtype) -> np.ndarray:
 
     f(x) returns its values at the entries of an array x, and writes them
     into ``out`` when called as f(x, out=out).  A ``KernelArgument`` is
-    evaluated on its upper triangle: its rows are cut into bands holding
+    evaluated on its upper triangle: its rows are cut into blocks holding
     equal numbers of the triangle's entries, and each block of rows lo:hi
     makes one call on k r over the triangle of its diagonal block and the
     rectangle right of it, checks the values, writes them and copies them

@@ -268,23 +268,26 @@ def _set_bytes(ops):
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 @pytest.mark.parametrize("curve", ["kite", "circle"])
 def test_banded_fill_bit_identical_to_one_worker(monkeypatch, curve, k, oversample):
-    # N = 128 and 130 put every fill, at both oversamples, above the banding threshold; at
-    # N = 130 the bands of 1, 2 and 3 workers hold different row counts
+    # N = 128 and 130 put every fill, at both oversamples, above the threshold of the pool; at
+    # N = 130 the blocks of 1, 2 and 3 workers hold different row counts
     c = make_kite() if curve == "kite" else make_circle(1.0)
     for n in (128, 130):
         g = grid(n)
         assert g.n * g.n >= operators._pool.MIN_ENTRIES
         with monkeypatch.context() as patch:
             default = boundary_operator_set(c, g, k, oversample=oversample)
-            patch.setattr(operators._pool, "workers", lambda: 3)
-            three = boundary_operator_set(c, g, k, oversample=oversample)
-            patch.setattr(operators._pool, "workers", lambda: 1)
-            one = boundary_operator_set(c, g, k, oversample=oversample)
-        assert _set_bytes(default) == _set_bytes(one)
-        assert _set_bytes(three) == _set_bytes(one)
+            sets = []
+            for workers in (3, 2, 1):
+                patch.setattr(operators._pool, "workers", lambda: workers)
+                sets.append(boundary_operator_set(c, g, k, oversample=oversample))
+        one = _set_bytes(sets[-1])
+        assert _set_bytes(default) == one
+        assert all(_set_bytes(s) == one for s in sets)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 3], ids=["default-pool", "one-worker", "three-workers"])
+@pytest.mark.parametrize(
+    "workers", [None, 1, 2, 3], ids=["default-pool", "one-worker", "two-workers", "three-workers"]
+)
 @pytest.mark.parametrize("k", [8.0, 8 + 4j])
 def test_set_bit_identical_with_the_argument_memo_bypassed(monkeypatch, k, workers):
     # the J_m that hankel1(m, .) leaves on the kernel argument is never kept: bessel_j evaluates its own
@@ -355,7 +358,7 @@ def test_concurrent_sets_from_user_threads(monkeypatch):
 
 def test_set_peak_memory_in_fine_tables(monkeypatch):
     # one cylinder order at a time: the distances r, H_m and J_m are the only fine tables alive
-    # together (2.5 complex tables); one worker runs each fill as one band
+    # together (2.5 complex tables); one worker runs each fill block by block on the caller
     monkeypatch.setattr(operators._pool, "workers", lambda: 1)
     kite, g = make_kite(), grid(256)
     boundary_operator_set(kite, g, 8 + 4j)  # caches the log-split table of the fine grid

@@ -272,6 +272,24 @@ def test_every_solver_rejects_a_non_square_matrix(name, shape):
         SOLVERS[name](np.ones(shape))
 
 
+@pytest.mark.parametrize("name", SOLVERS)
+def test_every_solver_rejects_an_empty_matrix(name, capfd):
+    # LAPACK's gecon would print a complaint about its arguments and fail as if singular
+    with pytest.raises(ValueError, match=r"non-empty, got shape \(0, 0\)"):
+        SOLVERS[name](np.ones((0, 0)))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("maxit", [-1, 0, 2.5, 3.0, True, "3"])
+def test_gmres_rejects_a_maxit_that_is_not_a_positive_integer(maxit):
+    with pytest.raises(ValueError, match=r"maxit must be an integer in \[1, 8\]"):
+        gmres(np.eye(4), np.ones(4), maxit=maxit)
+
+
+def test_gmres_takes_a_numpy_integer_maxit():
+    assert gmres(np.eye(4), np.ones(4), maxit=np.int64(2)).converged
+
+
 def test_sigma_min_shares_the_direct_solve_cap():
     # a broadcast view: a 5000 x 5000 matrix that takes no memory
     with pytest.raises(ValueError, match="4096"):

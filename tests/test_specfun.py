@@ -203,8 +203,8 @@ def test_negative_real_hankel1_takes_the_complex_path(x):
 
 @pytest.mark.parametrize("shape", [(3,), (200, 200)], ids=["small", "banded"])
 def test_integer_arrays_give_the_bits_of_float_arrays(monkeypatch, shape):
-    # the result is float or complex whatever the argument's dtype; three workers cut the large
-    # arrays into bands even on one CPU
+    # the result is float or complex whatever the argument's dtype; three workers deal the large
+    # arrays' blocks to threads even on one CPU
     monkeypatch.setattr(_pool, "workers", lambda: 3)
     below = np.arange(1, np.prod(shape) + 1).reshape(shape) % 250 + 1  # 1 .. 250: Cephes
     past = below + 150  # up to 400: AMOS
@@ -333,15 +333,15 @@ def test_other_arguments_take_the_plain_call(monkeypatch, z):
 
 
 # ---------------------------------------------------------------------------
-# row bands on the shared pool, above the size threshold
+# row blocks on the shared pool, above the size threshold
 # ---------------------------------------------------------------------------
 BAND_N = 200  # 40,000 entries, above _pool.MIN_ENTRIES
 assert BAND_N * BAND_N >= _pool.MIN_ENTRIES
 
 
-@pytest.fixture(params=[None, 3], ids=["default-pool", "three-workers"])
+@pytest.fixture(params=[None, 2, 3], ids=["default-pool", "two-workers", "three-workers"])
 def pool_workers(request, monkeypatch):
-    # three workers exercise the bands even on a machine with one CPU
+    # two workers are the caller and one pool thread; three exercise the blocks on any machine
     if request.param is not None:
         monkeypatch.setattr(_pool, "workers", lambda: request.param)
     return request.param
@@ -376,7 +376,7 @@ def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_worke
     z = values(symmetric_kernel_argument(BAND_N)) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
-    flat = z[:, :150].ravel()  # one-dimensional: bands of entries
+    flat = z[:, :150].ravel()  # one-dimensional: blocks of entries
     assert same_bits(specfun.hankel1(n, flat), special.hankel1(n, flat))
 
 
@@ -405,7 +405,7 @@ def test_raw_symmetric_array_evaluated_entry_by_entry(monkeypatch, pool_workers,
 
 
 class BandRecorder(AmosRecorder):
-    """An AMOS recorder that also takes the ``out=`` of a banded call."""
+    """An AMOS recorder that also takes the ``out=`` of a call on a block."""
 
     def hankel1(self, n, z, out=None):
         self.sizes.append(np.size(z))
@@ -424,7 +424,7 @@ def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_work
     specfun.bessel_j(1, z)
     assert sum(rec.sizes) == 2 * BAND_N * (BAND_N + 1) // 2
     if _pool.workers() > 1:
-        assert len(rec.sizes) > 2  # in bands
+        assert len(rec.sizes) > 2  # in blocks
 
 
 def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, pool_workers):
@@ -439,7 +439,7 @@ def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, po
     "i,j", [(0, BAND_N - 1), (BAND_N - 1, 0), (BAND_N - 2, BAND_N - 1), (BAND_N // 2, BAND_N // 2 + 1)]
 )
 def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, j):
-    # the symmetry test of a kernel argument runs in bands; a single unequal pair in any of them
+    # the symmetry test of a kernel argument runs in blocks; a single unequal pair in any of them
     # must be seen. An array with that pair is evaluated entry by entry, as every array is
     rec = BandRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
@@ -455,7 +455,7 @@ def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
 def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
     def planted(k, distance):
-        # one bad distance (and its mirror image) deep in the last band, of a kernel argument or
+        # one bad distance (and its mirror image) deep in the last block, of a kernel argument or
         # of an array that is not symmetric
         r = kernel_distances(BAND_N)
         r[-3, -2] = r[-2, -3] = distance
@@ -608,8 +608,8 @@ def test_a_handed_on_j_reaches_one_caller():
 
 @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
 def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
-    # one worker checks a kernel argument's distances, or scans an array, as one band cut into
-    # blocks of rows
+    # one worker checks a kernel argument's distances, or scans an array, in blocks of rows on
+    # the caller's thread
     monkeypatch.setattr(_pool, "workers", lambda: 1)
     m = 512
     r = kernel_distances(m)
@@ -630,8 +630,8 @@ def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
 
 @pytest.mark.parametrize("shape", [(512, 512), (512 * 512,)], ids=["matrix", "vector"])
 def test_entrywise_temporaries_stay_in_blocks(monkeypatch, shape):
-    # one worker fills the whole array as one band, writing through out=; its finiteness checks
-    # run block by block
+    # one worker fills the whole array block by block on the caller's thread, writing through
+    # out=; its finiteness checks run block by block
     monkeypatch.setattr(_pool, "workers", lambda: 1)
     z = np.linspace(0.5, 200.0, np.prod(shape)).reshape(shape)
     tracemalloc.start()
