@@ -8,7 +8,8 @@ whole-array call, so the results are bit-identical whatever the blocks.
 
 With n CPUs in the process's affinity (so ``taskset`` limits it), the
 caller and a pool of n - 1 threads work the blocks.  The pool is created
-on first use and dropped in a forked child.  The caller works every block
+on first use, replaced by a larger one when a later call sees more CPUs,
+and dropped in a forked child.  The caller works every block
 alone, in row order, in three cases: one CPU, fewer than ``MIN_ENTRIES``
 entries, and a call from inside a block (on a pool thread, or on the
 caller while it works blocks), so that a nested call never waits behind
@@ -40,9 +41,13 @@ def workers() -> int:
 
 
 def _pool(n: int):
+    """A pool of at least n - 1 threads.
+
+    A smaller pool is replaced, not shut down: a caller that still holds it may submit to it.
+    """
     global _executor
     with _lock:
-        if _executor is None:
+        if _executor is None or _executor._max_workers < n - 1:
             _executor = ThreadPoolExecutor(max_workers=n - 1, thread_name_prefix="tscat2d-block")
         return _executor
 

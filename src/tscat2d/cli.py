@@ -54,10 +54,6 @@ DEFAULT_CONFIG = {
 MIN_POINTS_PER_WAVELENGTH = 8.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
@@ -160,16 +156,6 @@ def _resolved(cfg: dict, tcfg: TransmissionConfig) -> dict:
     return out
 
 
-def _solve_once(tcfg, g, wave, formulation, solver_spec, ops=None):
-    system = assemble(tcfg, g, wave, formulation, ops=ops)
-    if solver_spec["type"] == "lu":
-        report = lu_solve(system.matrix, system.rhs)
-    else:
-        maxit = solver_spec["maxit"] or 2 * g.n
-        report = gmres(system.matrix, system.rhs, tol=solver_spec["tol"], maxit=maxit)
-    return system, report
-
-
 def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
     """N 2 pi / (max(k1, k2) L): grid points per shortest wavelength along the boundary.
 
@@ -179,28 +165,49 @@ def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
     return g.n * 2.0 * np.pi / (max(tcfg.k1, tcfg.k2) * perimeter)
 
 
-def _write_farfield_csv(path: Path, ff):
-    lines = ["theta,re_u_inf,im_u_inf,abs_u_inf"]
-    for th, v in zip(ff.angles, ff.values):
-        lines.append(f"{_fmt(th)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
+def _output_dir(cfg: dict) -> Path:
+    outdir = Path(cfg["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One CSV file: strings and ints as they are, floats as %.17g, None as an empty cell."""
+    def cell(v) -> str:
+        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _mie_far_field(cfg: dict, tcfg: TransmissionConfig, angles: np.ndarray) -> np.ndarray:
+    """Far field of the Mie series for the configured circle and incident angle."""
+    mie = analytic.mie_solve(
+        cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=float(cfg["angle"])
+    )
+    return mie.far_field(angles)
 
 
 def run_solve(cfg: dict) -> int:
     tcfg = validate_config(cfg)
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     g = grid(tcfg.n_nodes)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
+    sv = cfg["solver"]
 
     t0 = time.perf_counter()
-    system, report = _solve_once(tcfg, g, wave, cfg["formulation"], cfg["solver"])
+    system = assemble(tcfg, g, wave, cfg["formulation"])
+    if sv["type"] == "lu":
+        report = lu_solve(system.matrix, system.rhs)
+    else:
+        report = gmres(system.matrix, system.rhs, tol=sv["tol"], maxit=sv["maxit"] or 2 * g.n)
     t_total = time.perf_counter() - t0
 
     sol = system.split(report.x)
     angles = np.linspace(0.0, 2.0 * np.pi, cfg["farfield_angles"], endpoint=False)
     ff = far_field(sol, tcfg, g, wave, angles, formulation=cfg["formulation"])
-    _write_farfield_csv(outdir / "farfield.csv", ff)
+    rows = ((th, v.real, v.imag, abs(v)) for th, v in zip(ff.angles, ff.values))
+    _write_csv(outdir / "farfield.csv", ["theta", "re_u_inf", "im_u_inf", "abs_u_inf"], rows)
 
     out = {
         "config": _resolved(cfg, tcfg),
@@ -215,15 +222,10 @@ def run_solve(cfg: dict) -> int:
         "points_per_wavelength": points_per_wavelength(tcfg, g),
     }
     if cfg["curve"]["kind"] == "circle":
-        mie = analytic.mie_solve(
-            cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=float(cfg["angle"])
-        )
-        ref = mie.far_field(angles)
+        ref = _mie_far_field(cfg, tcfg, angles)
         scale = np.abs(ref).max()
-        err = float(np.abs(ff.values - ref).max() / scale) if scale > 0 else float(
-            np.abs(ff.values).max()
-        )
-        out["farfield_error_vs_reference"] = err
+        err = np.abs(ff.values - ref).max() / scale if scale > 0 else np.abs(ff.values).max()
+        out["farfield_error_vs_reference"] = float(err)
     if cfg["diagnostics"]:
         a = system.matrix
         out["diagnostics"] = {
@@ -258,83 +260,61 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
     if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])) or any(n % 2 for n in n_list):
         raise ConfigError("N-list", f"need a non-empty strictly ascending list of even sizes, got {n_list}")
     tcfgs = {n: validate_config(dict(cfg, N=n), lu=True) for n in n_list}  # every solve is LU
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    wave_angle = float(cfg["angle"])
-    is_circle = cfg["curve"]["kind"] == "circle"
+    outdir = _output_dir(cfg)
+    form = cfg["formulation"]
     angles = np.linspace(0.0, 2.0 * np.pi, 180, endpoint=False)
+    band_limit = n_list[0] // 4  # action on a fixed band, resolved on the coarsest grid
 
-    fields = {}
-    disagreements = {}
+    fields, disagreements = {}, {}
     for n, tcfg in tcfgs.items():
         g = grid(n)
-        wave = IncidentWave(angle=wave_angle, k1=tcfg.k1)
+        wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
         ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
-        composed = assemble(tcfg, g, wave, "gcsie", ops=ops)
-        explicit = assemble(tcfg, g, wave, "gcsie-explicit", ops=ops)
-        diff = composed.matrix - explicit.matrix
-        # action on a fixed band (resolved on the coarsest grid) plus raw entry max
-        band_limit = min(n_list) // 4
+        # each formulation once: the one-entry matrix memo would miss on a repeat after another
+        systems = {
+            f: assemble(tcfg, g, wave, f, ops=ops) for f in dict.fromkeys(("gcsie", "gcsie-explicit", form))
+        }
+        diff = systems["gcsie"].matrix - systems["gcsie-explicit"].matrix
         rng = np.random.default_rng(cfg["seed"])
-        modes = fourier_modes(n)
-        mask = np.abs(modes) <= band_limit
+        mask = np.abs(fourier_modes(n)) <= band_limit
         coefs = np.zeros(n, dtype=complex)
         coefs[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
         phi = np.fft.ifft(np.fft.ifftshift(coefs)) * n
         x = np.concatenate([phi, phi])
-        disagreements[n] = (
-            float(np.abs(diff @ x).max() / np.abs(x).max()),
-            float(np.abs(diff).max()),
-        )
+        # action on the band plus raw entry max
+        disagreements[n] = (float(np.abs(diff @ x).max() / np.abs(x).max()), float(np.abs(diff).max()))
+        system = systems[form]
+        sol = system.split(lu_solve(system.matrix, system.rhs).x)
+        fields[n] = far_field(sol, tcfg, g, wave, angles, formulation=form, ops=ops).values
 
-        form = cfg["formulation"]
-        if form == "gcsie":
-            sys_to_solve = composed
-        elif form == "gcsie-explicit":
-            sys_to_solve = explicit
-        else:
-            sys_to_solve = assemble(tcfg, g, wave, "classical", ops=ops)
-        report = lu_solve(sys_to_solve.matrix, sys_to_solve.rhs)
-        sol = sys_to_solve.split(report.x)
-        ff = far_field(sol, tcfg, g, wave, angles, formulation=form, ops=ops)
-        fields[n] = ff.values
-
-    if is_circle:
-        mie = analytic.mie_solve(
-            cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=wave_angle
-        )
-        ref = mie.far_field(angles)
-        ref_tag = "mie"
+    if cfg["curve"]["kind"] == "circle":
+        ref, ref_tag = _mie_far_field(cfg, tcfg, angles), "mie"
     else:
-        ref = fields[n_list[-1]]
-        ref_tag = f"self_N{n_list[-1]}"
+        ref, ref_tag = fields[n_list[-1]], f"self_N{n_list[-1]}"
     scale = max(float(np.abs(ref).max()), 1e-300)
-
-    lines = ["N,farfield_error,reference,block_action_disagreement,block_max_disagreement"]
-    for n in n_list:
-        err = float(np.abs(fields[n] - ref).max() / scale)
-        act, raw = disagreements[n]
-        lines.append(f"{n},{_fmt(err)},{ref_tag},{_fmt(act)},{_fmt(raw)}")
-    (outdir / "convergence.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        outdir / "convergence.csv",
+        ["N", "farfield_error", "reference", "block_action_disagreement", "block_max_disagreement"],
+        ((n, float(np.abs(fields[n] - ref).max() / scale), ref_tag, *disagreements[n]) for n in n_list),
+    )
     return 0
 
 
 def run_compare(cfg: dict) -> int:
     tcfg = validate_config(cfg, lu=False)
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     g = grid(tcfg.n_nodes)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
     tol = cfg["solver"]["tol"]
     ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
-    lines = ["formulation,N,gmres_iterations,residual_target,converged"]
+    rows = []
     for form in ("gcsie", "classical"):
         system = assemble(tcfg, g, wave, form, ops=ops)
         report = gmres(system.matrix, system.rhs, tol=tol, maxit=2 * g.n)
-        lines.append(
-            f"{form},{tcfg.n_nodes},{report.iterations},{_fmt(tol)},{int(report.converged)}"
-        )
-    (outdir / "compare.csv").write_text("\n".join(lines) + "\n")
+        rows.append((form, tcfg.n_nodes, report.iterations, tol, int(report.converged)))
+    _write_csv(
+        outdir / "compare.csv", ["formulation", "N", "gmres_iterations", "residual_target", "converged"], rows
+    )
     return 0
 
 
@@ -344,15 +324,13 @@ def run_symbols(cfg: dict, n_min: int, n_max: int) -> int:
         raise ConfigError("curve.kind", "symbols experiment requires the circle")
     if not 0 <= n_min < n_max:
         raise ConfigError("n-range", f"need 0 <= n_min < n_max, got [{n_min}, {n_max}]")
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     radius = cfg["curve"].get("radius", 1.0)
     k1, k2, nu, kappa = tcfg.k1, tcfg.k2, tcfg.nu, tcfg.kappa
+    blocks = ("r11", "r12", "r21", "r22")
 
     rows = []
-    fits = {key: [] for key in ("r11", "r12", "r21", "r22", "dtn1", "dtn2")}
     for n in range(n_min, n_max + 1):
-        row = {"n": n, "pole_flag": 0}
         try:
             exact = analytic.exact_admittance_symbols(radius, k1, k2, nu, n)
             approx = analytic.approx_admittance_symbols(radius, kappa, nu, n)
@@ -360,47 +338,26 @@ def run_symbols(cfg: dict, n_min: int, n_max: int) -> int:
             y2 = analytic.circle_dtn_symbol("interior", radius, k2, n)
             nk = analytic.circle_operator_symbol("N", radius, kappa, n)
         except analytic.InteriorPoleError:
-            row["pole_flag"] = 1
-            rows.append(row)
+            rows.append({"n": n, "pole_flag": 1})
             continue
         except (SpecialFunctionError, ValueError) as exc:
             # past the order or overflow range of the cylinder functions
             raise ConfigError("n-range", f"mode {n} cannot be evaluated: {exc}") from exc
-        for tag, e, a in zip(("r11", "r12", "r21", "r22"), exact, approx):
-            row[f"{tag}_exact_re"] = e.real
-            row[f"{tag}_exact_im"] = e.imag
-            row[f"{tag}_diff"] = abs(a - e)
-            if n > 0:
-                fits[tag].append((n, abs(a - e)))
-        row["dtn1_diff"] = abs(2.0 * nk - y1)
-        row["dtn2_diff"] = abs(-2.0 * nk - y2)
-        if n > 0:
-            fits["dtn1"].append((n, row["dtn1_diff"]))
-            fits["dtn2"].append((n, row["dtn2_diff"]))
-        rows.append(row)
+        row = {"n": n, "pole_flag": 0}
+        for tag, e, a in zip(blocks, exact, approx):
+            row |= {f"{tag}_exact_re": e.real, f"{tag}_exact_im": e.imag, f"{tag}_diff": abs(a - e)}
+        rows.append(row | {"dtn1_diff": abs(2.0 * nk - y1), "dtn2_diff": abs(-2.0 * nk - y2)})
 
-    slopes = {
-        tag: analytic.smoothing_order(pts) if len(pts) >= 4 else float("nan")
-        for tag, pts in fits.items()
-    }
-
-    value_cols = []
-    for tag in ("r11", "r12", "r21", "r22"):
-        value_cols += [f"{tag}_exact_re", f"{tag}_exact_im", f"{tag}_diff"]
-    value_cols += ["dtn1_diff", "dtn2_diff"]
-    header = (
-        ["n", "pole_flag"]
-        + value_cols
-        + [f"slope_{tag}" for tag in ("r11", "r12", "r21", "r22", "dtn1", "dtn2")]
-    )
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["n"]), str(row["pole_flag"])]
-        for col in value_cols:
-            cells.append(_fmt(row[col]) if col in row else "")
-        cells += [_fmt(slopes[tag]) for tag in ("r11", "r12", "r21", "r22", "dtn1", "dtn2")]
-        lines.append(",".join(cells))
-    (outdir / "symbols.csv").write_text("\n".join(lines) + "\n")
+    fitted = [row for row in rows if row["n"] > 0 and not row["pole_flag"]]
+    slopes = {}
+    for tag in (*blocks, "dtn1", "dtn2"):
+        pts = [(row["n"], row[f"{tag}_diff"]) for row in fitted]
+        slopes[f"slope_{tag}"] = analytic.smoothing_order(pts) if len(pts) >= 4 else float("nan")
+    header = [
+        "n", "pole_flag", *(f"{tag}_{col}" for tag in blocks for col in ("exact_re", "exact_im", "diff")),
+        "dtn1_diff", "dtn2_diff", *slopes,
+    ]
+    _write_csv(outdir / "symbols.csv", header, ([(row | slopes).get(c) for c in header] for row in rows))
     return 0
 
 

@@ -102,6 +102,12 @@ def incident_traces(wave: IncidentWave, curve: Curve, grid: NodeGrid):
     return phase, 1j * wave.k1 * (nrm @ wave.direction) * phase
 
 
+def _check_k1(config: TransmissionConfig, incident: IncidentWave) -> None:
+    """ValueError unless the incident wave travels at the configuration's exterior wavenumber."""
+    if incident.k1 != config.k1:
+        raise ValueError(f"incident wave has k1 = {incident.k1!r}, the configuration k1 = {config.k1!r}")
+
+
 def _block(i: int, j: int) -> property:
     def view(self) -> np.ndarray:
         n = self.grid.n
@@ -299,9 +305,11 @@ def assemble(
     on the incident wave.  Called again with the same read-only arrays (as
     ``boundary_operator_set`` returns them) and equal formulation and nu, it
     returns the matrix object of the last call instead of composing anew.
+    An incident wave at another k1 than the configuration's raises ValueError.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    _check_k1(config, incident)
     k1, k2, kappa = complex(config.k1), complex(config.k2), complex(config.kappa)
     wavenumbers = [k1, k2] if formulation == "classical" else [k1, k2, kappa]
     sets = operator_sets(config, grid, wavenumbers, ops)

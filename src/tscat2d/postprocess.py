@@ -24,6 +24,7 @@ from ._memo import LastValue
 from .formulations import (
     IncidentWave,
     TransmissionConfig,
+    _check_k1,
     incident_traces,
     operator_sets,
     smoothed_regularizer,
@@ -96,8 +97,10 @@ def exterior_densities(
 
     Combined-source: u1 = DL1(dl) - SL1(sl) with the regularized
     densities.  Classical: u1 = DL1(phi - f) - SL1(nu psi - g) from the
-    Green representation and the transmission conditions.
+    Green representation and the transmission conditions.  An incident
+    wave at another k1 than the configuration's raises ValueError.
     """
+    _check_k1(config, incident)
     a, b = solution
     if formulation in ("gcsie", "gcsie-explicit"):
         return _regularized_densities(a, b, config, grid, ops)

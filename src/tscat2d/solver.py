@@ -96,6 +96,16 @@ def _row_permutation(piv: np.ndarray) -> np.ndarray:
     return np.array(p)
 
 
+def _rhs(b, n: int) -> np.ndarray:
+    """b as an array; raises ValueError unless it is one finite vector of length n."""
+    b = np.asarray(b)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side must be a vector of length {n}, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must contain only finite numbers")
+    return b
+
+
 def _lu_apply(factors, b, adjoint: bool = False) -> np.ndarray:
     """A^-1 b, or A^-H b if adjoint, from the factors L U = A[p] of A.
 
@@ -105,11 +115,7 @@ def _lu_apply(factors, b, adjoint: bool = False) -> np.ndarray:
     as its real and imaginary parts, so the factors are never converted.
     """
     lu, p = factors
-    b = np.asarray(b)
-    if b.shape != p.shape:
-        raise ValueError(f"right-hand side must be a vector of length {p.size}, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side must contain only finite numbers")
+    b = _rhs(b, p.size)
     if np.iscomplexobj(b) and not np.iscomplexobj(lu):
         return _lu_apply(factors, b.real, adjoint) + 1j * _lu_apply(factors, b.imag, adjoint)
     trsv = sla.get_blas_funcs("trsv", (lu, b))
@@ -188,10 +194,11 @@ def gmres(
     convergence.  Non-convergence is reported in the returned record,
     not raised.  The Krylov basis starts with room for 16 steps and
     doubles when full, so its memory follows the steps taken, not maxit.
+    A b that is not a finite vector of A's size raises ValueError.
     """
     a = _square(a)
-    b = np.asarray(b, dtype=complex)
-    n = b.size
+    n = a.shape[0]
+    b = np.asarray(_rhs(b, n), dtype=complex)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if maxit is None:

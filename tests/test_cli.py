@@ -88,9 +88,15 @@ def test_solve_null_contrast(tmp_path):
     assert report["farfield_max_abs"] <= 1e-8
 
 
-def test_solve_deterministic(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["solve", "--N", 32],
+    ["convergence", "--N-list", "16,32"],
+    ["compare", "--N", 32],
+    ["symbols", "--n-max", 20],
+], ids=lambda args: args[0])
+def test_subcommand_deterministic(tmp_path, args):
     out = tmp_path / "rep"
-    args = ["solve", "--k1", 4, "--k2", 8, "--nu", 2, "--N", 32, "--out", out]
+    args = [*args, "--k1", 4, "--k2", 8, "--nu", 2, "--out", out]
     assert run(args) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
     assert run(args) == 0

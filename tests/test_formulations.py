@@ -236,6 +236,13 @@ def test_unknown_formulation_rejected():
         assemble(cfg, grid(16), IncidentWave(0.0, 2.0), "mueller")
 
 
+@pytest.mark.parametrize("formulation", ["gcsie", "classical"])
+def test_incident_wave_at_another_k1_is_rejected(formulation):
+    cfg = TransmissionConfig(curve=make_circle(1.0), k1=4.0, k2=8.0, nu=2.0, n_nodes=32)
+    with pytest.raises(ValueError, match="k1"):
+        assemble(cfg, grid(32), IncidentWave(0.0, 5.0), formulation)
+
+
 def test_block_system_shape_checks():
     cfg = TransmissionConfig(curve=make_kite(), k1=2.0, k2=3.0, nu=1.0, n_nodes=16)
     g = grid(16)

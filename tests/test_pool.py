@@ -21,10 +21,11 @@ WAIT = 30  # seconds a barrier waits before the test fails instead of hanging
 
 @pytest.fixture
 def set_workers(monkeypatch):
-    # a fresh pool sized for the patched count, which may exceed this machine's CPUs
+    # a fresh pool for each test; it grows to the patched count, which may exceed this machine's CPUs
+    monkeypatch.setattr(_pool, "_executor", None)
+
     def set_to(n):
         monkeypatch.setattr(_pool, "workers", lambda: n)
-        monkeypatch.setattr(_pool, "_executor", None)
 
     return set_to
 
@@ -81,11 +82,9 @@ def test_bands_hold_equal_shares_of_the_row_work(three_workers):
     assert blocks[0][1] - blocks[0][0] < blocks[-1][1] - blocks[-1][0]  # long rows first
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_caller_takes_blocks_beside_one_pool_thread_fewer_than_cpus(set_workers, workers):
+def assert_working_at_once(workers):
     # each of the first `workers` blocks holds its thread at a barrier until every thread has one,
     # so the caller and workers - 1 pool threads are all working at once
-    set_workers(workers)
     barrier = threading.Barrier(workers, timeout=WAIT)
     names = []
 
@@ -99,6 +98,23 @@ def test_caller_takes_blocks_beside_one_pool_thread_fewer_than_cpus(set_workers,
     pool_threads = {name for name in names if name.startswith("tscat2d-block")}
     assert len(pool_threads) == workers - 1
     assert len(_pool._executor._threads) == _pool._executor._max_workers == workers - 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_takes_blocks_beside_one_pool_thread_fewer_than_cpus(set_workers, workers):
+    set_workers(workers)
+    assert_working_at_once(workers)
+
+
+def test_pool_grows_when_a_later_call_sees_more_cpus(set_workers):
+    set_workers(2)
+    recorded_blocks(300, BIG // 300)
+    first = _pool._executor
+    assert first._max_workers == 1
+    set_workers(3)
+    assert_working_at_once(3)
+    assert _pool._executor is not first
+    assert first.submit(lambda: 1).result(timeout=WAIT) == 1  # replaced, not shut down
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,13 @@ def test_far_field_matches_mie(circle_solution):
     assert np.abs(ff.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("formulation", ["gcsie", "classical"])
+def test_far_field_rejects_an_incident_wave_at_another_k1(circle_solution, formulation):
+    cfg, g, _, sol = circle_solution
+    with pytest.raises(ValueError, match="k1"):
+        far_field(sol, cfg, g, IncidentWave(0.0, 5.0), np.zeros(4), formulation=formulation)
+
+
 def test_far_field_scaling_consistency(kite_solution):
     # u1(r x_hat) sqrt(r) e^{-i k1 r} = u_inf + O(1/r): halving under r
     # doubling and Richardson extrapolation within the measured margin

@@ -2,6 +2,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ def test_gmres_parameter_validation():
         gmres(np.eye(4), np.ones(4), tol=1.5)
     with pytest.raises(ValueError):
         gmres(np.eye(4), np.ones(4), maxit=9)
+
+
+@pytest.mark.parametrize(
+    "b",
+    [np.ones(3), np.ones(5), np.ones((2, 2)), np.array([1.0, np.nan, 1.0, 1.0])],
+    ids=["too-short", "too-long", "2x2", "nan"],
+)
+def test_gmres_rejects_a_right_hand_side_that_is_not_one_finite_vector(b):
+    # refused before any arithmetic on b: no numpy error, broadcast or warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="right-hand side"):
+            gmres(np.eye(4), b)
 
 
 def test_norm2_estimate_scaled_identity():
