@@ -53,6 +53,10 @@ DEFAULT_CONFIG = {
 # (Kress, Linear Integral Equations, ch. 12)
 MIN_POINTS_PER_WAVELENGTH = 8.0
 
+# rounding levels of the kappa set above which a combined-source solve warns and a
+# Calderon-simplified one, which takes that noise into every block, is refused
+KAPPA_NOISE_WARN, KAPPA_NOISE_MAX_EXPLICIT = 1e-8, 1e-3
+
 
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -165,6 +169,17 @@ def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
     return g.n * 2.0 * np.pi / (max(tcfg.k1, tcfg.k2) * perimeter)
 
 
+def kappa_noise(tcfg: TransmissionConfig, g) -> float:
+    """eps exp(Im kappa diam), diam the largest distance between two grid nodes.
+
+    The kappa set's log split cancels J_n(kappa r), which grows like exp(Im kappa r),
+    so this is its rounding level relative to its largest entry.
+    """
+    pts = tcfg.curve.x(g.nodes)
+    diam = max(float(np.hypot(*(pts - p).T).max()) for p in pts)
+    return float(np.finfo(float).eps * np.exp(tcfg.kappa.imag * diam))
+
+
 def _output_dir(cfg: dict) -> Path:
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -190,8 +205,14 @@ def _mie_far_field(cfg: dict, tcfg: TransmissionConfig, angles: np.ndarray) -> n
 
 def run_solve(cfg: dict) -> int:
     tcfg = validate_config(cfg)
-    outdir = _output_dir(cfg)
     g = grid(tcfg.n_nodes)
+    noise = kappa_noise(tcfg, g)
+    noisy = f"the kappa set's rounding noise eps exp(Im kappa diam) is {noise:.3g}, above"
+    if cfg["formulation"] == "gcsie-explicit" and noise > KAPPA_NOISE_MAX_EXPLICIT:
+        raise ConfigError(
+            "kappa", f"{noisy} {KAPPA_NOISE_MAX_EXPLICIT:g} for gcsie-explicit; lower Im kappa or use gcsie"
+        )
+    outdir = _output_dir(cfg)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
     sv = cfg["solver"]
 
@@ -221,6 +242,8 @@ def run_solve(cfg: dict) -> int:
         "krylov_exhausted": report.method == "gmres" and report.iterations >= len(system.rhs),
         "points_per_wavelength": points_per_wavelength(tcfg, g),
     }
+    if cfg["formulation"] != "classical":  # the one formulation without a kappa set
+        out["kappa_noise"] = noise
     if cfg["curve"]["kind"] == "circle":
         ref = _mie_far_field(cfg, tcfg, angles)
         scale = np.abs(ref).max()
@@ -237,23 +260,20 @@ def run_solve(cfg: dict) -> int:
     (outdir / "timings.json").write_text(
         json.dumps({"solve_seconds": report.wall_time, "total_seconds": t_total}) + "\n"
     )
-    if out["krylov_exhausted"]:
-        print(
-            f"GMRES needed {report.iterations} iterations, the whole Krylov space of the "
-            f"{len(system.rhs)}-unknown system; the grid may not resolve the problem",
-            file=sys.stderr,
-        )
-    if out["points_per_wavelength"] < MIN_POINTS_PER_WAVELENGTH:
-        print(
-            f"{out['points_per_wavelength']:.3g} grid points per wavelength of max(k1, k2) "
-            f"along the boundary, below {MIN_POINTS_PER_WAVELENGTH:g}; the grid may not "
-            "resolve the wavenumbers",
-            file=sys.stderr,
-        )
-    if not report.converged:
-        print("solver did not converge within maxit", file=sys.stderr)
-        return 1
-    return 0
+    stderr_lines = [
+        out["krylov_exhausted"]
+        and f"GMRES needed {report.iterations} iterations, the whole Krylov space of the "
+        f"{len(system.rhs)}-unknown system; the grid may not resolve the problem",
+        out["points_per_wavelength"] < MIN_POINTS_PER_WAVELENGTH
+        and f"{out['points_per_wavelength']:.3g} grid points per wavelength of max(k1, k2) along the boundary, "
+        f"below {MIN_POINTS_PER_WAVELENGTH:g}; the grid may not resolve the wavenumbers",
+        out.get("kappa_noise", 0.0) > KAPPA_NOISE_WARN
+        and f"{noisy} {KAPPA_NOISE_WARN:g}; the solution may lose digits to it",
+        not report.converged and "solver did not converge within maxit",
+    ]
+    for line in filter(None, stderr_lines):
+        print(line, file=sys.stderr)
+    return 0 if report.converged else 1
 
 
 def run_convergence(cfg: dict, n_list: list[int]) -> int:

@@ -156,15 +156,11 @@ def operator_sets(
     ops: Mapping[complex, BoundaryOperators] | None = None,
 ) -> dict[complex, BoundaryOperators]:
     """Operator sets keyed by wavenumber, reusing those in ``ops``."""
-    out = {}
-    for k in map(complex, wavenumbers):
-        if k in out:
-            continue
-        if ops is not None and k in ops:
-            out[k] = ops[k]
-        else:
-            out[k] = boundary_operator_set(config.curve, grid, k)
-    return out
+    ops = ops or {}
+    return {
+        k: ops[k] if k in ops else boundary_operator_set(config.curve, grid, k)
+        for k in dict.fromkeys(map(complex, wavenumbers))
+    }
 
 
 def smoothed_regularizer(s_kappa, n_kappa, nu: float):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -88,23 +88,10 @@ def grid(n: int) -> NodeGrid:
 
 
 def make_circle(radius: float) -> Curve:
-    """Circle of given radius centered at the origin."""
+    """Circle of given radius centered at the origin: the ellipse with equal semi-axes."""
     if not (is_finite_real(radius) and radius > 0):
         raise ValueError(f"radius must be a finite positive number, got {radius!r}")
-    r = float(radius)
-
-    def x(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def dx(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-
-    def ddx(t):
-        return -x(t)
-
-    return Curve(kind="circle", x=x, dx=dx, ddx=ddx)
+    return replace(make_ellipse(radius, radius), kind="circle")
 
 
 def make_ellipse(a: float, b: float) -> Curve:

@@ -110,12 +110,11 @@ def _lu_apply(factors, b, adjoint: bool = False) -> np.ndarray:
     """A^-1 b, or A^-H b if adjoint, from the factors L U = A[p] of A.
 
     A x = b is L U x = b[p]; A^H x = b is U^H L^H y = b with x[p] = y.  Each
-    is one gather or scatter and two trsv calls.  b must be one finite vector
-    of A's size, else ValueError.  A complex b against real factors is solved
-    as its real and imaginary parts, so the factors are never converted.
+    is one gather or scatter and two trsv calls.  b is one finite vector of
+    A's size, as ``_rhs`` checks it.  A complex b against real factors is
+    solved as its real and imaginary parts, so the factors are never converted.
     """
     lu, p = factors
-    b = _rhs(b, p.size)
     if np.iscomplexobj(b) and not np.iscomplexobj(lu):
         return _lu_apply(factors, b.real, adjoint) + 1j * _lu_apply(factors, b.imag, adjoint)
     trsv = sla.get_blas_funcs("trsv", (lu, b))
@@ -143,7 +142,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     A b that is not a finite vector of A's size raises ValueError.
     """
     a = _square(a)
-    b = np.asarray(b)
+    b = _rhs(b, a.shape[0])  # before the factorization, which a malformed b would waste
     t0 = time.perf_counter()
     x = _lu_apply(_lu_factor(a)[0], b)
     elapsed = time.perf_counter() - t0

@@ -45,19 +45,51 @@ def test_solve_writes_report_and_farfield(tmp_path, capsys):
 
 
 def test_solve_flags_an_exhausted_krylov_space(tmp_path, capsys):
-    # k1 = 40 on 64 nodes is under-resolved: GMRES "converges" only in the whole 2N-dimensional
-    # space, and the far field is about 58% off Mie
+    # k1 = 40 on 46 nodes is under-resolved: GMRES "converges" only in the whole 2N-dimensional
+    # space, and the far field is about 90% off Mie
     out = tmp_path / "exhausted"
-    assert run(["solve", "--k1", 40, "--k2", 60, "--N", 64, "--out", out]) == 0
+    assert run(["solve", "--k1", 40, "--k2", 60, "--N", 46, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "converged"
-    assert report["iterations"] == 128
+    assert report["iterations"] == 92
     assert report["krylov_exhausted"] is True
     assert report["farfield_error_vs_reference"] > 0.1
-    assert report["points_per_wavelength"] == pytest.approx(64 / 60)
+    assert report["points_per_wavelength"] == pytest.approx(46 / 60)
     err = capsys.readouterr().err
     assert err.count("whole Krylov space") == 1
     assert err.count("points per wavelength") == 1
+
+
+def test_solve_refuses_gcsie_explicit_on_a_noisy_kappa_set(tmp_path, capsys, monkeypatch):
+    # kappa = 40+20i on the unit circle (diam 2): eps e^40 = 52
+    args = ["solve", "--k1", 40, "--k2", 60, "--N", 46]
+    out = tmp_path / "explicit"
+    with monkeypatch.context() as patch:
+        _no_operator_sets(patch)
+        assert run([*args, "--formulation", "gcsie-explicit", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: kappa: the kappa set's rounding noise eps exp(Im kappa diam) is 52.3" in err
+    assert not out.exists()
+    out = tmp_path / "composed"
+    assert run([*args, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["kappa_noise"] == pytest.approx(52.27, rel=1e-3)
+    assert capsys.readouterr().err.count("rounding noise eps exp(Im kappa diam) is 52.3") == 1
+
+
+def test_solve_reports_the_kappa_noise(tmp_path, capsys):
+    # the circle at k1 = 20: kappa = 20+10i, eps e^20 = 1.08e-7 is reported and warned of
+    args = ["solve", "--k1", 20, "--k2", 30, "--N", 64, "--formulation", "gcsie-explicit"]
+    reports, out = [], tmp_path / "explicit"
+    for _ in range(2):
+        assert run([*args, "--out", out]) == 0
+        reports.append((out / "report.json").read_bytes())
+        assert capsys.readouterr().err.count("rounding noise eps exp(Im kappa diam) is 1.08e-07") == 1
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["kappa_noise"] == pytest.approx(1.0773e-7, rel=1e-3)
+    out = tmp_path / "classical"
+    assert run([*args[:-1], "classical", "--out", out]) == 0
+    assert "kappa_noise" not in json.loads((out / "report.json").read_text())
+    assert "rounding noise" not in capsys.readouterr().err
 
 
 def test_solve_warns_below_eight_points_per_wavelength(tmp_path, capsys):

@@ -18,6 +18,7 @@ from tscat2d.formulations import (
     assemble,
     combined_source_blocks_explicit,
     incident_traces,
+    operator_sets,
     smoothed_regularizer,
 )
 from tscat2d.geometry import grid, make_circle, make_kite
@@ -406,6 +407,20 @@ def test_circle_gcsie_iterations_at_default_kappa(n):
     # kappa = 20+10i: the Kress split cancels J_n(kappa r), which grows like exp(Im kappa r),
     # so an asymmetric log-split table at rounding level showed as 56 iterations at every N
     assert _gmres_iterations(make_circle(1.0), 20.0, 30.0, n, "gcsie", 1e-10) <= 48
+
+
+def test_circle_gcsie_explicit_agrees_with_mie_at_default_kappa():
+    # kappa = 20+10i: the kappa set's log split carries the rounding of the Kress weights R
+    # times J_n(kappa r), about e^20 across the circle; R summed by cosines gave 7.99 digits
+    cfg = TransmissionConfig(curve=make_circle(1.0), k1=20.0, k2=30.0, nu=2.0, n_nodes=256)
+    g, wave = grid(256), IncidentWave(0.0, 20.0)
+    ops = operator_sets(cfg, g, (cfg.k1, cfg.k2, cfg.kappa))
+    system = assemble(cfg, g, wave, "gcsie-explicit", ops=ops)
+    angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    sol = system.split(lu_solve(system.matrix, system.rhs).x)
+    ff = far_field(sol, cfg, g, wave, angles, formulation="gcsie-explicit", ops=ops).values
+    ref = analytic.mie_solve(1.0, 20.0, 30.0, 2.0).far_field(angles)
+    assert -np.log10(np.abs(ff - ref).max() / np.abs(ref).max()) >= 8.3
 
 
 def test_kite_gcsie_beats_classical_at_k1_24():

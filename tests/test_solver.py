@@ -119,6 +119,15 @@ def test_lu_solve_rejects_a_right_hand_side_that_is_not_one_finite_vector(rhs):
         lu_solve(a, rhs(b))
 
 
+def test_lu_solve_checks_the_right_hand_side_before_it_factors(monkeypatch):
+    calls = []
+    checked_lu_factor = solver._checked_lu_factor
+    monkeypatch.setattr(solver, "_checked_lu_factor", lambda a: calls.append(a) or checked_lu_factor(a))
+    with pytest.raises(ValueError, match="right-hand side"):
+        lu_solve(2 * np.eye(4), np.ones(3))
+    assert calls == []
+
+
 def test_gmres_identity_one_iteration():
     b = np.arange(1.0, 9.0)
     rep = gmres(np.eye(8), b, tol=1e-10)
