@@ -10,10 +10,12 @@ Three assemblies of the same physics:
     kappa.  Enforcing the jump conditions yields a 2x2 system that is a
     compact perturbation of the identity.
 
-  * combined-source, Calderon-simplified ("gcsie-explicit"): the same
-    system with the operator products expanded through the Calderon
-    identities S N = K^2 - I/4 etc.; analytically equal to the composed
-    form, discretely equal up to quadrature error.
+  * combined-source, Calderon-simplified ("gcsie-explicit"): the paper's
+    expansion of the same system through the Calderon identities
+    S N = K^2 - I/4 and N S = (K^T)^2 - I/4, built as the composed system
+    plus the discrete Calderon residuals in D11 and D22; analytically equal
+    to the composed form, discretely equal up to those residuals, which
+    are quadrature error.
 
   * classical ("classical"): the direct second-kind system in the
     interior Cauchy data (phi, psi) = (Dirichlet, Neumann traces of the
@@ -215,6 +217,14 @@ def combined_source_blocks(o1: BoundaryOperators, o2: BoundaryOperators, r, nu: 
     return out
 
 
+def _calderon_residual(a, b, e):
+    """a b - e e + I/4, which the Calderon identities S N = K^2 - I/4 and N S = (K^T)^2 - I/4 make zero."""
+    out = a @ b
+    out -= e @ e
+    out[np.diag_indices_from(out)] += 0.25
+    return out
+
+
 def combined_source_blocks_explicit(
     o1: BoundaryOperators,
     o2: BoundaryOperators,
@@ -223,32 +233,18 @@ def combined_source_blocks_explicit(
 ):
     """Calderon-simplified form of the combined-source system, as the stacked matrix.
 
-    Equal to the composed form for the exact operators; the discrete
-    difference is the residual of the discrete Calderon identities.
+    The composed system plus the discrete Calderon residuals C(a, b, e) =
+    a b - e e + I/4: D11 gains 2 R11 C(S1, N1, K1) + 2 R22 C(S2, N2, K2),
+    D22 gains 2 C(N_kappa, S_kappa, K_kappa^T).  For any matrices, and for
+    1x1 circle symbols, this is the paper's expansion of the products
+    through S N = K^2 - I/4 and N S = (K^T)^2 - I/4.
     """
-    c = 1.0 + nu
-    s1, k1m, kt1, n1 = o1
-    s2, k2m, kt2, n2 = o2
-    sk, nk, ktk = ok.s, ok.n, ok.kt
-    out, (d11, d12, d21, d22) = _stacked(s1.shape[0])
-    np.fill_diagonal(out, 1.0)  # I in D11 and D22
-
-    d11 -= k2m / c
-    d11 += nu / c * k1m
-    d11 -= 2.0 * nu / c * (s1 @ (nk - n1))
-    d11 -= 2.0 * nu / c * (k1m @ k1m)
-    d11 -= 2.0 / c * (s2 @ (nk - n2))
-    d11 -= 2.0 / c * (k2m @ k2m)
-    d12[...] = (s2 - s1) / c
-    d12 -= 2.0 / c * ((k1m + k2m) @ sk)
-
-    d21[...] = nu / c * (n1 - n2)
-    d21 -= 2.0 * nu / c * ((kt1 + kt2) @ nk)
-    d22 += nu / c * kt2
-    d22 -= kt1 / c
-    d22 -= 2.0 / c * ((n1 - nk) @ sk)
-    d22 -= 2.0 * nu / c * ((n2 - nk) @ sk)
-    d22 -= 2.0 * (ktk @ ktk)
+    r11, _, _, r22 = r = smoothed_regularizer(ok.s, ok.n, nu)
+    out = combined_source_blocks(o1, o2, r, nu)
+    n = o1.s.shape[0]
+    out[:n, :n] += 2.0 * r11 * _calderon_residual(o1.s, o1.n, o1.k)
+    out[:n, :n] += 2.0 * r22 * _calderon_residual(o2.s, o2.n, o2.k)
+    out[n:, n:] += 2.0 * _calderon_residual(ok.n, ok.s, ok.kt)
     return out
 
 

@@ -123,16 +123,16 @@ def gcsie_fields(
     side="exterior": u1 = DL1(dl) - SL1(sl);
     side="interior": u2 = -DL2(dl - a) + SL2(sl - b)/nu.
     """
+    if side not in ("exterior", "interior"):
+        raise ValueError(f"unknown side {side!r}; expected 'exterior' or 'interior'")
     a, b = solution
     dl, sl = _regularized_densities(a, b, config, grid, ops)
     curve = config.curve
     if side == "exterior":
         return double_layer_potential(curve, grid, config.k1, dl, points) - \
             single_layer_potential(curve, grid, config.k1, sl, points)
-    if side == "interior":
-        return -double_layer_potential(curve, grid, config.k2, dl - a, points) + \
-            single_layer_potential(curve, grid, config.k2, (sl - b) / config.nu, points)
-    raise ValueError(f"unknown side {side!r}; expected 'exterior' or 'interior'")
+    return -double_layer_potential(curve, grid, config.k2, dl - a, points) + \
+        single_layer_potential(curve, grid, config.k2, (sl - b) / config.nu, points)
 
 
 # the last jac-weighted plane-wave kernels, while their curve lives

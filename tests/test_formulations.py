@@ -10,12 +10,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscat2d import analytic
 from tscat2d.formulations import (
     IncidentWave,
     TransmissionConfig,
     assemble,
+    combined_source_blocks,
     combined_source_blocks_explicit,
     incident_traces,
     operator_sets,
@@ -347,6 +349,11 @@ def test_blocks_are_views_of_the_stored_matrix():
     assert np.array_equal(system.matrix, stacked)
 
 
+def _calderon_residual(a, b, e):
+    """a b - e e + I/4, zero for the exact operators by the Calderon identities."""
+    return a @ b - e @ e + 0.25 * np.eye(a.shape[0])
+
+
 def _blocks_out_of_place(formulation, used, nu):
     """The four blocks of each formulation, each one expression, as a reference."""
     eye = np.eye(used[0].s.shape[0])
@@ -359,18 +366,31 @@ def _blocks_out_of_place(formulation, used, nu):
             0.5 * (1.0 + nu) * eye + nu * o1.kt - o2.kt,
         )
     o1, o2, ok = used
+    r11, r12, r21, r22 = smoothed_regularizer(ok.s, ok.n, nu)
+    sum_s = o1.s + o2.s / nu
+    sum_k = o1.k + o2.k
+    sum_kt = o1.kt + o2.kt
+    sum_n = o1.n + nu * o2.n
+    d11 = 0.5 * eye - o2.k + r11 * sum_k - sum_s @ r21
+    d12 = o2.s / nu + sum_k @ r12 - r22 * sum_s
+    d21 = -nu * o2.n + r11 * sum_n - sum_kt @ r21
+    d22 = 0.5 * eye + o2.kt + sum_n @ r12 - r22 * sum_kt
     if formulation == "gcsie":
-        r11, r12, r21, r22 = smoothed_regularizer(ok.s, ok.n, nu)
-        sum_s = o1.s + o2.s / nu
-        sum_k = o1.k + o2.k
-        sum_kt = o1.kt + o2.kt
-        sum_n = o1.n + nu * o2.n
-        return (
-            0.5 * eye - o2.k + r11 * sum_k - sum_s @ r21,
-            o2.s / nu + sum_k @ r12 - r22 * sum_s,
-            -nu * o2.n + r11 * sum_n - sum_kt @ r21,
-            0.5 * eye + o2.kt + sum_n @ r12 - r22 * sum_kt,
-        )
+        return d11, d12, d21, d22
+    # gcsie-explicit: the composed blocks plus the discrete Calderon residuals
+    return (
+        d11 + 2.0 * r11 * _calderon_residual(o1.s, o1.n, o1.k)
+        + 2.0 * r22 * _calderon_residual(o2.s, o2.n, o2.k),
+        d12,
+        d21,
+        d22 + 2.0 * _calderon_residual(ok.n, ok.s, ok.kt),
+    )
+
+
+def _paper_explicit_blocks(used, nu):
+    """The paper's gcsie-explicit blocks: the products expanded by hand through S N = K^2 - I/4 etc."""
+    o1, o2, ok = used
+    eye = np.eye(o1.s.shape[0])
     c = 1.0 + nu
     s1, k1m, kt1, n1 = o1
     s2, k2m, kt2, n2 = o2
@@ -394,6 +414,43 @@ def test_composed_in_place_equals_the_out_of_place_blocks_bit_for_bit(formulatio
     matrix = assemble(cfg, g, IncidentWave(0.0, cfg.k1), formulation, ops=ops).matrix
     assert matrix.dtype == reference.dtype
     assert matrix.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("case", ["kite 4/6 N=48", "circle 20/30 N=256"])
+def test_explicit_matrix_equals_the_paper_expansion_to_rounding(case, op_cache):
+    # the composed system plus the Calderon residuals is the hand expansion, term for term
+    if case.startswith("kite"):
+        cfg, g, ops = _kite_sweep_setup(n=48)
+        used = [ops[k] for k in (4 + 0j, 6 + 0j, 4 + 2j)]
+    else:
+        cfg = TransmissionConfig(curve=make_circle(1.0), k1=20.0, k2=30.0, nu=2.0, n_nodes=256)
+        g = grid(256)
+        used = [op_cache("circle", 256, k) for k in (cfg.k1, cfg.k2, cfg.kappa)]
+        ops = {complex(k): o for k, o in zip((cfg.k1, cfg.k2, cfg.kappa), used)}
+    d = _paper_explicit_blocks(used, cfg.nu)
+    reference = np.block([[d[0], d[1]], [d[2], d[3]]])
+    matrix = assemble(cfg, g, IncidentWave(0.0, cfg.k1), "gcsie-explicit", ops=ops).matrix
+    assert np.abs(matrix - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    radius=st.floats(0.5, 2.0),
+    k1=st.floats(0.5, 20.0),
+    k2=st.floats(0.5, 30.0),
+    nu=st.floats(0.1, 10.0),
+    kappa_re=st.floats(0.0, 20.0),
+    kappa_im=st.floats(0.5, 10.0),
+)
+def test_explicit_equals_composed_on_exact_circle_symbols(radius, k1, k2, nu, kappa_re, kappa_im):
+    # the Calderon identities hold for the exact symbols (1x1 operators of one mode each), so
+    # their residuals vanish to rounding
+    kappa = complex(kappa_re, kappa_im)
+    for m in range(65):
+        o1, o2, ok = (analytic._symbol_set(radius, k, m) for k in (k1, k2, kappa))
+        composed = combined_source_blocks(o1, o2, smoothed_regularizer(ok.s, ok.n, nu), nu)
+        explicit = combined_source_blocks_explicit(o1, o2, ok, nu)
+        assert np.abs(explicit - composed).max() <= 1e-12 * np.abs(composed).max(), m
 
 
 def _gmres_iterations(curve, k1, k2, n, formulation, tol):

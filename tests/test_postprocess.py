@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from tscat2d import analytic, postprocess
+from tscat2d import analytic, formulations, postprocess
 from tscat2d.formulations import IncidentWave, TransmissionConfig, assemble, incident_traces
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set
@@ -68,6 +68,16 @@ def test_near_boundary_points_rejected():
     z = np.zeros(32, dtype=complex)
     with pytest.raises(ValueError, match="distance"):
         gcsie_fields((z, z), cfg, g, np.array([[1.05, 0.0]]), side="exterior")
+
+
+def test_unknown_side_is_rejected_before_any_operator_set(monkeypatch):
+    builds = []
+    monkeypatch.setattr(formulations, "boundary_operator_set", lambda *args: builds.append(args))
+    cfg = TransmissionConfig(curve=make_kite(), k1=8.0, k2=12.0, nu=2.0, kappa=8 + 4j, n_nodes=32)
+    z = np.zeros(32, dtype=complex)
+    with pytest.raises(ValueError, match="side"):
+        gcsie_fields((z, z), cfg, grid(32), np.array([[3.0, 0.0]]), side="outside")
+    assert builds == []
 
 
 def test_null_contrast_exterior_field_vanishes():
