@@ -133,6 +133,9 @@ def _check_run_fields(cfg: dict, n_nodes: int, lu: bool | None) -> None:
     sv = cfg.get("solver", {})
     if not isinstance(sv, dict):
         raise ConfigError("solver", f"must be an object, got {sv!r}")
+    unknown = sorted(set(sv) - set(DEFAULT_CONFIG["solver"]))
+    if unknown:
+        raise ConfigError(f"solver.{unknown[0]}", "unknown configuration key")
     if sv.get("type") not in ("gmres", "lu"):
         raise ConfigError("solver.type", f"must be 'gmres' or 'lu', got {sv.get('type')!r}")
     tol = sv.get("tol")
@@ -147,8 +150,8 @@ def _check_run_fields(cfg: dict, n_nodes: int, lu: bool | None) -> None:
         raise ConfigError("farfield_angles", "must be a positive integer")
     if not isinstance(cfg.get("diagnostics"), bool):
         raise ConfigError("diagnostics", f"must be true or false, got {cfg.get('diagnostics')!r}")
-    if not is_integer(cfg.get("seed")):
-        raise ConfigError("seed", "must be an integer")
+    if not (is_integer(cfg.get("seed")) and cfg["seed"] >= 0):
+        raise ConfigError("seed", f"must be a non-negative integer, got {cfg.get('seed')!r}")
     lu = (sv["type"] == "lu" or cfg["diagnostics"]) if lu is None else lu
     if lu and 2 * n_nodes > MAX_DIRECT_UNKNOWNS:
         raise ConfigError("N", f"must be at most {MAX_DIRECT_UNKNOWNS // 2} where LU runs, got {n_nodes}")
@@ -221,7 +224,7 @@ def run_solve(cfg: dict) -> int:
     if sv["type"] == "lu":
         report = lu_solve(system.matrix, system.rhs)
     else:
-        report = gmres(system.matrix, system.rhs, tol=sv["tol"], maxit=sv["maxit"] or 2 * g.n)
+        report = gmres(system.matrix, system.rhs, tol=sv["tol"], maxit=sv["maxit"])
     t_total = time.perf_counter() - t0
 
     sol = system.split(report.x)
@@ -325,12 +328,12 @@ def run_compare(cfg: dict) -> int:
     outdir = _output_dir(cfg)
     g = grid(tcfg.n_nodes)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
-    tol = cfg["solver"]["tol"]
+    tol, maxit = cfg["solver"]["tol"], cfg["solver"]["maxit"]
     ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
     rows = []
     for form in ("gcsie", "classical"):
         system = assemble(tcfg, g, wave, form, ops=ops)
-        report = gmres(system.matrix, system.rhs, tol=tol, maxit=2 * g.n)
+        report = gmres(system.matrix, system.rhs, tol=tol, maxit=maxit)
         rows.append((form, tcfg.n_nodes, report.iterations, tol, int(report.converged)))
     _write_csv(
         outdir / "compare.csv", ["formulation", "N", "gmres_iterations", "residual_target", "converged"], rows

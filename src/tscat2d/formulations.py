@@ -110,6 +110,12 @@ def _check_k1(config: TransmissionConfig, incident: IncidentWave) -> None:
         raise ValueError(f"incident wave has k1 = {incident.k1!r}, the configuration k1 = {config.k1!r}")
 
 
+def _check_grid(config: TransmissionConfig, grid: NodeGrid) -> None:
+    """ValueError unless the grid has the configuration's n_nodes nodes."""
+    if grid.n != config.n_nodes:
+        raise ValueError(f"grid has {grid.n} nodes, the configuration n_nodes = {config.n_nodes}")
+
+
 def _block(i: int, j: int) -> property:
     def view(self) -> np.ndarray:
         n = self.grid.n
@@ -297,11 +303,13 @@ def assemble(
     on the incident wave.  Called again with the same read-only arrays (as
     ``boundary_operator_set`` returns them) and equal formulation and nu, it
     returns the matrix object of the last call instead of composing anew.
-    An incident wave at another k1 than the configuration's raises ValueError.
+    An incident wave at another k1 than the configuration's, or a grid of
+    another size than its n_nodes, raises ValueError.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     _check_k1(config, incident)
+    _check_grid(config, grid)
     k1, k2, kappa = complex(config.k1), complex(config.k2), complex(config.kappa)
     wavenumbers = [k1, k2] if formulation == "classical" else [k1, k2, kappa]
     sets = operator_sets(config, grid, wavenumbers, ops)

@@ -24,6 +24,7 @@ from ._memo import LastValue
 from .formulations import (
     IncidentWave,
     TransmissionConfig,
+    _check_grid,
     _check_k1,
     incident_traces,
     operator_sets,
@@ -98,9 +99,11 @@ def exterior_densities(
     Combined-source: u1 = DL1(dl) - SL1(sl) with the regularized
     densities.  Classical: u1 = DL1(phi - f) - SL1(nu psi - g) from the
     Green representation and the transmission conditions.  An incident
-    wave at another k1 than the configuration's raises ValueError.
+    wave at another k1 than the configuration's, or a grid of another size
+    than its n_nodes, raises ValueError.
     """
     _check_k1(config, incident)
+    _check_grid(config, grid)
     a, b = solution
     if formulation in ("gcsie", "gcsie-explicit"):
         return _regularized_densities(a, b, config, grid, ops)
@@ -121,10 +124,12 @@ def gcsie_fields(
     """Evaluate the combined-source field representation off the boundary.
 
     side="exterior": u1 = DL1(dl) - SL1(sl);
-    side="interior": u2 = -DL2(dl - a) + SL2(sl - b)/nu.
+    side="interior": u2 = -DL2(dl - a) + SL2(sl - b)/nu.  A grid of another
+    size than the configuration's n_nodes raises ValueError.
     """
     if side not in ("exterior", "interior"):
         raise ValueError(f"unknown side {side!r}; expected 'exterior' or 'interior'")
+    _check_grid(config, grid)
     a, b = solution
     dl, sl = _regularized_densities(a, b, config, grid, ops)
     curve = config.curve

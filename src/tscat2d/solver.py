@@ -8,9 +8,10 @@ An LU solve takes one right-hand side: it gathers b by the row permutation
 of the factorization, kept with the factors, and makes two BLAS-2 triangular
 solves (trsv), with no LAPACK getrs.  LU factorizations and LU solves run one
 at a time across threads, under one module lock.  The conditioning
-diagnostics, ||A - s I||_2 and sigma_min(A) = 1 / ||A^-1||_2, are the largest
-singular values of Golub-Kahan-Lanczos bidiagonalizations with full
-reorthogonalization.
+diagnostics, ||A - s I||_2 and sigma_min(A) = 1 / ||A^-1||_2, are largest
+singular values found by Lanczos on M^H M through GMRES's Arnoldi step, so the
+solver builds one kind of Krylov basis, always with modified Gram-Schmidt
+against every earlier vector.
 """
 
 from __future__ import annotations
@@ -158,15 +159,40 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
     )
 
 
-# Krylov bases (GMRES, Golub-Kahan-Lanczos) start with room for this many steps and double when full
-_FIRST_BASIS_SIZE = 16
-
-
 def _grown(a: np.ndarray, shape) -> np.ndarray:
     """a copied into the top-left corner of a zero array of the given shape."""
     out = np.zeros(shape, dtype=a.dtype)
     out[: a.shape[0], : a.shape[1]] = a
     return out
+
+
+# the Krylov basis starts with room for this many steps and doubles when full
+_FIRST_BASIS_SIZE = 16
+
+
+def _arnoldi_step(op, v: np.ndarray, h: np.ndarray, j: int, steps: int):
+    """Step j of Arnoldi with modified Gram-Schmidt, in room for at most ``steps`` steps.
+
+    The rows v_0..v_j of v are an orthonormal basis and h is the Hessenberg
+    matrix of the steps before; at j = 0, v may be v_0 alone and h 1 x 0.
+    Column j of h gets the coefficients of w = op(v_j) against every earlier
+    vector, then |w|, and v_(j+1) = w / |w| unless |w| is 0.  The arrays get
+    room for 16 steps at first and double, up to ``steps``, when full, so
+    their memory follows the steps taken.  Returns (v, h, |w|); v and h are
+    new arrays after a growth.
+    """
+    if j == h.shape[1]:
+        size = min(max(2 * j, _FIRST_BASIS_SIZE), steps)
+        v, h = _grown(v, (size + 1, v.shape[1])), _grown(h, (size + 1, size))
+    w = op(v[j])
+    for i in range(j + 1):
+        h[i, j] = np.vdot(v[i], w)
+        w -= h[i, j] * v[i]
+    wnorm = np.linalg.norm(w)
+    h[j + 1, j] = wnorm
+    if wnorm > 0.0:
+        v[j + 1] = w / wnorm
+    return v, h, wnorm
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -217,30 +243,18 @@ def gmres(
             converged=True,
         )
 
-    # Krylov basis and Hessenberg matrix for `size` steps, doubled when full
-    size = min(maxit, _FIRST_BASIS_SIZE)
-    v = np.empty((size + 1, n), dtype=complex)
-    h = np.zeros((size + 1, size), dtype=complex)
+    v = (b / bnorm)[None, :]
+    h = np.zeros((1, 0), dtype=complex)
     cs = np.zeros(maxit, dtype=complex)
     sn = np.zeros(maxit, dtype=complex)
     g = np.zeros(maxit + 1, dtype=complex)
 
-    v[0] = b / bnorm
     g[0] = bnorm
     history = [1.0]
     converged = False
     m = 0
     for j in range(maxit):
-        if j == size:
-            size = min(2 * size, maxit)
-            v = _grown(v, (size + 1, n))
-            h = _grown(h, (size + 1, size))
-        w = _matvec(a, v[j])
-        for i in range(j + 1):  # modified Gram-Schmidt
-            h[i, j] = np.vdot(v[i], w)
-            w -= h[i, j] * v[i]
-        wnorm = np.linalg.norm(w)
-        h[j + 1, j] = wnorm
+        v, h, wnorm = _arnoldi_step(lambda x: _matvec(a, x), v, h, j, maxit)
 
         for i in range(j):  # previously accumulated rotations
             hi = np.conj(cs[i]) * h[i, j] + np.conj(sn[i]) * h[i + 1, j]
@@ -261,7 +275,6 @@ def gmres(
             break
         if wnorm == 0.0:  # Krylov space invariant; no further progress possible
             break
-        v[m] = w / wnorm
 
     y = sla.solve_triangular(h[:m, :m], g[:m]) if m > 0 else np.zeros(0, dtype=complex)
     x = v[:m].T @ y
@@ -275,82 +288,43 @@ def gmres(
     )
 
 
-# Golub-Kahan-Lanczos: at most this many steps, stopped early when the estimate changes by at
-# most this much, relative, from one step to the next
+# Lanczos: at most this many steps, stopped early when the estimate changes by at most this
+# much, relative, from one step to the next
 _LANCZOS_STEPS = 200
 _LANCZOS_RTOL = 1e-10
 
 
-def _projection(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the span of the orthonormal rows of q.
-
-    The coefficients conj(q_i) . x are conj(q @ conj(x)), so no conjugate
-    of the basis is formed.
-    """
-    return q.T @ (q @ x.conj()).conj()
-
-
-def _bidiagonal_norm(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Largest singular value of the upper bidiagonal matrix B with diagonal alpha and superdiagonal beta.
-
-    It is the root of the largest eigenvalue of the tridiagonal B^T B, whose
-    diagonal is alpha_i^2 + beta_(i-1)^2 and off-diagonal alpha_i beta_i.
-    """
-    d = alpha**2
-    d[1:] += beta**2
-    k = len(d)
-    lam = sla.eigvalsh_tridiagonal(d, alpha[:-1] * beta, select="i", select_range=(k - 1, k - 1))
-    return float(np.sqrt(lam[0]))
-
-
 def _largest_singular_value(matvec, rmatvec, n: int, seed: int) -> float:
-    """Largest singular value of an n x n operator M by Golub-Kahan-Lanczos bidiagonalization.
+    """Largest singular value of an n x n operator M by Lanczos on M^H M through GMRES's Arnoldi step.
 
-    matvec(x) returns M x and rmatvec(y) returns M^H y.  Step j extends
-    orthonormal bases u_1..u_j and v_1..v_j with M V_j = U_j B_j, where B_j
-    is upper bidiagonal (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965);
-    the largest singular value of B_j grows to that of M.  Both bases are
-    reorthogonalized against all their earlier vectors at every step.  The
-    iteration stops when that value changes by at most 1e-10 relative from
-    one step to the next, when an alpha or beta is 0 (the Krylov space is
-    invariant and the value exact), or after 200 steps.  v_1 is a complex
-    Gaussian vector drawn from ``seed``.  The bases start with room for 16
-    steps and double when full, so their memory follows the steps taken.
+    matvec(x) returns M x and rmatvec(y) returns M^H y.  Arnoldi on the
+    Hermitian x -> M^H M x is Lanczos with full reorthogonalization: its
+    Hessenberg matrix is tridiagonal up to rounding, and the largest
+    eigenvalue of its real tridiagonal part grows to sigma_max(M)^2.  It
+    spans the spaces of Golub-Kahan-Lanczos bidiagonalization of M (Golub &
+    Kahan, SIAM J. Numer. Anal. B 2, 1965).  The iteration stops when sigma
+    changes by at most 1e-10 relative from one step to the next, when the
+    Krylov space is invariant (sigma is then exact), or after 200 steps.
+    v_1 is a complex Gaussian vector drawn from ``seed``.
     """
     steps = min(_LANCZOS_STEPS, n)
-    size = min(steps, _FIRST_BASIS_SIZE)
-    u = np.empty((size, n), dtype=complex)
-    v = np.empty((size + 1, n), dtype=complex)
-    alpha = np.zeros(steps)
-    beta = np.zeros(steps)
     rng = np.random.default_rng(seed)
-    v[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v[0] /= np.linalg.norm(v[0])
-    p = matvec(v[0])
+    v = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[None, :]
+    v /= np.linalg.norm(v)
+    h = np.zeros((1, 0), dtype=complex)
     sigma = 0.0
     for j in range(steps):
-        if j == size:
-            size = min(2 * size, steps)
-            u = _grown(u, (size, n))
-            v = _grown(v, (size + 1, n))
-        p -= _projection(u[:j], p)
-        alpha[j] = np.linalg.norm(p)
-        previous, sigma = sigma, _bidiagonal_norm(alpha[: j + 1], beta[:j])
-        if alpha[j] == 0.0 or abs(sigma - previous) <= _LANCZOS_RTOL * sigma or j + 1 == steps:
+        v, h, wnorm = _arnoldi_step(lambda x: rmatvec(matvec(x)), v, h, j, steps)
+        diagonal, subdiagonal = h.diagonal()[: j + 1].real, h.diagonal(-1)[:j].real
+        lam = sla.eigvalsh_tridiagonal(diagonal, subdiagonal, select="i", select_range=(j, j))
+        previous, sigma = sigma, float(np.sqrt(lam[0]))
+        if wnorm == 0.0 or abs(sigma - previous) <= _LANCZOS_RTOL * sigma:
             break
-        u[j] = p / alpha[j]
-        r = rmatvec(u[j]) - alpha[j] * v[j]
-        r -= _projection(v[: j + 1], r)
-        beta[j] = np.linalg.norm(r)
-        if beta[j] == 0.0:
-            break
-        v[j + 1] = r / beta[j]
-        p = matvec(v[j + 1]) - beta[j] * u[j]
     return sigma
 
 
 def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
-    """Largest singular value of (A - shift*I) by Golub-Kahan-Lanczos bidiagonalization.
+    """Largest singular value of M = A - shift*I, by Lanczos on M^H M through GMRES's Arnoldi step.
 
     The shift is applied inside the products, (A - s I) v = A v - s v and
     (A - s I)^H u = A^H u - conj(s) u, so no shifted copy of A is formed.
@@ -367,7 +341,7 @@ def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
 
 
 def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
-    """Smallest singular value, 1 / ||A^-1||_2, by Golub-Kahan-Lanczos on A^-1.
+    """Smallest singular value 1 / ||M||_2, M = A^-1, by Lanczos on M^H M through GMRES's Arnoldi step.
 
     The products with A^-1 and A^-H are LU solves with one factorization,
     the one lu_solve used if A is the same read-only matrix.  Stops at

@@ -164,6 +164,8 @@ NUMERIC_FIELDS = (
     ("diagnostics", "no"),
     ("diagnostics", 1),
     ("diagnostics", None),
+    ("seed", -1),
+    ("solver.toll", 1e-12),
 ] + [(name, bad) for name in NUMERIC_FIELDS for bad in (True, "8")])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, value):
     # a dotted field is nested: "solver.tol" -> {"solver": {"tol": value}}

@@ -454,7 +454,7 @@ def test_explicit_equals_composed_on_exact_circle_symbols(radius, k1, k2, nu, ka
 
 
 def _gmres_iterations(curve, k1, k2, n, formulation, tol):
-    cfg = TransmissionConfig(curve=curve, k1=k1, k2=k2, nu=2.0)
+    cfg = TransmissionConfig(curve=curve, k1=k1, k2=k2, nu=2.0, n_nodes=n)
     system = assemble(cfg, grid(n), IncidentWave(0.0, k1), formulation)
     return gmres(system.matrix, system.rhs, tol=tol, maxit=2 * n).iterations
 

@@ -80,6 +80,20 @@ def test_unknown_side_is_rejected_before_any_operator_set(monkeypatch):
     assert builds == []
 
 
+def test_a_grid_of_another_size_than_n_nodes_is_rejected():
+    # a 64-node configuration with a 32-node grid assembled a 64 x 64 system, without a word
+    cfg = TransmissionConfig(curve=make_kite(), k1=2.0, k2=3.0, nu=2.0, n_nodes=64)
+    g, wave = grid(32), IncidentWave(0.0, 2.0)
+    z = np.zeros(32, dtype=complex)
+    with pytest.raises(ValueError, match="n_nodes"):
+        assemble(cfg, g, wave, "gcsie")
+    for formulation in ("gcsie", "classical"):
+        with pytest.raises(ValueError, match="n_nodes"):
+            far_field((z, z), cfg, g, wave, [0.0], formulation=formulation)
+    with pytest.raises(ValueError, match="n_nodes"):
+        gcsie_fields((z, z), cfg, g, np.array([[3.0, 0.0]]), side="exterior")
+
+
 def test_null_contrast_exterior_field_vanishes():
     kite = make_kite()
     cfg = TransmissionConfig(curve=kite, k1=3.0, k2=3.0, nu=1.0, n_nodes=128)

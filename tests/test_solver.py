@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tscat2d import IncidentWave, TransmissionConfig, assemble, grid, make_kite, solver
+from tscat2d import IncidentWave, TransmissionConfig, assemble, grid, make_circle, make_kite, solver
 from tscat2d.solver import gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 
 
@@ -228,10 +228,21 @@ def _kite_system_matrix(n):
     return assemble(cfg, grid(n), IncidentWave(0.0, cfg.k1), "gcsie").matrix
 
 
+def _circle_system_matrix(n, formulation):
+    cfg = TransmissionConfig(curve=make_circle(1.0), k1=20.0, k2=30.0, nu=2.0, n_nodes=n)
+    return assemble(cfg, grid(n), IncidentWave(0.0, cfg.k1), formulation).matrix
+
+
 @pytest.mark.parametrize(
     "matrix",
-    [lambda: _random_complex(300, 0), lambda: _kite_system_matrix(64), lambda: _pivoted(512, 17)],
-    ids=["random-300", "kite-gcsie-64", "pivoted-512"],
+    [
+        lambda: _random_complex(300, 0),
+        lambda: _kite_system_matrix(64),
+        lambda: _pivoted(512, 17),
+        lambda: _circle_system_matrix(64, "gcsie-explicit"),
+        lambda: _circle_system_matrix(64, "classical"),
+    ],
+    ids=["random-300", "kite-gcsie-64", "pivoted-512", "circle-gcsie-explicit-64", "circle-classical-64"],
 )
 def test_estimators_agree_with_a_dense_svd(matrix):
     a = matrix()
