@@ -1,10 +1,11 @@
 """Blocks of rows of elementwise array work, dealt to the caller's thread and a process-wide pool.
 
-The kernel tables are filled by numpy and scipy.special ufuncs, which
-release the interpreter lock inside their loops, so threads that fill
-disjoint blocks of rows of one output run in parallel.  Every entry is
-computed by the same ufunc calls on the same operands as in one
-whole-array call, so the results are bit-identical whatever the blocks.
+The kernel tables of an operator set, ``specfun``'s values on a kernel
+argument and the potentials at blocks of points are filled by numpy and
+scipy.special ufuncs, which release the interpreter lock inside their
+loops, so threads that fill disjoint blocks of rows of one output run in
+parallel.  Every entry is computed by the same ufunc calls on the same
+operands whatever the blocks, so the results are bit-identical.
 
 With n CPUs in the process's affinity (so ``taskset`` limits it), the
 caller and a pool of n - 1 threads work the blocks.  The pool is created
@@ -74,6 +75,8 @@ def map_blocks(fn, nrows: int, row_entries: int, row_work=None) -> None:
     raised one is raised, so that no thread writes into an output after
     the call ends.  So is an interrupt on the caller between blocks.
     """
+    if not nrows:
+        return
     cum = None if row_work is None else np.cumsum(row_work)
     entries = nrows * row_entries if cum is None else int(cum[-1])
     n = 1 if entries < MIN_ENTRIES or getattr(_local, "dealing", False) else workers()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic
+from . import analytic, specfun
 from .formulations import (
     FORMULATIONS,
     ConfigError,
@@ -30,7 +30,6 @@ from .geometry import grid, is_finite_real, is_integer, make_curve
 from .operators import fourier_modes
 from .postprocess import far_field
 from .solver import MAX_DIRECT_UNKNOWNS, gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
-from .specfun import SpecialFunctionError
 
 DEFAULT_CONFIG = {
     "curve": {"kind": "circle", "radius": 1.0},
@@ -172,15 +171,30 @@ def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
     return g.n * 2.0 * np.pi / (max(tcfg.k1, tcfg.k2) * perimeter)
 
 
+def _diameter(tcfg: TransmissionConfig, g) -> float:
+    pts = tcfg.curve.x(g.nodes)  # the offsets from 64 nodes at a time
+    return max(float(np.hypot(*(pts[i : i + 64, None] - pts).T).max()) for i in range(0, len(pts), 64))
+
+
 def kappa_noise(tcfg: TransmissionConfig, g) -> float:
-    """eps exp(Im kappa diam), diam the largest distance between two grid nodes.
+    """eps exp(Im kappa diam), diam the largest distance between two grid nodes; inf past overflow.
 
     The kappa set's log split cancels J_n(kappa r), which grows like exp(Im kappa r),
     so this is its rounding level relative to its largest entry.
     """
-    pts = tcfg.curve.x(g.nodes)
-    diam = max(float(np.hypot(*(pts - p).T).max()) for p in pts)
-    return float(np.finfo(float).eps * np.exp(tcfg.kappa.imag * diam))
+    with np.errstate(over="ignore"):
+        return float(np.finfo(float).eps * np.exp(tcfg.kappa.imag * _diameter(tcfg, g)))
+
+
+def _check_kernel_arguments(tcfg: TransmissionConfig, g, kappa_set: bool = True) -> None:
+    """Refuses kernel arguments k r, r up to the grid nodes' diameter, that specfun cannot evaluate."""
+    diam = _diameter(tcfg, g)
+    ks = {"k1": tcfg.k1, "k2": tcfg.k2, "kappa": abs(tcfg.kappa) if kappa_set else 0.0}
+    name = max(ks, key=ks.get)
+    if ks[name] * diam > specfun._MAX_ABS:
+        raise ConfigError(name, f"|{name}| diam = {ks[name] * diam:.4g}, outside |k r| <= {specfun._MAX_ABS:g}")
+    if kappa_set and tcfg.kappa.imag * diam > specfun._MAX_IM_J:
+        raise ConfigError("kappa", f"Im kappa diam = {tcfg.kappa.imag * diam:.4g}: J_n(kappa r) overflows")
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -199,22 +213,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _mie_far_field(cfg: dict, tcfg: TransmissionConfig, angles: np.ndarray) -> np.ndarray:
-    """Far field of the Mie series for the configured circle and incident angle."""
-    mie = analytic.mie_solve(
-        cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=float(cfg["angle"])
-    )
+    """Far field of the Mie series for the configured circle and incident angle; a ConfigError if it fails."""
+    try:
+        mie = analytic.mie_solve(
+            cfg["curve"].get("radius", 1.0), tcfg.k1, tcfg.k2, tcfg.nu, alpha=float(cfg["angle"])
+        )
+    except (specfun.SpecialFunctionError, ValueError) as exc:
+        raise ConfigError("curve", f"the Mie reference of this circle cannot be evaluated: {exc}") from exc
     return mie.far_field(angles)
 
 
 def run_solve(cfg: dict) -> int:
     tcfg = validate_config(cfg)
     g = grid(tcfg.n_nodes)
+    _check_kernel_arguments(tcfg, g, kappa_set=cfg["formulation"] != "classical")
     noise = kappa_noise(tcfg, g)
     noisy = f"the kappa set's rounding noise eps exp(Im kappa diam) is {noise:.3g}, above"
     if cfg["formulation"] == "gcsie-explicit" and noise > KAPPA_NOISE_MAX_EXPLICIT:
         raise ConfigError(
             "kappa", f"{noisy} {KAPPA_NOISE_MAX_EXPLICIT:g} for gcsie-explicit; lower Im kappa or use gcsie"
         )
+    angles = np.linspace(0.0, 2.0 * np.pi, cfg["farfield_angles"], endpoint=False)
+    ref = _mie_far_field(cfg, tcfg, angles) if cfg["curve"]["kind"] == "circle" else None
     outdir = _output_dir(cfg)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
     sv = cfg["solver"]
@@ -228,7 +248,6 @@ def run_solve(cfg: dict) -> int:
     t_total = time.perf_counter() - t0
 
     sol = system.split(report.x)
-    angles = np.linspace(0.0, 2.0 * np.pi, cfg["farfield_angles"], endpoint=False)
     ff = far_field(sol, tcfg, g, wave, angles, formulation=cfg["formulation"])
     rows = ((th, v.real, v.imag, abs(v)) for th, v in zip(ff.angles, ff.values))
     _write_csv(outdir / "farfield.csv", ["theta", "re_u_inf", "im_u_inf", "abs_u_inf"], rows)
@@ -247,8 +266,7 @@ def run_solve(cfg: dict) -> int:
     }
     if cfg["formulation"] != "classical":  # the one formulation without a kappa set
         out["kappa_noise"] = noise
-    if cfg["curve"]["kind"] == "circle":
-        ref = _mie_far_field(cfg, tcfg, angles)
+    if ref is not None:
         scale = np.abs(ref).max()
         err = np.abs(ff.values - ref).max() / scale if scale > 0 else np.abs(ff.values).max()
         out["farfield_error_vs_reference"] = float(err)
@@ -283,9 +301,12 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
     if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])) or any(n % 2 for n in n_list):
         raise ConfigError("N-list", f"need a non-empty strictly ascending list of even sizes, got {n_list}")
     tcfgs = {n: validate_config(dict(cfg, N=n), lu=True) for n in n_list}  # every solve is LU
+    for n, tcfg in tcfgs.items():
+        _check_kernel_arguments(tcfg, grid(n))
+    angles = np.linspace(0.0, 2.0 * np.pi, 180, endpoint=False)
+    ref = _mie_far_field(cfg, tcfg, angles) if cfg["curve"]["kind"] == "circle" else None  # one for every N
     outdir = _output_dir(cfg)
     form = cfg["formulation"]
-    angles = np.linspace(0.0, 2.0 * np.pi, 180, endpoint=False)
     band_limit = n_list[0] // 4  # action on a fixed band, resolved on the coarsest grid
 
     fields, disagreements = {}, {}
@@ -310,10 +331,8 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
         sol = system.split(lu_solve(system.matrix, system.rhs).x)
         fields[n] = far_field(sol, tcfg, g, wave, angles, formulation=form, ops=ops).values
 
-    if cfg["curve"]["kind"] == "circle":
-        ref, ref_tag = _mie_far_field(cfg, tcfg, angles), "mie"
-    else:
-        ref, ref_tag = fields[n_list[-1]], f"self_N{n_list[-1]}"
+    ref_tag = "mie" if ref is not None else f"self_N{n_list[-1]}"
+    ref = fields[n_list[-1]] if ref is None else ref
     scale = max(float(np.abs(ref).max()), 1e-300)
     _write_csv(
         outdir / "convergence.csv",
@@ -325,8 +344,9 @@ def run_convergence(cfg: dict, n_list: list[int]) -> int:
 
 def run_compare(cfg: dict) -> int:
     tcfg = validate_config(cfg, lu=False)
-    outdir = _output_dir(cfg)
     g = grid(tcfg.n_nodes)
+    _check_kernel_arguments(tcfg, g)
+    outdir = _output_dir(cfg)
     wave = IncidentWave(angle=float(cfg["angle"]), k1=tcfg.k1)
     tol, maxit = cfg["solver"]["tol"], cfg["solver"]["maxit"]
     ops = operator_sets(tcfg, g, (tcfg.k1, tcfg.k2, tcfg.kappa))
@@ -363,7 +383,7 @@ def run_symbols(cfg: dict, n_min: int, n_max: int) -> int:
         except analytic.InteriorPoleError:
             rows.append({"n": n, "pole_flag": 1})
             continue
-        except (SpecialFunctionError, ValueError) as exc:
+        except (specfun.SpecialFunctionError, ValueError) as exc:
             # past the order or overflow range of the cylinder functions
             raise ConfigError("n-range", f"mode {n} cannot be evaluated: {exc}") from exc
         row = {"n": n, "pole_flag": 0}

@@ -408,9 +408,7 @@ def spectral_derivative(density: np.ndarray) -> np.ndarray:
     n = density.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"spectral differentiation needs even n, got {n}")
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    freqs[n // 2] = 0.0  # Nyquist mode dropped
-    return np.fft.ifft(1j * freqs * np.fft.fft(density))
+    return np.fft.ifft(_derivative_symbol(n) * np.fft.fft(density))
 
 
 def fourier_modes(n: int) -> np.ndarray:

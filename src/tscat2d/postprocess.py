@@ -3,7 +3,11 @@
 Potentials are evaluated off the boundary with the plain periodic
 trapezoid rule, which is spectrally accurate at distance from the curve;
 points closer than 0.1 to the boundary are rejected rather than treated
-with near-singular quadrature.
+with near-singular quadrature.  Blocks of points, about
+``_pool.BAND_ENTRIES`` point-node pairs each, are dealt to the shared
+thread pool; each forms its own distances and kernel (one
+``specfun.hankel1`` call) and sums its rows one by one, so no points x N
+array is built and the values are the same for any number of threads.
 
 Far-field convention: u(x) ~ (e^{i k1 r}/sqrt(r)) (u_inf(x_hat) + O(1/r)).
 For a single-layer density phi this gives
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import _pool, specfun
 from ._memo import LastValue
 from .formulations import (
     IncidentWave,
@@ -44,36 +48,40 @@ class FarField:
     convention: str = "sqrt(r) * exp(-i k1 r) * u(r x_hat) -> u_inf(x_hat)"
 
 
-def _offsets(curve, grid: NodeGrid, points) -> tuple[np.ndarray, np.ndarray]:
-    """points - x(t_j) and its lengths, for points checked to keep MIN_EVAL_DISTANCE from the nodes."""
+def _potential(curve, grid: NodeGrid, density, points, kernel) -> np.ndarray:
+    """The trapezoid rule for sum_j kernel(points - x(t_j), |points - x(t_j)|)_j |x'(t_j)| density_j."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = points[:, None, :] - curve.x(grid.nodes)[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    dmin = r.min()
-    if dmin < MIN_EVAL_DISTANCE:
-        raise ValueError(
-            f"evaluation point at distance {dmin:.3g} from the boundary; "
-            f"minimum supported distance is {MIN_EVAL_DISTANCE}"
-        )
-    return diff, r
+    nodes, weights = curve.x(grid.nodes), grid.weight * curve.jacobian(grid.nodes) * np.asarray(density)
+    out = np.empty(len(points), dtype=complex)
+
+    def block(lo, hi):
+        diff = points[lo:hi, None, :] - nodes
+        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+        near = r.min(axis=1)
+        near = near[near < MIN_EVAL_DISTANCE]
+        if near.size:
+            raise ValueError(f"evaluation point at distance {near[0]:.3g} from the boundary; "
+                             f"minimum supported distance is {MIN_EVAL_DISTANCE}")
+        out[lo:hi] = (kernel(diff, r) * weights).sum(axis=1)  # row by row: the same bits for any blocks
+
+    _pool.map_blocks(block, len(points), grid.n)
+    return out
 
 
 def single_layer_potential(curve, grid: NodeGrid, k: complex, density, points) -> np.ndarray:
     """SL_k[density] at points away from the curve (trapezoid rule)."""
-    _, r = _offsets(curve, grid, points)
-    jac = curve.jacobian(grid.nodes)
-    kern = 0.25j * specfun.hankel1(0, k * r)
-    return grid.weight * (kern * jac[None, :]) @ np.asarray(density)
+    return _potential(curve, grid, density, points, lambda diff, r: 0.25j * specfun.hankel1(0, k * r))
 
 
 def double_layer_potential(curve, grid: NodeGrid, k: complex, density, points) -> np.ndarray:
     """DL_k[density] at points away from the curve (trapezoid rule)."""
-    diff, r = _offsets(curve, grid, points)
     nrm = curve.normal(grid.nodes)
-    jac = curve.jacobian(grid.nodes)
-    dot = diff[..., 0] * nrm[None, :, 0] + diff[..., 1] * nrm[None, :, 1]
-    kern = 0.25j * k * specfun.hankel1(1, k * r) * dot / r
-    return grid.weight * (kern * jac[None, :]) @ np.asarray(density)
+
+    def kernel(diff, r):
+        dot = diff[..., 0] * nrm[:, 0] + diff[..., 1] * nrm[:, 1]
+        return 0.25j * k * specfun.hankel1(1, k * r) * dot / r
+
+    return _potential(curve, grid, density, points, kernel)
 
 
 def _regularized_densities(a, b, config: TransmissionConfig, grid: NodeGrid, ops=None):
@@ -132,12 +140,9 @@ def gcsie_fields(
     _check_grid(config, grid)
     a, b = solution
     dl, sl = _regularized_densities(a, b, config, grid, ops)
-    curve = config.curve
-    if side == "exterior":
-        return double_layer_potential(curve, grid, config.k1, dl, points) - \
-            single_layer_potential(curve, grid, config.k1, sl, points)
-    return -double_layer_potential(curve, grid, config.k2, dl - a, points) + \
-        single_layer_potential(curve, grid, config.k2, (sl - b) / config.nu, points)
+    k, dl, sl = (config.k1, dl, -sl) if side == "exterior" else (config.k2, a - dl, (sl - b) / config.nu)
+    return double_layer_potential(config.curve, grid, k, dl, points) + \
+        single_layer_potential(config.curve, grid, k, sl, points)
 
 
 # the last jac-weighted plane-wave kernels, while their curve lives

@@ -11,8 +11,8 @@ about twenty times faster than the complex AMOS routines and within
 1e-14 of them for 0 < x <= 256.  Complex arguments, negative reals in
 hankel1, arguments past 256 and all other orders go through AMOS.
 
-hankel1 and bessel_j take a scalar or an array z, evaluated entry by
-entry after one pass over it that finds the extremes of |z|, Re z and
+hankel1 and bessel_j take a scalar or an array z, evaluated in one call
+after whole-array reductions that find the extremes of |z|, Re z and
 Im z for the range and branch checks, or a ``KernelArgument``: the
 argument k r of a Nystrom kernel, from the wavenumber k and the symmetric
 distance matrix r = |x(t) - x(tau)|, checked once when it is built.  No
@@ -37,13 +37,14 @@ At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
 next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
 again.  The module itself keeps no state between calls.
 
-One loop, ``_evaluate``, fills every result in blocks of rows of about
-``_pool.BAND_ENTRIES`` entries on the shared thread pool
-(``_pool.map_blocks``): a kernel argument's triangle in blocks of equal
-numbers of its entries, an array of at least ``_pool.MIN_ENTRIES``
-entries in blocks of equal numbers of rows.  Each block checks that its
-values are finite, so the temporaries stay that small.  The AMOS and
-Cephes values are bit-identical to one whole-array call.
+One loop, ``_evaluate``, fills every result.  An array takes one call,
+so a caller with much array work, such as a potential at many points,
+splits it into blocks itself.  A kernel argument's triangle is filled in
+blocks of rows holding equal numbers of its entries, about
+``_pool.BAND_ENTRIES`` each, on the shared thread pool
+(``_pool.map_blocks``); each block checks that its values are finite, so
+the temporaries stay that small.  The AMOS and Cephes values are
+bit-identical to one whole-array call.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ from .geometry import is_integer
 EULER_GAMMA = 0.5772156649015329
 
 _MAX_ORDER = 200
+_MAX_ABS = 1.0e4  # largest supported |z|
+_MAX_IM_J = 700.92  # AMOS's exponent limit: J_n(z) at complex z overflows past this Im z
 
 # past x = 256 Cephes differs by more than 1e-14 from AMOS, which matches mpmath there
 _CEPHES_MAX = 256.0
@@ -120,27 +123,12 @@ class _Extremes(NamedTuple):
 
 
 def _extremes(z: np.ndarray) -> _Extremes:
-    """z's ``_Extremes``, from one pass by rows (by entries if one-dimensional) on the shared pool."""
+    """z's ``_Extremes``, from NaN-skipping reductions over the whole array."""
     if z.size == 0:
         return _Extremes(np.inf, -np.inf, np.inf, np.inf)
-    rows = z.reshape(len(z), -1) if z.ndim else z.reshape(1, 1)
-    found = []
-
-    def block(lo, hi):
-        v = rows[lo:hi]
-        a = np.abs(v)
-        re = np.fmin.reduce(v.real, axis=None)
-        im = np.fmin.reduce(v.imag, axis=None) if np.iscomplexobj(v) else 0.0
-        found.append((np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None), re, im))
-
-    _pool.map_blocks(block, *rows.shape)
-    lo, hi, re, im = zip(*found)
-    return _Extremes(
-        functools.reduce(np.fmin, lo),
-        functools.reduce(np.fmax, hi),
-        functools.reduce(np.fmin, re),
-        functools.reduce(np.fmin, im),
-    )
+    a, low = np.abs(z), functools.partial(np.fmin.reduce, axis=None)
+    im = low(z.imag) if np.iscomplexobj(z) else 0.0
+    return _Extremes(low(a), np.fmax.reduce(a, axis=None), low(z.real), im)
 
 
 class _Ray(NamedTuple):
@@ -230,36 +218,25 @@ class KernelArgument:
 
 
 def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
-    """z as a ``KernelArgument`` or an array, and its extremes."""
-    if isinstance(z, KernelArgument):
-        return z, z.extremes
-    z = np.asarray(z)
-    return z, _extremes(z)
+    """z as a ``KernelArgument`` or an array, and its extremes; ValueError past |z| = _MAX_ABS."""
+    ext = z.extremes if isinstance(z, KernelArgument) else _extremes(z := np.asarray(z))
+    if ext.abs_max > _MAX_ABS:
+        raise ValueError("argument outside supported range |z| <= 1e4")
+    return z, ext
 
 
 def _evaluate(f, z, dtype) -> np.ndarray:
     """f at every entry of z, as an array of dtype; raises _NotFinite unless every value is finite.
 
-    f(x) returns its values at the entries of an array x, and writes them
-    into ``out`` when called as f(x, out=out).  A ``KernelArgument`` is
-    evaluated on its upper triangle: its rows are cut into blocks holding
-    equal numbers of the triangle's entries, and each block of rows lo:hi
-    makes one call on k r over the triangle of its diagonal block and the
-    rectangle right of it, checks the values, writes them and copies them
-    to their mirror image.  An array is evaluated in one call when it is
-    0-d or under ``_pool.MIN_ENTRIES`` entries, and otherwise in blocks of
-    rows, each written through ``out=``.
+    f(x) returns its values at the entries of an array x.  An array is
+    evaluated in one call.  A ``KernelArgument`` is evaluated on its upper
+    triangle: its rows are cut into blocks holding equal numbers of the
+    triangle's entries, and each block of rows lo:hi makes one call on k r
+    over the triangle of its diagonal block and the rectangle right of it,
+    checks the values, writes them and copies them to their mirror image.
     """
     if not isinstance(z, KernelArgument):
-        if z.ndim == 0 or z.size < _pool.MIN_ENTRIES:
-            return _require_finite(np.asarray(f(z), dtype))
-        out = np.empty(z.shape, dtype)
-
-        def block(lo, hi):
-            _require_finite(f(z[lo:hi], out=out[lo:hi]))
-
-        _pool.map_blocks(block, len(out), z.size // len(out))
-        return out
+        return _require_finite(np.asarray(f(z), dtype))
     m = len(z.r)
     out = np.empty(z.shape, dtype)
 
@@ -377,10 +354,9 @@ def _amos(f, n: int, z, dtype) -> np.ndarray:
     return _evaluate(functools.partial(f, n) if table is None else table, z, dtype)
 
 
-def _cephes_hankel1(n: int, x, out=None) -> np.ndarray:
-    """H_n^(1)(x) = J_n(x) + i Y_n(x) for real x > 0 from Cephes, written into out if given."""
-    if out is None:
-        out = np.empty(np.shape(x), dtype=complex)
+def _cephes_hankel1(n: int, x) -> np.ndarray:
+    """H_n^(1)(x) = J_n(x) + i Y_n(x) for real x > 0 from Cephes."""
+    out = np.empty(np.shape(x), dtype=complex)
     _CEPHES_J[n](x, out=out.real)
     _CEPHES_Y[n](x, out=out.imag)
     return out
@@ -394,8 +370,6 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
     """
     _check_order(n)
     z, ext = _with_extremes(z)
-    if ext.abs_max > 1.0e4:
-        raise ValueError("argument outside supported range |z| <= 1e4")
     dtype = complex if np.iscomplexobj(z) else float
     with _overflow_reported("bessel_j", n, ext.abs_max):
         if n < 2 and dtype == float and ext.abs_max <= _CEPHES_MAX:
@@ -428,8 +402,6 @@ def hankel1(n: int, z) -> np.ndarray | complex:
     z, ext = _with_extremes(z)
     if ext.abs_min < 1.0e-14:
         raise ValueError("argument too close to the singular point z = 0")
-    if ext.abs_max > 1.0e4:
-        raise ValueError("argument outside supported range |z| <= 1e4")
     with _overflow_reported("hankel1", n, ext.abs_max):
         if np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
             out = _evaluate(functools.partial(_cephes_hankel1, n), z, complex)
@@ -450,7 +422,7 @@ def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
     """
     _check_order(n_max, name="n_max")
     z = complex(z)
-    if not 1.0e-14 <= abs(z) <= 1.0e4:
+    if not 1.0e-14 <= abs(z) <= _MAX_ABS:
         raise ValueError("argument outside supported range 1e-14 <= |z| <= 1e4")
     if z.imag < 0:
         raise ValueError("H_n^(1) supported only for Im z >= 0")

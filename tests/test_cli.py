@@ -1,6 +1,7 @@
 """Config-driven batch driver: outputs, schemas, determinism, error paths."""
 
 import json
+import warnings
 
 import pytest
 
@@ -365,6 +366,59 @@ def test_sizes_past_the_lu_cap_are_refused_before_any_work(tmp_path, capsys, mon
     assert run([*command, "--config", path, "--out", out]) == 2
     assert f"config error: N: must be at most {MAX_DIRECT_UNKNOWNS // 2}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--N", 64], ["convergence", "--N-list", "32,64"]],
+    ids=["solve", "convergence"],
+)
+def test_a_mie_reference_past_the_order_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch, args):
+    # k1 = 185 on the unit circle needs Mie orders up to 206, past the 200 of specfun: the solve
+    # used to run, write farfield.csv and then exit 1 with a traceback
+    _no_operator_sets(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*args, "--k1", 185, "--k2", 120, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: curve: the Mie reference of this circle cannot be evaluated: n_max" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["solve", "--k1", 6000, "--N", 64], "kappa: |kappa| diam = 1.342e+04, outside |k r| <= 10000"),
+        (["solve", "--k1", 6000, "--N", 64, "--formulation", "classical"], "k1: |k1| diam = 1.2e+04, outside"),
+        (["compare", "--k1", 2, "--k2", 6000, "--N", 64], "k2: |k2| diam = 1.2e+04, outside"),
+        (["solve", "--k1", 2, "--k2", 3, "--kappa-im", 400, "--N", 32], "kappa: Im kappa diam = 800: J_n"),
+        (["solve", "--k1", 2, "--k2", 3, "--kappa-im", 354, "--N", 32], "kappa: Im kappa diam = 708: J_n"),
+        (["convergence", "--k1", 2, "--k2", 3, "--kappa-im", 400, "--N-list", "16,32"], "kappa: Im kappa diam"),
+    ],
+    ids=["k-range", "k-range-classical", "k2-range-compare", "im-overflow", "im-amos-limit", "convergence"],
+)
+def test_kernel_arguments_specfun_cannot_evaluate_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, args, message
+):
+    # the unit circle's nodes are 2 apart: |k r| past 1e4 used to end in a ValueError from specfun,
+    # and kappa r past Im 700.92, where AMOS's J_n overflows, in a SpecialFunctionError
+    _no_operator_sets(monkeypatch)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*args, "--out", out]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_classical_solve_builds_no_kappa_set_and_is_not_refused_for_kappa(tmp_path):
+    # eps exp(Im kappa diam) overflows at Im kappa = 400, without a numpy warning; no kappa set is built
+    out = tmp_path / "classical"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        args = ["solve", "--k1", 2, "--k2", 3, "--kappa-im", 400, "--N", 32, "--formulation", "classical"]
+        assert run([*args, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["farfield_error_vs_reference"] <= 1e-8 and "kappa_noise" not in report
 
 
 def test_gmres_without_diagnostics_is_not_capped():

@@ -141,6 +141,11 @@ def test_blocks_cover_every_row_once_in_small_blocks(set_workers, workers, row_e
     assert all(hi - lo == 1 or (hi - lo) * row_entries <= _pool.BAND_ENTRIES for lo, hi in blocks)
 
 
+@pytest.mark.parametrize("row_work", [None, []], ids=["equal-rows", "row-work"])
+def test_no_rows_make_no_blocks(three_workers, row_work):
+    assert recorded_blocks(0, 1000, row_work) == []
+
+
 def test_nested_call_from_a_band_runs_serially(three_workers):
     # every thread holds its first block at a barrier, so nested calls run on the calling thread
     # and on both pool threads; each runs in row order on the thread of its outer block. A nested

@@ -6,17 +6,19 @@ the reconstructed exterior field at large radius.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from tscat2d import analytic, formulations, postprocess
+from tscat2d import _pool, analytic, formulations, postprocess
 from tscat2d.formulations import IncidentWave, TransmissionConfig, assemble, incident_traces
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set
 from tscat2d.postprocess import (
     FarField,
+    double_layer_potential,
     far_field,
     far_field_from_densities,
     gcsie_fields,
@@ -243,6 +245,60 @@ def test_single_layer_potential_matches_circle_series():
     j = sf.bessel_j_seq(n, k)[n]
     ref = 1j * np.pi / 2 * j * h * np.exp(1j * n * th)
     assert np.abs(vals - ref).max() < 1e-12
+
+
+def _exterior_points(count, seed=5):
+    rng = np.random.default_rng(seed)
+    th, rad = rng.uniform(0.0, 2.0 * np.pi, count), rng.uniform(3.0, 6.0, count)
+    return np.stack([rad * np.cos(th), rad * np.sin(th)], axis=-1)
+
+
+POTENTIALS = [single_layer_potential, double_layer_potential]
+
+
+@pytest.mark.parametrize("k", [8.0, 8 + 4j], ids=["real", "complex"])
+@pytest.mark.parametrize("potential", POTENTIALS, ids=["single", "double"])
+def test_potential_temporaries_stay_in_blocks(monkeypatch, potential, k):
+    # one worker evaluates the points block by block on the caller's thread, so the peak stays
+    # below one points x N complex array
+    monkeypatch.setattr(_pool, "workers", lambda: 1)
+    kite, g = make_kite(), grid(256)
+    points = _exterior_points(2000)
+    density = np.exp(3j * g.nodes)
+    potential(kite, g, k, density, points[:10])  # warm up
+    tracemalloc.start()
+    try:
+        potential(kite, g, k, density, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * 16 * len(points) * g.n  # about a quarter
+
+
+@pytest.mark.parametrize("potential", POTENTIALS, ids=["single", "double"])
+def test_potentials_bit_identical_for_any_worker_count(monkeypatch, potential):
+    # 200 points x 128 nodes: above _pool.MIN_ENTRIES, under one band, so the points are cut
+    # into one block per worker
+    kite, g = make_kite(), grid(128)
+    points = _exterior_points(200)
+    assert _pool.MIN_ENTRIES <= len(points) * g.n <= _pool.BAND_ENTRIES
+    rng = np.random.default_rng(9)
+    density = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    # two points too near the nodes, the closer one later: every block cut names the first
+    near = points.copy()
+    t = g.nodes[[10, 70]]
+    near[[50, 150]] = kite.x(t) + np.array([[0.05], [0.02]]) * kite.normal(t)
+    results, errors = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_pool, "workers", lambda: workers)
+        results.append([potential(kite, g, k, density, points) for k in (8.0, 8 + 4j)])
+        with pytest.raises(ValueError, match="distance") as info:
+            potential(kite, g, 8.0, density, near)
+        errors.append(str(info.value))
+    for got in results[1:]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, results[0]))
+    assert errors == [errors[0]] * 3 and "distance 0.05 " in errors[0]
+    assert potential(kite, g, 8.0, density, np.empty((0, 2))).shape == (0,)
 
 
 def test_far_field_convention_tag():

@@ -202,10 +202,9 @@ def test_negative_real_hankel1_takes_the_complex_path(x):
 
 
 @pytest.mark.parametrize("shape", [(3,), (200, 200)], ids=["small", "banded"])
-def test_integer_arrays_give_the_bits_of_float_arrays(monkeypatch, shape):
-    # the result is float or complex whatever the argument's dtype; three workers deal the large
-    # arrays' blocks to threads even on one CPU
-    monkeypatch.setattr(_pool, "workers", lambda: 3)
+def test_integer_arrays_give_the_bits_of_float_arrays(shape):
+    # the result is float or complex whatever the argument's dtype, below and above
+    # _pool.MIN_ENTRIES entries
     below = np.arange(1, np.prod(shape) + 1).reshape(shape) % 250 + 1  # 1 .. 250: Cephes
     past = below + 150  # up to 400: AMOS
     calls = [(specfun.bessel_j, 2, below), (specfun.bessel_j, 0, past), (specfun.bessel_j, 1, below)]
@@ -333,7 +332,7 @@ def test_other_arguments_take_the_plain_call(monkeypatch, z):
 
 
 # ---------------------------------------------------------------------------
-# row blocks on the shared pool, above the size threshold
+# kernel arguments in row blocks on the shared pool, arrays in one call, above the size threshold
 # ---------------------------------------------------------------------------
 BAND_N = 200  # 40,000 entries, above _pool.MIN_ENTRIES
 assert BAND_N * BAND_N >= _pool.MIN_ENTRIES
@@ -376,7 +375,7 @@ def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_worke
     z = values(symmetric_kernel_argument(BAND_N)) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
-    flat = z[:, :150].ravel()  # one-dimensional: blocks of entries
+    flat = z[:, :150].ravel()  # one-dimensional: one call too
     assert same_bits(specfun.hankel1(n, flat), special.hankel1(n, flat))
 
 
@@ -395,29 +394,37 @@ def test_banded_real_argument_bit_identical_to_entrywise_cephes(pool_workers, n)
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_raw_symmetric_array_evaluated_entry_by_entry(monkeypatch, pool_workers, n):
-    # no symmetry or ray is looked for in an array: AMOS sees every entry once, in blocks of rows
-    rec = BandRecorder()
+    # no symmetry or ray is looked for in an array: AMOS sees every entry once, in one call
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = values(symmetric_kernel_argument(BAND_N))
     assert same_bits(specfun.hankel1(n, z), entrywise(special.hankel1, n, z))
     assert same_bits(specfun.bessel_j(n, z), entrywise(special.jv, n, z))
-    assert sum(rec.sizes) == 2 * z.size and max(rec.sizes) <= 2 * _pool.BAND_ENTRIES
+    assert rec.sizes == [z.size] * 2
 
 
-class BandRecorder(AmosRecorder):
-    """An AMOS recorder that also takes the ``out=`` of a call on a block."""
-
-    def hankel1(self, n, z, out=None):
-        self.sizes.append(np.size(z))
-        return special.hankel1(n, z, out=out)
-
-    def jv(self, n, z, out=None):
-        self.sizes.append(np.size(z))
-        return special.jv(n, z, out=out)
+@pytest.mark.parametrize("shape", [(BAND_N, BAND_N), (BAND_N * BAND_N,)], ids=["matrix", "vector"])
+def test_a_plain_array_takes_one_call_off_the_pool(monkeypatch, shape):
+    # above _pool.MIN_ENTRIES and with three workers, AMOS and each Cephes routine see the whole
+    # array at once, and the pool is not asked to deal anything
+    monkeypatch.setattr(_pool, "workers", lambda: 3)
+    monkeypatch.setattr(_pool, "map_blocks", lambda *args: pytest.fail("a plain array reached the pool"))
+    amos, cephes = AmosRecorder(), [CephesRecorder(f) for f in (*specfun._CEPHES_J, *specfun._CEPHES_Y)]
+    monkeypatch.setattr(specfun, "_sp", amos)
+    monkeypatch.setattr(specfun, "_CEPHES_J", tuple(cephes[:2]))
+    monkeypatch.setattr(specfun, "_CEPHES_Y", tuple(cephes[2:]))
+    x = np.linspace(0.5, 200.0, np.prod(shape)).reshape(shape)
+    assert x.size >= _pool.MIN_ENTRIES
+    for n in (0, 1):
+        specfun.hankel1(n, x)
+        specfun.hankel1(n, (1 + 0.5j) * x)
+        specfun.bessel_j(n, x)
+    assert amos.sizes == [x.size] * 2
+    assert [r.sizes for r in cephes] == [[x.size] * 2, [x.size] * 2, [x.size], [x.size]]
 
 
 def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_workers):
-    rec = BandRecorder()
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = off_table_kernel_argument(BAND_N)
     specfun.hankel1(0, z)
@@ -428,11 +435,11 @@ def test_banded_symmetric_argument_evaluates_one_triangle(monkeypatch, pool_work
 
 
 def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, pool_workers):
-    rec = BandRecorder()
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = values(symmetric_kernel_argument(BAND_N)) + np.triu(np.full((BAND_N, BAND_N), 1e-3j))
     specfun.hankel1(1, z)
-    assert sum(rec.sizes) == z.size
+    assert rec.sizes == [z.size]
 
 
 @pytest.mark.parametrize(
@@ -440,8 +447,8 @@ def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, po
 )
 def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, j):
     # the symmetry test of a kernel argument runs in blocks; a single unequal pair in any of them
-    # must be seen. An array with that pair is evaluated entry by entry, as every array is
-    rec = BandRecorder()
+    # must be seen. An array with that pair is evaluated in one call, as every array is
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     r = kernel_distances(BAND_N)
     r[i, j] += 1e-12
@@ -449,14 +456,14 @@ def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, 
         specfun.KernelArgument(1.0 + 0.5j, r)
     z = (1.0 + 0.5j) * r
     assert same_bits(specfun.hankel1(0, z), entrywise(special.hankel1, 0, z))
-    assert sum(rec.sizes) == z.size
+    assert rec.sizes == [z.size]
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
 def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
     def planted(k, distance):
-        # one bad distance (and its mirror image) deep in the last block, of a kernel argument or
-        # of an array that is not symmetric
+        # one bad distance (and its mirror image) deep in the last block of a kernel argument, or
+        # near the end of an array that is not symmetric
         r = kernel_distances(BAND_N)
         r[-3, -2] = r[-2, -3] = distance
         if symmetric:
@@ -606,42 +613,22 @@ def test_a_handed_on_j_reaches_one_caller():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
-def test_argument_scan_temporaries_stay_in_blocks(monkeypatch, asymmetric):
-    # one worker checks a kernel argument's distances, or scans an array, in blocks of rows on
-    # the caller's thread
+def test_argument_scan_temporaries_stay_in_blocks(monkeypatch):
+    # one worker checks a kernel argument's distances in blocks of rows on the caller's thread
     monkeypatch.setattr(_pool, "workers", lambda: 1)
     m = 512
     r = kernel_distances(m)
     z = (8 + 4j) * r
-    if asymmetric:
-        z += np.triu(np.full(z.shape, 1e-3j))
     tracemalloc.start()
     try:
-        ext = specfun._extremes(z) if asymmetric else specfun.KernelArgument(8 + 4j, r).extremes
+        ext = specfun.KernelArgument(8 + 4j, r).extremes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the extremes of the kernel argument, from those of r, are the entries' own to the bit
     assert ext.abs_min == np.abs(z).min() and ext.abs_max == np.abs(z).max()
     assert ext.re_min == z.real.min() and ext.im_min == z.imag.min()
-    assert peak <= 0.15 * (z.nbytes if asymmetric else r.nbytes)
-
-
-@pytest.mark.parametrize("shape", [(512, 512), (512 * 512,)], ids=["matrix", "vector"])
-def test_entrywise_temporaries_stay_in_blocks(monkeypatch, shape):
-    # one worker fills the whole array block by block on the caller's thread, writing through
-    # out=; its finiteness checks run block by block
-    monkeypatch.setattr(_pool, "workers", lambda: 1)
-    z = np.linspace(0.5, 200.0, np.prod(shape)).reshape(shape)
-    tracemalloc.start()
-    try:
-        out = specfun._evaluate(special.j0, z, float)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(out, special.j0(z))
-    assert peak - out.nbytes <= 0.05 * z.nbytes
+    assert peak <= 0.15 * r.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +654,7 @@ def test_ray_argument_bit_identical_for_any_worker_count(monkeypatch, n):
 
 
 def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_workers):
-    rec = BandRecorder()
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N)
     panels = int((np.abs(values(z)).max() - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1
@@ -684,7 +671,7 @@ def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_w
 
 def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
     # a table for |z| up to 2000 would need more points than the array has entries over 16
-    rec = BandRecorder()
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N, k=30.0 + 15.0j)
     assert same_bits(specfun.hankel1(1, z), entrywise(special.hankel1, 1, z))
@@ -701,7 +688,7 @@ def test_overflow_on_a_ray_is_reported():
 
 
 def test_higher_orders_stay_on_amos(monkeypatch):
-    rec = BandRecorder()
+    rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N)
     assert same_bits(specfun.bessel_j(2, z), entrywise(special.jv, 2, z))
@@ -763,7 +750,7 @@ def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
     z = specfun.KernelArgument(k, r)
-    rec = BandRecorder()
+    rec = AmosRecorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specfun, "_sp", rec)
         got = {n: (specfun.hankel1(n, z), specfun.bessel_j(n, z)) for n in (0, 1)}
