@@ -244,13 +244,13 @@ def _compress(fine: np.ndarray, n: int, step: int = 1, derivative: bool = False,
     coefficients (times i*m for the derivative) are folded to n modes, the
     transpose of the prolongation's embedding: modes below n/2 are kept and
     the +-n/2 pair is averaged, its even Nyquist split.  The folded
-    coefficients are transformed back on the n nodes.  Without the
-    derivative, P is the identity on one grid and the rows are copied as
-    they are.  Rows run in blocks on the shared pool.
+    coefficients are transformed back on the n nodes.  On one grid (fine
+    has n columns) the fold is the identity, so without the derivative the
+    rows come back as they are, to rounding.  Rows run in blocks on the
+    shared pool.
     """
     big = fine.shape[1]
     nrows = len(range(0, len(fine), step))
-    same_grid = big == n and not derivative
     half = n // 2
     sym = _derivative_symbol(big)
     out = np.empty((nrows, n), dtype=complex)
@@ -258,9 +258,6 @@ def _compress(fine: np.ndarray, n: int, step: int = 1, derivative: bool = False,
     def block(lo, hi):
         rows = slice(step * lo, step * hi, step)
         rows_in = fine[rows] if scale is None else fine[rows] * scale(rows)
-        if same_grid:
-            out[lo:hi] = rows_in
-            return
         # unscaled inverse, then 1/n in the forward transform: the factor big/n of P over big
         c = np.fft.ifft(rows_in, axis=1, norm="forward")
         low, high = c[:, : half + 1], c[:, big - half :]  # modes 0..n/2 and -n/2..-1

@@ -94,33 +94,6 @@ def _regularized_densities(a, b, config: TransmissionConfig, grid: NodeGrid, ops
     return r11 * a + r12_b, r21_a + r22 * b
 
 
-def exterior_densities(
-    solution,
-    config: TransmissionConfig,
-    grid: NodeGrid,
-    incident: IncidentWave,
-    formulation: str,
-    ops=None,
-):
-    """(double-layer, single-layer) densities of the exterior representation.
-
-    Combined-source: u1 = DL1(dl) - SL1(sl) with the regularized
-    densities.  Classical: u1 = DL1(phi - f) - SL1(nu psi - g) from the
-    Green representation and the transmission conditions.  An incident
-    wave at another k1 than the configuration's, or a grid of another size
-    than its n_nodes, raises ValueError.
-    """
-    _check_k1(config, incident)
-    _check_grid(config, grid)
-    a, b = solution
-    if formulation in ("gcsie", "gcsie-explicit"):
-        return _regularized_densities(a, b, config, grid, ops)
-    if formulation == "classical":
-        f, g = incident_traces(incident, config.curve, grid)
-        return a - f, config.nu * b - g
-    raise ValueError(f"unknown formulation {formulation!r}")
-
-
 def gcsie_fields(
     solution,
     config: TransmissionConfig,
@@ -189,8 +162,22 @@ def far_field(
     formulation: str = "gcsie",
     ops=None,
 ) -> FarField:
-    """Far field of the scattered exterior field for any formulation."""
-    dl, sl = exterior_densities(solution, config, grid, incident, formulation, ops)
+    """Far field of the scattered field u1 = DL1(dl) - SL1(sl) for any formulation.
+
+    dl and sl are the regularized densities for the combined-source systems,
+    and phi - f and nu psi - g for the classical one (Green's representation).
+    Another k1, another grid size or an unknown formulation raises ValueError.
+    """
+    _check_k1(config, incident)
+    _check_grid(config, grid)
+    a, b = solution
+    if formulation in ("gcsie", "gcsie-explicit"):
+        dl, sl = _regularized_densities(a, b, config, grid, ops)
+    elif formulation == "classical":
+        f, g = incident_traces(incident, config.curve, grid)
+        dl, sl = a - f, config.nu * b - g
+    else:
+        raise ValueError(f"unknown formulation {formulation!r}")
     return far_field_from_densities(config.curve, grid, config.k1, dl, sl, angles)
 
 

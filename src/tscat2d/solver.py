@@ -11,11 +11,13 @@ at a time across threads, under one module lock.  The conditioning
 diagnostics, ||A - s I||_2 and sigma_min(A) = 1 / ||A^-1||_2, are largest
 singular values found by Lanczos on M^H M through GMRES's Arnoldi step, so the
 solver builds one kind of Krylov basis, always with modified Gram-Schmidt
-against every earlier vector.
+against every earlier vector.  All three run on A times a power of two, an
+exact scaling that keeps their norms in range however large A's entries are.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -195,15 +197,20 @@ def _arnoldi_step(op, v: np.ndarray, h: np.ndarray, j: int, steps: int):
     return v, h, wnorm
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a complex vector x; a real matrix acts on a float view of x.
+def _scale(a: np.ndarray) -> float:
+    """c = 2^-e with the largest |Re a_ij| and |Im a_ij| in [2^(e-1), 2^e); 1 if that is 0 or not finite.
 
-    The view turns x into an n x 2 real matrix of its real and imaginary
-    parts, so a real matrix is never converted to complex.
+    Krylov norms of A square its entries, which overflows past about 1e154.
+    On c A every product, sum and norm is c times A's, bit for bit, so the
+    results scaled back are A's.  Max and min reductions make no n x n temporary.
     """
     if np.iscomplexobj(a):
-        return a @ x
-    return (a @ x.view(float).reshape(-1, 2)).view(complex).reshape(-1)
+        # the real and imaginary parts as one float view where the layout allows: a third of the time
+        parts = (a.view(a.real.dtype),) if a.flags.c_contiguous else (a.real, a.imag)
+    else:
+        parts = (a,)
+    largest = np.max([max(part.max(), -part.min()) for part in parts])
+    return math.ldexp(1.0, -max(math.frexp(largest)[1], -1022))  # frexp gives 0 for 0, inf and NaN
 
 
 def gmres(
@@ -219,6 +226,8 @@ def gmres(
     convergence.  Non-convergence is reported in the returned record,
     not raised.  The Krylov basis starts with room for 16 steps and
     doubles when full, so its memory follows the steps taken, not maxit.
+    A real A is converted to complex once, a complex128 A is used as it is,
+    and the iteration runs on c A (see ``_scale``), with x scaled back.
     A b that is not a finite vector of A's size raises ValueError.
     """
     a = _square(a)
@@ -232,6 +241,8 @@ def gmres(
         raise ValueError(f"maxit must be an integer in [1, {2 * n}] (twice the system size), got {maxit!r}")
 
     t0 = time.perf_counter()
+    a = a.astype(complex, copy=False)
+    c = _scale(a)  # GMRES on c A: h scales by c and g does not, so y by 1/c
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveReport(
@@ -254,7 +265,7 @@ def gmres(
     converged = False
     m = 0
     for j in range(maxit):
-        v, h, wnorm = _arnoldi_step(lambda x: _matvec(a, x), v, h, j, maxit)
+        v, h, wnorm = _arnoldi_step(lambda x: c * (a @ x), v, h, j, maxit)
 
         for i in range(j):  # previously accumulated rotations
             hi = np.conj(cs[i]) * h[i, j] + np.conj(sn[i]) * h[i + 1, j]
@@ -277,7 +288,7 @@ def gmres(
             break
 
     y = sla.solve_triangular(h[:m, :m], g[:m]) if m > 0 else np.zeros(0, dtype=complex)
-    x = v[:m].T @ y
+    x = c * (v[:m].T @ y)
     return SolveReport(
         x=x,
         method="gmres",
@@ -328,30 +339,34 @@ def norm2_estimate(a: np.ndarray, shift: float = 0.0, seed: int = 0) -> float:
 
     The shift is applied inside the products, (A - s I) v = A v - s v and
     (A - s I)^H u = A^H u - conj(s) u, so no shifted copy of A is formed.
-    Stops at 1e-10 relative change between steps, or after 200 steps.
+    A real A is converted to complex once, and Lanczos runs on c M (see
+    ``_scale``).  Stops at 1e-10 relative change between steps, or after 200 steps.
     """
-    a = _square(a)
+    a = _square(a).astype(complex, copy=False)
+    c = _scale(a)
+    cs = c * shift
     return _largest_singular_value(
-        lambda x: _matvec(a, x) - shift * x,
-        # A^H u without copying conj(A)
-        lambda y: _matvec(a.T, y.conj()).conj() - np.conj(shift) * y,
+        lambda x: c * (a @ x) - cs * x,
+        lambda y: c * (a.T @ y.conj()).conj() - np.conj(cs) * y,  # A^H u without copying conj(A)
         a.shape[0],
         seed,
-    )
+    ) / c
 
 
 def sigma_min_estimate(a: np.ndarray, seed: int = 0) -> float:
     """Smallest singular value 1 / ||M||_2, M = A^-1, by Lanczos on M^H M through GMRES's Arnoldi step.
 
     The products with A^-1 and A^-H are LU solves with one factorization,
-    the one lu_solve used if A is the same read-only matrix.  Stops at
-    1e-10 relative change between steps, or after 200 steps.
+    the one lu_solve used if A is the same read-only matrix.  Lanczos runs
+    on M / c = (c A)^-1 (see ``_scale``).  Stops at 1e-10 relative change
+    between steps, or after 200 steps.
     """
     a = _square(a)
     factors = _lu_factor(a)[0]
-    return 1.0 / _largest_singular_value(
-        lambda x: _lu_apply(factors, x),
-        lambda y: _lu_apply(factors, y, adjoint=True),
+    c = _scale(a)
+    return 1.0 / (c * _largest_singular_value(
+        lambda x: _lu_apply(factors, x) / c,
+        lambda y: _lu_apply(factors, y, adjoint=True) / c,
         a.shape[0],
         seed,
-    )
+    ))

@@ -421,6 +421,18 @@ def test_a_classical_solve_builds_no_kappa_set_and_is_not_refused_for_kappa(tmp_
     assert report["farfield_error_vs_reference"] <= 1e-8 and "kappa_noise" not in report
 
 
+def test_a_solve_at_large_im_kappa_ends_with_a_report(tmp_path, capsys):
+    # kappa = 2+100i on the unit circle: the matrix reaches 3e81, so the diagnostics' Krylov norms
+    # squared passed 1e308 and the run ended in a traceback after farfield.csv was written
+    out = tmp_path / "out"
+    assert run(["solve", "--k1", 2, "--k2", 3, "--kappa-im", 100, "--N", 32, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "converged" and report["farfield_error_vs_reference"] <= 1e-10
+    for key in ("norm2_minus_identity", "sigma_min"):
+        assert 0.0 < report["diagnostics"][key] < float("inf")
+    assert "rounding noise" in capsys.readouterr().err
+
+
 def test_gmres_without_diagnostics_is_not_capped():
     cfg = DEFAULT_CONFIG | {"N": 2050, "diagnostics": False}
     assert validate_config(cfg).n_nodes == 2050

@@ -82,6 +82,16 @@ def test_unknown_side_is_rejected_before_any_operator_set(monkeypatch):
     assert builds == []
 
 
+def test_unknown_formulation_is_rejected_before_any_operator_set(monkeypatch):
+    builds = []
+    monkeypatch.setattr(formulations, "boundary_operator_set", lambda *args: builds.append(args))
+    cfg = TransmissionConfig(curve=make_kite(), k1=8.0, k2=12.0, nu=2.0, kappa=8 + 4j, n_nodes=32)
+    z = np.zeros(32, dtype=complex)
+    with pytest.raises(ValueError, match="unknown formulation 'bogus'"):
+        far_field((z, z), cfg, grid(32), IncidentWave(0.0, 8.0), [0.0], formulation="bogus")
+    assert builds == []
+
+
 def test_a_grid_of_another_size_than_n_nodes_is_rejected():
     # a 64-node configuration with a 32-node grid assembled a 64 x 64 system, without a word
     cfg = TransmissionConfig(curve=make_kite(), k1=2.0, k2=3.0, nu=2.0, n_nodes=64)
