@@ -48,13 +48,9 @@ DEFAULT_CONFIG = {
 }
 
 
-# below this many grid points per wavelength of max(k1, k2) along the boundary a solve warns
-# (Kress, Linear Integral Equations, ch. 12)
+# below this many grid points per wavelength of the largest resolved wavenumber along the
+# boundary a solve warns (Kress, Linear Integral Equations, ch. 12)
 MIN_POINTS_PER_WAVELENGTH = 8.0
-
-# rounding levels of the kappa set above which a combined-source solve warns and a
-# Calderon-simplified one, which takes that noise into every block, is refused
-KAPPA_NOISE_WARN, KAPPA_NOISE_MAX_EXPLICIT = 1e-8, 1e-3
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -162,33 +158,21 @@ def _resolved(cfg: dict, tcfg: TransmissionConfig) -> dict:
     return out
 
 
-def points_per_wavelength(tcfg: TransmissionConfig, g) -> float:
-    """N 2 pi / (max(k1, k2) L): grid points per shortest wavelength along the boundary.
+def points_per_wavelength(tcfg: TransmissionConfig, g, formulation: str) -> float:
+    """N 2 pi / (k L): grid points per shortest wavelength along the boundary.
 
-    L is the trapezoid-rule perimeter on the grid's nodes.
+    k is max(k1, k2), and max(k1, k2, |kappa|) for gcsie-explicit, whose kappa set's Calderon
+    residuals hold only to its discretization error; L is the trapezoid-rule perimeter on the grid's nodes.
     """
     perimeter = g.weight * float(np.sum(tcfg.curve.jacobian(g.nodes)))
-    return g.n * 2.0 * np.pi / (max(tcfg.k1, tcfg.k2) * perimeter)
-
-
-def _diameter(tcfg: TransmissionConfig, g) -> float:
-    pts = tcfg.curve.x(g.nodes)  # the offsets from 64 nodes at a time
-    return max(float(np.hypot(*(pts[i : i + 64, None] - pts).T).max()) for i in range(0, len(pts), 64))
-
-
-def kappa_noise(tcfg: TransmissionConfig, g) -> float:
-    """eps exp(Im kappa diam), diam the largest distance between two grid nodes; inf past overflow.
-
-    The kappa set's log split cancels J_n(kappa r), which grows like exp(Im kappa r),
-    so this is its rounding level relative to its largest entry.
-    """
-    with np.errstate(over="ignore"):
-        return float(np.finfo(float).eps * np.exp(tcfg.kappa.imag * _diameter(tcfg, g)))
+    k = max(tcfg.k1, tcfg.k2, abs(tcfg.kappa) if formulation == "gcsie-explicit" else 0.0)
+    return g.n * 2.0 * np.pi / (k * perimeter)
 
 
 def _check_kernel_arguments(tcfg: TransmissionConfig, g, kappa_set: bool = True) -> None:
     """Refuses kernel arguments k r, r up to the grid nodes' diameter, that specfun cannot evaluate."""
-    diam = _diameter(tcfg, g)
+    pts = tcfg.curve.x(g.nodes)  # diam from the offsets of 64 nodes at a time
+    diam = max(float(np.hypot(*(pts[i : i + 64, None] - pts).T).max()) for i in range(0, len(pts), 64))
     ks = {"k1": tcfg.k1, "k2": tcfg.k2, "kappa": abs(tcfg.kappa) if kappa_set else 0.0}
     name = max(ks, key=ks.get)
     if ks[name] * diam > specfun._MAX_ABS:
@@ -227,12 +211,6 @@ def run_solve(cfg: dict) -> int:
     tcfg = validate_config(cfg)
     g = grid(tcfg.n_nodes)
     _check_kernel_arguments(tcfg, g, kappa_set=cfg["formulation"] != "classical")
-    noise = kappa_noise(tcfg, g)
-    noisy = f"the kappa set's rounding noise eps exp(Im kappa diam) is {noise:.3g}, above"
-    if cfg["formulation"] == "gcsie-explicit" and noise > KAPPA_NOISE_MAX_EXPLICIT:
-        raise ConfigError(
-            "kappa", f"{noisy} {KAPPA_NOISE_MAX_EXPLICIT:g} for gcsie-explicit; lower Im kappa or use gcsie"
-        )
     angles = np.linspace(0.0, 2.0 * np.pi, cfg["farfield_angles"], endpoint=False)
     ref = _mie_far_field(cfg, tcfg, angles) if cfg["curve"]["kind"] == "circle" else None
     outdir = _output_dir(cfg)
@@ -262,10 +240,8 @@ def run_solve(cfg: dict) -> int:
         # a Krylov space as large as the system holds every vector: convergence there says
         # nothing about the clustering the formulation relies on, and often means under-resolution
         "krylov_exhausted": report.method == "gmres" and report.iterations >= len(system.rhs),
-        "points_per_wavelength": points_per_wavelength(tcfg, g),
+        "points_per_wavelength": points_per_wavelength(tcfg, g, cfg["formulation"]),
     }
-    if cfg["formulation"] != "classical":  # the one formulation without a kappa set
-        out["kappa_noise"] = noise
     if ref is not None:
         scale = np.abs(ref).max()
         err = np.abs(ff.values - ref).max() / scale if scale > 0 else np.abs(ff.values).max()
@@ -286,10 +262,9 @@ def run_solve(cfg: dict) -> int:
         and f"GMRES needed {report.iterations} iterations, the whole Krylov space of the "
         f"{len(system.rhs)}-unknown system; the grid may not resolve the problem",
         out["points_per_wavelength"] < MIN_POINTS_PER_WAVELENGTH
-        and f"{out['points_per_wavelength']:.3g} grid points per wavelength of max(k1, k2) along the boundary, "
+        and f"{out['points_per_wavelength']:.3g} grid points per wavelength of max(k1, k2"
+        f"{', |kappa|' if cfg['formulation'] == 'gcsie-explicit' else ''}) along the boundary, "
         f"below {MIN_POINTS_PER_WAVELENGTH:g}; the grid may not resolve the wavenumbers",
-        out.get("kappa_noise", 0.0) > KAPPA_NOISE_WARN
-        and f"{noisy} {KAPPA_NOISE_WARN:g}; the solution may lose digits to it",
         not report.converged and "solver did not converge within maxit",
     ]
     for line in filter(None, stderr_lines):

@@ -15,13 +15,18 @@ or 1 and g smooth, and its M1 is -(1/4pi) J_m(k r) g, so the rule is one
 table per cylinder order times g:
 
     T_m = (i/4) w H_m(k r) - D o J_m(k r),
-    D = (R_|i-j| - w log(4 sin^2((t - tau)/2))) / (4 pi),
+    D = chi(t - tau) (R_|i-j| - w log(4 sin^2((t - tau)/2))) / (4 pi),
 
 with o the entrywise product and the diagonal set to the analytic limit.
-D depends on the grid alone.  It is the symmetric circulant D[i, j] =
-c[(i - j) mod n] with the column
+At real k, chi = 1.  At complex k, J_m(k r) grows like exp(Im k r), and
+split everywhere it would leave eps times that growth in the set, so chi
+is a C-infinity window of the periodic parameter distance, 1 up to b/2
+and 0 from b = min(pi, L / (Im k max|x'|)), L = 10: the split is kept
+where Im k r <= L, and beyond b the smooth kernel takes the trapezoid
+rule (a partition of unity as in Bruno & Kunyansky, J. Comput. Phys.
+169, 2001).  D is the symmetric circulant D[i, j] = c[(i - j) mod n]:
 
-    c[m] = (R_m' - w log(4 sin^2(pi m'/n))) / (4 pi),   m' = min(m, n - m),
+    c[m] = chi(2 pi m'/n) (R_m' - w log(4 sin^2(pi m'/n))) / (4 pi),   m' = min(m, n - m),
 
 the log taken from the index difference rather than from two rounded
 nodes, so D is exact to rounding and symmetric bit for bit, and is held
@@ -74,9 +79,9 @@ coarse grid.  That is O(N^2 log N) a set where the products were O(N^3),
 and the transforms run in blocks on the pool too.  The results agree with
 the dense ``prolongation_matrix`` and ``spectral_derivative_matrix``
 products to rounding, within 1e-13 of the largest entry at real and
-moderately complex k.  The tables that depend only on the fine grid size
+complex k.  The tables that depend only on the fine grid size
 (D, a read-only strided view of its column, and the derivative symbol)
-are cached for the last size and returned read-only.
+are cached and returned read-only.
 
 Complex wavenumbers use the principal branch of the logarithm in the
 split; Im k >= 0 is required.
@@ -95,6 +100,7 @@ from .geometry import Curve, NodeGrid, grid as make_grid, is_integer
 
 _QUARTER_I = 0.25j
 _INV_4PI = 1.0 / (4.0 * np.pi)
+_LOG_SPLIT_GROWTH = 10.0  # L of the window cutoff b = min(pi, L / (Im k max|x'|)) at complex k
 
 DEFAULT_OVERSAMPLE = 2
 
@@ -178,37 +184,51 @@ class _Nodes:
         return specfun.KernelArgument(self.k, r)
 
 
-@functools.lru_cache(maxsize=1)
-def _log_split_table(n: int) -> np.ndarray:
+def _window(dist: np.ndarray, cutoff: float) -> np.ndarray:
+    """The C-infinity step of a distance, 1 up to cutoff/2 and 0 from cutoff.
+
+    It is f(x) / (f(x) + f(1 - x)) with f(x) = exp(-1/x) and x = 2 - 2 dist/cutoff clipped to [0, 1].
+    Bruno & Kunyansky's steeper exp(2 e^(-1/u)/(u - 1)) cost gcsie-explicit 0.8 digit (circle, 20+10i).
+    """
+    x = np.clip(2.0 - 2.0 * dist / cutoff, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # f(0) = 0, its limit
+        f, f_mirror = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+    return f / (f + f_mirror)
+
+
+@functools.lru_cache(maxsize=2)
+def _log_split_table(n: int, cutoff: float | None = None) -> np.ndarray:
     """D on n nodes, D[i, j] = c[(i - j) mod n], as a read-only strided view of its column c.
 
     c[m] = (R_m' - (2 pi/n) log(4 sin^2(pi m'/n))) / (4 pi) with
     m' = min(m, n - m), so c[m] and c[n - m] are the same number; the log
-    factor is 0 at m = 0, where c is R_0/(4 pi).
+    factor is 0 at m = 0, where c is R_0/(4 pi).  A cutoff b windows c
+    (complex k); the unwindowed table (real k) is cached beside the last windowed one.
     """
     m = np.minimum(np.arange(n), n - np.arange(n))
     logsin = np.log(4.0 * np.sin(np.pi * m / n) ** 2, where=m > 0, out=np.zeros(n))
     column = (kress_log_weights(n // 2)[m] - (2.0 * np.pi / n) * logsin) * _INV_4PI
+    if cutoff is not None:
+        column *= _window(2.0 * np.pi * m / n, cutoff)
     # frozen first: freeze stops at the non-array base of the view. Its rows, read from n
     # down, are c[(j - i) mod n], which is c[(i - j) mod n] as c is symmetric
     doubled = freeze(np.concatenate((column, column)))
     return np.lib.stride_tricks.sliding_window_view(doubled, n)[n:0:-1]
 
 
-def _log_split(h: np.ndarray, j: np.ndarray, weight: float, diag, g=None) -> np.ndarray:
+def _log_split(h: np.ndarray, j: np.ndarray, weight: float, table: np.ndarray, diag, g=None) -> np.ndarray:
     """T o g in place over h, for T = (i/4) w H_m(k r) - D o J_m(k r), with the given diagonal.
 
     h and j hold H_m and J_m on the fine grid, w is its trapezoid weight and
-    D the log-split table.  Off the diagonal, T o g is the log-split rule for
-    the kernel (i/4) H_m(k r) g(t, tau): weights R_|i-j| for M1 = -(1/4 pi)
-    J_m g, 2 pi/n for M2 = (i/4) H_m g - M1 log(4 sin^2((t - tau)/2)).  g,
-    if given, is a function of a row slice that returns those rows of it;
+    D the set's log-split table.  Off the diagonal, T o g is the log-split
+    rule for the kernel (i/4) H_m(k r) g(t, tau): weights R_|i-j| for
+    M1 = -(1/4 pi) chi J_m g, 2 pi/n for M2 = (i/4) H_m g - M1 log(4 sin^2((t - tau)/2)).
+    g, if given, is a function of a row slice that returns those rows of it;
     diag holds the diagonal of T o g.  j is overwritten with D o J_m.  The
     rows are filled in blocks on the shared pool, each entry with the same
     arithmetic in every block.
     """
     n = len(h)
-    table = _log_split_table(n)
     scale = _QUARTER_I * weight
 
     def block(lo, hi):
@@ -351,13 +371,16 @@ def boundary_operator_set(
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     nodes = _Nodes(curve, make_grid(oversample * grid.n), k)
     n, w, jac = grid.n, nodes.trapz, nodes.jac
+    # at complex k, D is windowed to parameter distances below b, where Im k r <= L
+    cutoff = min(np.pi, _LOG_SPLIT_GROWTH / (k.imag * jac.max())) if k.imag else None
+    table = _log_split_table(nodes.n, cutoff)
     z = nodes.argument()
 
     # order 1: the double layer, smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
     d, dd = nodes.d, nodes.dd
     k_diag = w * (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / jac**2
     factor = functools.partial(nodes.double_layer, r=z.r)  # dropped before z, so r is freed with it
-    k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, k_diag, factor)
+    k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, table, k_diag, factor)
     del factor
     k_mat = _compress(k_fine, n, oversample)
     # adjoint identity: KT(t, tau) = K(tau, t) |x'(tau)| / |x'(t)|
@@ -367,11 +390,11 @@ def boundary_operator_set(
     # order 0: S, and B and A of N = k^2 B + (1/|x'|) d/dt o A o d/dtau; the diagonal of T0
     # is the r -> 0 limit of the rule for J_0 and H_0 - J_0 log
     h0_limit = _QUARTER_I - specfun.EULER_GAMMA / (2.0 * np.pi) - np.log(k * jac / 2.0) / (2.0 * np.pi)
-    t0_diag = w * h0_limit - _log_split_table(len(jac))[0, 0]
+    t0_diag = w * h0_limit - table[0, 0]
     t0 = specfun.hankel1(0, z)
     j0 = specfun.bessel_j(0, z)
     del z
-    _log_split(t0, j0, w, t0_diag)
+    _log_split(t0, j0, w, table, t0_diag)
     del j0
     s = _compress(t0, n, oversample, scale=lambda rows: jac)
     b = _compress(t0, n, oversample, scale=nodes.normal_products)

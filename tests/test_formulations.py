@@ -467,8 +467,8 @@ def test_circle_gcsie_iterations_at_default_kappa(n):
 
 
 def test_circle_gcsie_explicit_agrees_with_mie_at_default_kappa():
-    # kappa = 20+10i: the kappa set's log split carries the rounding of the Kress weights R
-    # times J_n(kappa r), about e^20 across the circle; R summed by cosines gave 7.99 digits
+    # kappa = 20+10i: the kappa set's Calderon residuals hold only to its discretization error, which
+    # the window's step sets: 8.63 digits here (Bruno & Kunyansky's exp(2 e^(-1/u)/(u - 1)) gave 7.80)
     cfg = TransmissionConfig(curve=make_circle(1.0), k1=20.0, k2=30.0, nu=2.0, n_nodes=256)
     g, wave = grid(256), IncidentWave(0.0, 20.0)
     ops = operator_sets(cfg, g, (cfg.k1, cfg.k2, cfg.kappa))
@@ -486,3 +486,42 @@ def test_kite_gcsie_beats_classical_at_k1_24():
     composed = _gmres_iterations(kite, 24.0, 36.0, 768, "gcsie", 1e-8)
     classical = _gmres_iterations(kite, 24.0, 36.0, 768, "classical", 1e-8)
     assert composed < classical, (composed, classical)
+
+
+def _iterations_and_lu_far_fields(cfg, formulations, tol, angles):
+    """GMRES iterations to tol and the far field of the LU solution, per formulation, on one grid."""
+    g, wave = grid(cfg.n_nodes), IncidentWave(0.0, cfg.k1)
+    ops = operator_sets(cfg, g, (cfg.k1, cfg.k2, cfg.kappa))
+    iterations, fields = {}, {}
+    for form in formulations:
+        system = assemble(cfg, g, wave, form, ops=ops)
+        iterations[form] = gmres(system.matrix, system.rhs, tol=tol).iterations
+        sol = system.split(lu_solve(system.matrix, system.rhs).x)
+        fields[form] = far_field(sol, cfg, g, wave, angles, formulation=form, ops=ops).values
+    return iterations, fields
+
+
+def test_kite_gcsie_beats_classical_at_k1_32_and_agrees_with_it():
+    # kappa = 32+16i: J_n(kappa r) reaches e^48 across the kite (diam 3), so the kappa set's log split
+    # must be windowed for composed gcsie to keep its second-kind counts and its digits
+    cfg = TransmissionConfig(curve=make_kite(), k1=32.0, k2=48.0, nu=2.0, n_nodes=1024)
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    iterations, fields = _iterations_and_lu_far_fields(cfg, ("gcsie", "classical"), 1e-8, angles)
+    assert iterations["gcsie"] < iterations["classical"], iterations
+    ref = fields["classical"]
+    assert -np.log10(np.abs(fields["gcsie"] - ref).max() / np.abs(ref).max()) >= 12
+
+
+def test_circle_gcsie_iterations_are_mesh_independent_at_k1_40():
+    # kappa = 40+20i, J_n(kappa r) up to e^40 across the circle; the far fields are LU's, as GMRES at
+    # 1e-10 leaves them 4e-10 to 8e-10 from Mie
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    ref = analytic.mie_solve(1.0, 40.0, 60.0, 2.0).far_field(angles)
+    composed = []
+    for n in (128, 192, 256):
+        cfg = TransmissionConfig(curve=make_circle(1.0), k1=40.0, k2=60.0, nu=2.0, n_nodes=n)
+        iterations, fields = _iterations_and_lu_far_fields(cfg, ("gcsie", "classical"), 1e-10, angles)
+        assert iterations["gcsie"] < iterations["classical"], (n, iterations)
+        assert np.abs(fields["gcsie"] - ref).max() <= 1e-10 * np.abs(ref).max(), n
+        composed.append(iterations["gcsie"])
+    assert max(composed) - min(composed) <= 5, composed

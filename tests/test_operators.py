@@ -158,8 +158,30 @@ def test_k_and_kt_share_circle_symbols(op_cache):
         assert np.linalg.norm(ops.k @ e - ops.kt @ e) <= 1e-10 * np.linalg.norm(e)
 
 
+def window(dist, cutoff):
+    """The log-split window: f(x) / (f(x) + f(1 - x)), f(x) = exp(-1/x), x = 2 - 2 dist/cutoff in [0, 1]."""
+    x = np.clip(2.0 - 2.0 * dist / cutoff, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        f, f_mirror = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+    return f / (f + f_mirror)
+
+
+def log_split_window(n, k, jac):
+    """chi(t - tau) on n nodes: 1 at real k, else the window of cutoff b = min(pi, 10 / (Im k max|x'|)).
+
+    Its argument is the periodic parameter distance, taken whole-matrix from the index difference.
+    """
+    if complex(k).imag == 0:
+        return 1.0
+    m = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return window(2 * np.pi * np.minimum(m, n - m) / n, min(np.pi, 10.0 / (complex(k).imag * jac.max())))
+
+
 def target_normal_kt(curve, n, k, oversample):
-    """KT assembled directly from its kernel -(ik/4) H_1(kr) (x(t)-x(tau)).n(t) |x'(tau)|/r."""
+    """KT assembled directly from its kernel -(ik/4) H_1(kr) (x(t)-x(tau)).n(t) |x'(tau)|/r.
+
+    The split's M1 carries the log-split window, so the rule is the windowed one at complex k.
+    """
     fine = grid(oversample * n)
     t = fine.nodes
     pos, d, dd, jac = curve.x(t), curve.dx(t), curve.ddx(t), curve.jacobian(t)
@@ -171,7 +193,7 @@ def target_normal_kt(curve, n, k, oversample):
     logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2, where=off, out=np.zeros_like(dt))
     g = (diff[..., 0] * d[:, None, 1] - diff[..., 1] * d[:, None, 0]) / r
     g *= jac[None, :] / jac[:, None]
-    m1 = k / (4 * np.pi) * specfun.bessel_j(1, k * r) * g
+    m1 = log_split_window(fine.n, k, jac) * (k / (4 * np.pi)) * specfun.bessel_j(1, k * r) * g
     m2 = -0.25j * k * specfun.hankel1(1, k * r) * g - m1 * logsin
     np.fill_diagonal(m1, 0.0)
     np.fill_diagonal(m2, (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) / (4 * np.pi * jac**2))
@@ -206,9 +228,10 @@ def fine_kernel_matrices(curve, n, k):
     """Fine S, K, A and B on n nodes by the M1/M2 log split, whole matrices at a time.
 
     Each kernel (i/4) H_m(k r) g is split as M1 log(4 sin^2((t - tau)/2)) + M2
-    with M1 = -(1/4 pi) J_m(k r) g and ruled as R_|i-j| M1 + (2 pi/n) M2.  The
-    sum is grouped as M1 (R - (2 pi/n) log) + (2 pi/n) (i/4) H_m g, because at
-    complex k the two log terms are large and nearly cancel.
+    with M1 = -(1/4 pi) chi J_m(k r) g, chi the log-split window, and ruled as
+    R_|i-j| M1 + (2 pi/n) M2.  The sum is grouped as M1 (R - (2 pi/n) log) +
+    (2 pi/n) (i/4) H_m g, because at complex k the two log terms are large and
+    nearly cancel.
     """
     fine = grid(n)
     t = fine.nodes
@@ -221,7 +244,7 @@ def fine_kernel_matrices(curve, n, k):
     m = np.minimum(m, n - m)
     logsin = np.log(4.0 * np.sin(np.pi * m / n) ** 2, where=m != 0, out=np.zeros((n, n)))
     weights = kress_log_weights(n // 2)
-    log_rule = weights[m] - fine.weight * logsin
+    log_rule = (weights[m] - fine.weight * logsin) * log_split_window(n, k, jac)
 
     def rule(order, g, m1_diag, m2_diag):
         m1 = -specfun.bessel_j(order, k * r) * g / (4 * np.pi)
@@ -252,10 +275,11 @@ def test_hypersingular_kept_rows_match_full_product(k, oversample):
 
 
 @pytest.mark.parametrize("oversample", [1, 2])
-@pytest.mark.parametrize("k", [8.0, 8 + 4j])
+@pytest.mark.parametrize("k", [8.0, 8 + 4j, 20 + 10j])
 def test_fft_compression_matches_dense_products(k, oversample):
     # the set compresses by FFT; the dense prolongation matrix is the oracle (for N, whose
-    # derivatives are FFTs too, the dense derivative matrix is the oracle of the test above)
+    # derivatives are FFTs too, the dense derivative matrix is the oracle of the test above);
+    # at 20+10i the unwindowed split left entries of e^20 eps in the fine rows
     kite, n = make_kite(), 64
     s, k_fine, _, _, jac = fine_kernel_matrices(kite, oversample * n, k)
     kt = k_fine.T * jac[None, :] / jac[:, None]
@@ -403,6 +427,35 @@ def test_log_split_table_is_an_exact_symmetric_circulant(n):
     assert np.array_equal(table, column[(i[:, None] - i[None, :]) % n])
     ref = log_split_column_mpmath(n)
     assert np.abs(column[: n // 2 + 1] - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cutoff", [0.3, np.pi])
+def test_windowed_log_split_table_is_the_column_times_the_window(cutoff):
+    n = 512
+    plain, table = operators._log_split_table(n), operators._log_split_table(n, cutoff)
+    column, i = np.array(table[:, 0]), np.arange(n)
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(table, column[(i[:, None] - i[None, :]) % n])
+    dist = 2 * np.pi * np.minimum(i, n - i) / n
+    inner = dist <= cutoff / 2
+    assert np.array_equal(column[inner], plain[inner, 0])  # 1 up to b/2, bit for bit
+    assert not column[dist >= cutoff].any()  # 0 from b
+    ramp = ~inner & (dist < cutoff)
+    assert ramp.sum() >= 20
+    chi = column[ramp] / plain[ramp, 0]
+    assert np.abs(chi - window(dist[ramp], cutoff)).max() <= 4 * np.finfo(float).eps
+    assert is_frozen(table) and operators._log_split_table(n) is plain
+
+
+def test_sets_read_the_plain_table_at_real_k_and_a_windowed_one_at_complex_k(monkeypatch):
+    # b = min(pi, L / (Im k max|x'|)) with L = 10, on the fine grid's |x'|
+    calls, table = [], operators._log_split_table
+    monkeypatch.setattr(operators, "_log_split_table", lambda n, b: calls.append((n, b)) or table(n, b))
+    kite = make_kite()
+    for k in (8.0, 8 + 4j, 8 + 0.5j):
+        boundary_operator_set(kite, grid(32), k)
+    max_jac = kite.jacobian(grid(64).nodes).max()
+    assert calls == [(64, None), (64, pytest.approx(10.0 / (4.0 * max_jac))), (64, np.pi)]
 
 
 def test_cached_grid_tables_are_read_only():
