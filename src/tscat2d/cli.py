@@ -27,7 +27,7 @@ from .formulations import (
     operator_sets,
 )
 from .geometry import grid, is_finite_real, is_integer, make_curve
-from .operators import fourier_modes
+from .operators import DEFAULT_OVERSAMPLE, fourier_modes
 from .postprocess import far_field
 from .solver import MAX_DIRECT_UNKNOWNS, gmres, lu_solve, norm2_estimate, rcond_estimate, sigma_min_estimate
 
@@ -169,10 +169,20 @@ def points_per_wavelength(tcfg: TransmissionConfig, g, formulation: str) -> floa
     return g.n * 2.0 * np.pi / (k * perimeter)
 
 
+def _fine_diameter(curve, n: int) -> float:
+    """The largest distance between two nodes of the grid that the operator sets on n nodes are built on.
+
+    It is the square root of the largest dx^2 + dy^2, from the offsets of 64
+    nodes at a time: a kernel argument's largest r, rounded alike.
+    """
+    x, y = curve.x(grid(DEFAULT_OVERSAMPLE * n).nodes).T
+    blocks = (((x[i : i + 64, None] - x) ** 2 + (y[i : i + 64, None] - y) ** 2).max() for i in range(0, len(x), 64))
+    return float(np.sqrt(max(blocks)))
+
+
 def _check_kernel_arguments(tcfg: TransmissionConfig, g, kappa_set: bool = True) -> None:
-    """Refuses kernel arguments k r, r up to the grid nodes' diameter, that specfun cannot evaluate."""
-    pts = tcfg.curve.x(g.nodes)  # diam from the offsets of 64 nodes at a time
-    diam = max(float(np.hypot(*(pts[i : i + 64, None] - pts).T).max()) for i in range(0, len(pts), 64))
+    """Refuses kernel arguments k r, r up to the fine grid's diameter, that specfun cannot evaluate."""
+    diam = _fine_diameter(tcfg.curve, g.n)
     ks = {"k1": tcfg.k1, "k2": tcfg.k2, "kappa": abs(tcfg.kappa) if kappa_set else 0.0}
     name = max(ks, key=ks.get)
     if ks[name] * diam > specfun._MAX_ABS:
@@ -225,34 +235,33 @@ def run_solve(cfg: dict) -> int:
         report = gmres(system.matrix, system.rhs, tol=sv["tol"], maxit=sv["maxit"])
     t_total = time.perf_counter() - t0
 
-    sol = system.split(report.x)
-    ff = far_field(sol, tcfg, g, wave, angles, formulation=cfg["formulation"])
-    rows = ((th, v.real, v.imag, abs(v)) for th, v in zip(ff.angles, ff.values))
-    _write_csv(outdir / "farfield.csv", ["theta", "re_u_inf", "im_u_inf", "abs_u_inf"], rows)
-
     out = {
         "config": _resolved(cfg, tcfg),
         "status": "converged" if report.converged else "not_converged",
         "method": report.method,
         "iterations": report.iterations,
         "residuals": [float(r) for r in report.residuals],
-        "farfield_max_abs": float(np.abs(ff.values).max()),
         # a Krylov space as large as the system holds every vector: convergence there says
         # nothing about the clustering the formulation relies on, and often means under-resolution
         "krylov_exhausted": report.method == "gmres" and report.iterations >= len(system.rhs),
         "points_per_wavelength": points_per_wavelength(tcfg, g, cfg["formulation"]),
     }
-    if ref is not None:
-        scale = np.abs(ref).max()
-        err = np.abs(ff.values - ref).max() / scale if scale > 0 else np.abs(ff.values).max()
-        out["farfield_error_vs_reference"] = float(err)
-    if cfg["diagnostics"]:
+    if cfg["diagnostics"]:  # before any file: a numerically singular matrix raises LinAlgError here
         a = system.matrix
         out["diagnostics"] = {
             "norm2_minus_identity": norm2_estimate(a, shift=1.0, seed=cfg["seed"]),
             "sigma_min": sigma_min_estimate(a, seed=cfg["seed"]),
             "rcond": rcond_estimate(a),  # from the LU factors sigma_min used
         }
+    sol = system.split(report.x)
+    ff = far_field(sol, tcfg, g, wave, angles, formulation=cfg["formulation"])
+    rows = ((th, v.real, v.imag, abs(v)) for th, v in zip(ff.angles, ff.values))
+    _write_csv(outdir / "farfield.csv", ["theta", "re_u_inf", "im_u_inf", "abs_u_inf"], rows)
+    out["farfield_max_abs"] = float(np.abs(ff.values).max())
+    if ref is not None:
+        scale = np.abs(ref).max()
+        err = np.abs(ff.values - ref).max() / scale if scale > 0 else np.abs(ff.values).max()
+        out["farfield_error_vs_reference"] = float(err)
     (outdir / "report.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     (outdir / "timings.json").write_text(
         json.dumps({"solve_seconds": report.wall_time, "total_seconds": t_total}) + "\n"
@@ -430,6 +439,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:  # a numerically singular system
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

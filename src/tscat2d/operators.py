@@ -50,17 +50,17 @@ make T1, written over the H_1 array; K is formed over T1, K and KT are
 compressed, and T1 is freed.  Then H_0 and J_0 make T0 over the H_0 array
 (the argument is freed first), and S, B and A are compressed from it.  At
 most three fine (2N)^2 arrays live at once: the real distances r, H_m and
-J_m.  The argument is a ``specfun.KernelArgument`` of k and the symmetric
-r, checked once for the four calls.  specfun forms k r from r block by
-block and evaluates it on one triangle, and at real k bessel_j(m, .)
-takes over the J_m that hankel1(m, .) left on it.  K's geometric factor
-divides by the argument's r.  The distances, the tables T_m with that
-factor and the compressions are filled in blocks of rows of a few ten
-thousand entries, dealt to the caller's thread and the shared thread pool
-(see ``_pool``), with the same arithmetic for every entry as a
-whole-matrix evaluation, so the sets are bit-identical for any number of
-threads.  S and the B part of N are taken only on the rows that
-compression keeps.
+J_m.  The argument is a ``specfun.KernelArgument`` of k and the fine
+nodes, which fills r once, on one triangle, for the four calls.  specfun
+forms k r from r block by block and evaluates it on one triangle, and at
+real k bessel_j(m, .) takes over the J_m that hankel1(m, .) left on it.
+K's geometric factor divides by the argument's r.  The distances, the
+tables T_m with that factor and the compressions are filled in blocks of
+rows of a few ten thousand entries, dealt to the caller's thread and the
+shared thread pool (see ``_pool``), with the same arithmetic for every
+entry as a whole-matrix evaluation, so the sets are bit-identical for any
+number of threads.  S and the B part of N are taken only on the rows
+that compression keeps.
 
 By default every matrix is assembled on a once-refined grid and then
 compressed back to the requested nodes by trigonometric interpolation
@@ -141,8 +141,8 @@ class _Nodes:
     def __init__(self, curve: Curve, grid: NodeGrid, k: complex):
         self.n, self.k = grid.n, k
         t = grid.nodes
-        pos = curve.x(t)
-        self.x, self.y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+        self.points = curve.x(t)
+        self.x, self.y = np.ascontiguousarray(self.points.T)
         self.d = curve.dx(t)
         self.dd = curve.ddx(t)
         self.jac = curve.jacobian(t)
@@ -168,20 +168,6 @@ class _Nodes:
         nrm = self.nrm
         dot = nrm[rows, 0, None] * nrm[None, :, 0] + nrm[rows, 1, None] * nrm[None, :, 1]
         return dot * self.jac[None, :]
-
-    def argument(self) -> specfun.KernelArgument:
-        """The kernel argument k r, from the distances r on the fine grid (1 on the diagonal)."""
-        n = self.n
-        r = np.empty((n, n))
-
-        def block(lo, hi):
-            dx, dy = self.differences(slice(lo, hi))
-            rows = r[lo:hi]
-            np.sqrt(dx**2 + dy**2, out=rows)
-            rows[np.arange(hi - lo), np.arange(lo, hi)] = 1.0  # placeholder: every diagonal is set to its limit
-
-        _pool.map_blocks(block, n, n)
-        return specfun.KernelArgument(self.k, r)
 
 
 def _window(dist: np.ndarray, cutoff: float) -> np.ndarray:
@@ -374,7 +360,7 @@ def boundary_operator_set(
     # at complex k, D is windowed to parameter distances below b, where Im k r <= L
     cutoff = min(np.pi, _LOG_SPLIT_GROWTH / (k.imag * jac.max())) if k.imag else None
     table = _log_split_table(nodes.n, cutoff)
-    z = nodes.argument()
+    z = specfun.KernelArgument(k, nodes.points)
 
     # order 1: the double layer, smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
     d, dd = nodes.d, nodes.dd

@@ -198,11 +198,13 @@ def _arnoldi_step(op, v: np.ndarray, h: np.ndarray, j: int, steps: int):
 
 
 def _scale(a: np.ndarray) -> float:
-    """c = 2^-e with the largest |Re a_ij| and |Im a_ij| in [2^(e-1), 2^e); 1 if that is 0 or not finite.
+    """c = 2^-e with the largest |Re a_ij| and |Im a_ij| in [2^(e-1), 2^e); 1 if that is 0.
 
     Krylov norms of A square its entries, which overflows past about 1e154.
     On c A every product, sum and norm is c times A's, bit for bit, so the
-    results scaled back are A's.  Max and min reductions make no n x n temporary.
+    results scaled back are A's.  Max and min reductions make no n x n
+    temporary; an inf or NaN entry makes the largest part not finite, and
+    raises ValueError.
     """
     if np.iscomplexobj(a):
         # the real and imaginary parts as one float view where the layout allows: a third of the time
@@ -210,7 +212,9 @@ def _scale(a: np.ndarray) -> float:
     else:
         parts = (a,)
     largest = np.max([max(part.max(), -part.min()) for part in parts])
-    return math.ldexp(1.0, -max(math.frexp(largest)[1], -1022))  # frexp gives 0 for 0, inf and NaN
+    if not np.isfinite(largest):
+        raise ValueError("matrix entries must be finite")
+    return math.ldexp(1.0, -max(math.frexp(largest)[1], -1022))  # frexp gives 0 for 0
 
 
 def gmres(
@@ -228,7 +232,8 @@ def gmres(
     doubles when full, so its memory follows the steps taken, not maxit.
     A real A is converted to complex once, a complex128 A is used as it is,
     and the iteration runs on c A (see ``_scale``), with x scaled back.
-    A b that is not a finite vector of A's size raises ValueError.
+    A b that is not a finite vector of A's size, or an A with an entry that
+    is not finite, raises ValueError.
     """
     a = _square(a)
     n = a.shape[0]

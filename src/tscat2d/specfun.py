@@ -14,24 +14,24 @@ hankel1, arguments past 256 and all other orders go through AMOS.
 hankel1 and bessel_j take a scalar or an array z, evaluated in one call
 after whole-array reductions that find the extremes of |z|, Re z and
 Im z for the range and branch checks, or a ``KernelArgument``: the
-argument k r of a Nystrom kernel, from the wavenumber k and the symmetric
-distance matrix r = |x(t) - x(tau)|, checked once when it is built.  No
-complex k r matrix is stored; k r is formed from r block by block and
-evaluated on the upper triangle, the values mirrored: half the points,
-bit-identical results.  At a complex k, where every entry lies on the ray
-from 0 through k, orders 0 and 1 come from a table when the argument has
-at least ``_pool.MIN_ENTRIES`` entries: H_n or J_n as a function of the
-ray parameter, the larger of Re z and Im z, is interpolated at degree 12
-on panels 0.5 wide in |z|, from AMOS values at the panels' Chebyshev
-points.  The table is built once per call on the caller's thread and used
-only when its points number at most 1/16 of the argument's entries.
-Entries with |z| < 2, where H_n is log- or 1/z-singular, stay on AMOS.
-Against mpmath the table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) on
-the rays through 8+4i, 20+10i, 1+0.5i, 30+0.05i and 1+8i for
-2 <= |z| <= 70 (AMOS itself is within 0.6 eps (1 + |z|) there), and a
-kernel call at N=256 takes a third to a half of the time AMOS takes on
-the triangle.  Each entry's value depends on the entry and the table
-alone, so the results are bit-identical for any number of pool workers.
+argument k r of a Nystrom kernel, from the wavenumber k and the node
+positions, whose distance matrix r = |x(t) - x(tau)| it builds once on
+its upper triangle and mirrors.  No complex k r matrix is stored; every
+kernel value depends on r alone, so each call evaluates the upper
+triangle of r and mirrors the values: half the points, bit-identical
+results.  At a complex k, orders 0 and 1 come from a table when the
+argument has at least ``_pool.MIN_ENTRIES`` entries: H_n(k r) or J_n(k r)
+as a function of r is interpolated at degree 12 on panels 0.5 / |k| wide
+in r, from AMOS values at the panels' Chebyshev points.  The table is
+built once per call on the caller's thread and used only when its points
+number at most 1/16 of the argument's entries.  Entries with |k r| < 2,
+where H_n is log- or 1/z-singular, stay on AMOS.  Against mpmath the
+table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) for k = 8+4i, 20+10i,
+1+0.5i, 30+0.05i, 1+8i and -8+4i and 2 <= |k r| <= 70 (AMOS itself is
+within 0.6 eps (1 + |z|) at the first five), and a kernel call at N=256
+takes a third to a half of the time AMOS takes on the triangle.  Each
+entry's value depends on the entry and the table alone, so the results
+are bit-identical for any number of pool workers.
 
 At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
 next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
@@ -42,9 +42,10 @@ so a caller with much array work, such as a potential at many points,
 splits it into blocks itself.  A kernel argument's triangle is filled in
 blocks of rows holding equal numbers of its entries, about
 ``_pool.BAND_ENTRIES`` each, on the shared thread pool
-(``_pool.map_blocks``); each block checks that its values are finite, so
-the temporaries stay that small.  The AMOS and Cephes values are
-bit-identical to one whole-array call.
+(``_pool.map_blocks``); each block forms k r from its distances and
+checks that its values are finite, so the temporaries stay that small.
+The AMOS and Cephes values are bit-identical to one whole-array call on
+k r.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ _CEPHES_MAX = 256.0
 _CEPHES_J = (_sp.j0, _sp.j1)
 _CEPHES_Y = (_sp.y0, _sp.y1)
 
-# complex arguments on one ray: piecewise-Chebyshev tables in the ray parameter (see _RayTable)
+# complex kernel arguments: piecewise-Chebyshev tables in the distance r (see _RayTable)
 _RAY_DEGREE = 12
-_RAY_PANEL = 0.5  # panel width in |z|
-_RAY_NEAR = 2.0  # |z| below which the entries stay on AMOS
+_RAY_PANEL = 0.5  # panel width in |k r|
+_RAY_NEAR = 2.0  # |k r| below which the entries stay on AMOS
 _RAY_MIN_SHARE = 16  # a table has at most 1/16 as many points as the argument has entries
 _RAY_MAX_VALUE = 1.0e300  # largest table value; the interpolant stays below overflow
 
@@ -131,89 +132,61 @@ def _extremes(z: np.ndarray) -> _Extremes:
     return _Extremes(low(a), np.fmax.reduce(a, axis=None), low(z.real), im)
 
 
-class _Ray(NamedTuple):
-    """The ray from 0 through a point of the closed first quadrant.
-
-    A point of the ray is s (1 + i q) when its real part is the larger
-    (``axis`` 0) and s (q + i) otherwise (``axis`` 1): the ray parameter s
-    is the larger of Re z and Im z, and 0 <= q <= 1.
-    """
-
-    axis: int
-    q: float
-
-    @classmethod
-    def through(cls, z0: complex) -> _Ray | None:
-        re, im = z0.real, z0.imag
-        if not (np.isfinite(z0) and re >= 0.0 and im >= 0.0 and max(re, im) > 0.0):
-            return None
-        return cls(0, im / re) if re >= im else cls(1, re / im)
-
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ray parameter, other part) of complex z, as views."""
-        return (z.real, z.imag) if self.axis == 0 else (z.imag, z.real)
-
-    def point(self, s: np.ndarray) -> np.ndarray:
-        """The points of the ray at parameters s."""
-        z = np.empty(s.shape, dtype=complex)
-        on, other = self.split(z)
-        on[...] = s
-        np.multiply(self.q, s, out=other)
-        return z
-
-
 class KernelArgument:
-    """The argument k r of a Nystrom kernel, from a wavenumber k and a symmetric distance matrix r.
+    """The argument k r of a Nystrom kernel: a wavenumber k and the distances r between m nodes.
 
-    k must be finite with Im k >= 0, and r a non-empty square float matrix
-    that equals its transpose, is finite and is >= 0; anything else raises
-    ``ValueError``.  One pass over r's upper triangle, in blocks of rows
-    holding equal numbers of its entries on the shared pool, checks r and
-    takes its extremes.  r is frozen (see ``_memo``), not copied, and what
-    is found here holds only while it stays unchanged.
+    k must be finite with Im k >= 0, and points a non-empty finite float
+    array of the m node positions, one row (x, y) each; anything else
+    raises ``ValueError``.  One pass over r's upper triangle, in blocks of
+    rows holding equal numbers of its entries on the shared pool, fills
+    r = sqrt(dx^2 + dy^2), mirrors it, writes 1 on the diagonal (a
+    placeholder: every kernel's diagonal is set to its limit) and takes
+    r's extremes.  r is symmetric bit for bit and frozen (see ``_memo``).
 
     ``k`` is a float at a real wavenumber (Im k = 0), and the argument is
-    then real.  ``size`` is r's, and ``extremes`` holds the extremes of
-    |k r|, Re k r and Im k r.  A complex argument of at least
-    ``_pool.MIN_ENTRIES`` entries carries the ray through k r[0, -1]
-    (None if k is off the closed first quadrant) and ``s_max``, the
-    largest ray parameter of its entries.
+    then real.  ``shape`` and ``size`` are r's, ``r_max`` its largest
+    entry, and ``extremes`` holds the extremes of |k r|, Re k r and Im k r.
     """
 
-    def __init__(self, k, r):
+    def __init__(self, k, points):
         k = complex(k)
         if not (cmath.isfinite(k) and k.imag >= 0):
             raise ValueError(f"wavenumber must be finite with Im k >= 0, got {k!r}")
-        r = np.asarray(r)
-        if not (r.dtype == float and r.ndim == 2 and r.shape[0] == r.shape[1] and r.size):
-            raise ValueError(f"distances must be a non-empty square float matrix, got {r.dtype} {r.shape}")
-        m = len(r)
-        found = []  # (rows equal columns, smallest, largest) of each block of rows of the triangle
+        points = np.asarray(points)
+        if not (points.dtype == float and points.ndim == 2 and points.shape[1] == 2 and len(points)):
+            raise ValueError(
+                f"node positions must be a non-empty float array of shape (m, 2), got {points.dtype} {points.shape}"
+            )
+        if not np.isfinite(points).all():
+            raise ValueError("node positions must be finite")
+        x, y = np.ascontiguousarray(points.T)
+        m = len(points)
+        r = np.empty((m, m))
+        found = []  # (smallest, largest) of each block of rows of the triangle
 
         def block(lo, hi):
             rows = r[lo:hi, lo:]
-            found.append((np.array_equal(rows, r[lo:, lo:hi].T), rows.min(), rows.max()))
+            np.subtract(x[lo:hi, None], x[None, lo:], out=rows)
+            rows **= 2
+            dy = y[lo:hi, None] - y[None, lo:]
+            dy **= 2
+            rows += dy
+            del dy  # before the mirror's copy: one temporary of the block's size at a time
+            np.sqrt(rows, out=rows)
+            rows[np.arange(hi - lo), np.arange(hi - lo)] = 1.0
+            r[hi:, lo:hi] = rows[:, hi - lo :].T
+            found.append((rows.min(), rows.max()))
 
         _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
-        same, lo, hi = zip(*found)
-        r_min, r_max = np.min(lo), np.max(hi)
-        if not (r_min >= 0 and np.isfinite(r_max)):
-            raise ValueError(f"distances must be finite and >= 0, got a range [{r_min}, {r_max}]")
-        if not all(same):
-            raise ValueError("distances must equal their transpose")
+        r_min, r_max = np.min(found, axis=0)[0], np.max(found, axis=0)[1]
 
         self.k = k.real if k.imag == 0 else k
-        self.r = freeze(r)
+        self.r, self.r_max = freeze(r), r_max
         self.shape, self.size, self.dtype = r.shape, r.size, np.dtype(type(self.k))
         # |k r|, Re k r and Im k r are monotone in r >= 0, and so are their roundings
         ends = self.k * np.array([r_min, r_max])
         mags = np.abs(ends)
         self.extremes = _Extremes(mags[0], mags[1], ends.real.min(), ends.imag.min())
-        self.ray = self.s_max = None
-        if self.dtype == complex and self.size >= _pool.MIN_ENTRIES:
-            self.ray = _Ray.through(self.k * r[0, -1])
-            if self.ray is not None:
-                self.s_max = self.ray.split(ends)[0][1]
         self._j = {}  # n -> the J_n that hankel1(n, self) left for bessel_j(n, self)
 
 
@@ -228,12 +201,14 @@ def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
 def _evaluate(f, z, dtype) -> np.ndarray:
     """f at every entry of z, as an array of dtype; raises _NotFinite unless every value is finite.
 
-    f(x) returns its values at the entries of an array x.  An array is
-    evaluated in one call.  A ``KernelArgument`` is evaluated on its upper
-    triangle: its rows are cut into blocks holding equal numbers of the
-    triangle's entries, and each block of rows lo:hi makes one call on k r
-    over the triangle of its diagonal block and the rectangle right of it,
-    checks the values, writes them and copies them to their mirror image.
+    f(x) returns its values at the entries of an array x: of z itself for
+    an array, evaluated in one call, and of the distances r for a
+    ``KernelArgument`` (see ``_of_distances``).  A kernel argument is
+    evaluated on its upper triangle: its rows are cut into blocks holding
+    equal numbers of the triangle's entries, and each block of rows lo:hi
+    makes one call on r over the triangle of its diagonal block and the
+    rectangle right of it, checks the values, writes them and copies them
+    to their mirror image.
     """
     if not isinstance(z, KernelArgument):
         return _require_finite(np.asarray(f(z), dtype))
@@ -243,8 +218,7 @@ def _evaluate(f, z, dtype) -> np.ndarray:
     def block(lo, hi):
         upper = np.triu_indices(hi - lo)
         corner, right = slice(lo, hi), slice(hi, None)
-        x = z.k * np.concatenate((z.r[corner, corner][upper], z.r[corner, right].ravel()))
-        values = _require_finite(f(x))
+        values = _require_finite(f(np.concatenate((z.r[corner, corner][upper], z.r[corner, right].ravel()))))
         t = len(upper[0])
         out[corner, corner][upper] = out[corner, corner].T[upper] = values[:t]
         out[corner, right] = values[t:].reshape(hi - lo, m - hi)
@@ -252,6 +226,11 @@ def _evaluate(f, z, dtype) -> np.ndarray:
 
     _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
     return out
+
+
+def _of_distances(g, z):
+    """g as _evaluate's f on z: g itself for an array, r -> g(k r) for a ``KernelArgument``."""
+    return (lambda r: g(z.k * r)) if isinstance(z, KernelArgument) else g
 
 
 def _interpolation_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,18 +256,18 @@ _VALUES_TO_CHEB, _CHEB_TO_MONO = _interpolation_matrices(_RAY_DEGREE)
 
 
 class _RayTable:
-    """f(n, z) for z on a ray: piecewise polynomial in the ray parameter, AMOS near 0.
+    """f(n, k r) as a function of r >= 0: piecewise polynomial, AMOS near 0.
 
-    Panels _RAY_PANEL wide in |z| cover _RAY_NEAR <= |z| up to the largest
+    Panels _RAY_PANEL / |k| wide cover _RAY_NEAR <= |k r| up to the largest
     entry.  On each, f is interpolated at degree _RAY_DEGREE in its values
     at the panel's Chebyshev points, neighbours sharing their ends, and the
     interpolant is evaluated by Horner's rule in x in [-1, 1] across the
-    panel.  Entries with |z| below _RAY_NEAR, where H_n is log- or
+    panel.  Entries with |k r| below _RAY_NEAR, where H_n is log- or
     1/z-singular, are passed to f itself.
     """
 
-    def __init__(self, f, n: int, ray: _Ray, values: np.ndarray, h: float, s_near: float):
-        self.f, self.n, self.ray, self.h, self.s_near = f, n, ray, h, s_near
+    def __init__(self, f, n: int, k: complex, values: np.ndarray, h: float, r_near: float):
+        self.f, self.n, self.k, self.h, self.r_near = f, n, k, h, r_near
         d = _RAY_DEGREE
         panel_values = np.lib.stride_tricks.sliding_window_view(values, d + 1)[::d]
         # einsum, not BLAS, whose summation order may follow its thread count; the
@@ -297,61 +276,62 @@ class _RayTable:
         self.coef = np.einsum("jk,kp->jp", _CHEB_TO_MONO, cheb)
 
     @classmethod
-    def build(cls, f, n: int, ray: _Ray, s_max: float, entries: int) -> _RayTable | None:
-        """The table for entries up to s_max, or None where AMOS on the entries is the better call.
+    def build(cls, f, n: int, k: complex, r_max: float, entries: int) -> _RayTable | None:
+        """The table for distances up to r_max, or None where AMOS on the entries is the better call.
 
         That is when every entry is near 0, when the table would need more
         than 1/_RAY_MIN_SHARE of the entries' points, and when a value at the
         table's points is not finite or so large that the interpolant could
         overflow (there AMOS gives each entry its own value or overflow).
         """
-        scale = np.hypot(1.0, ray.q)  # |z| / s
-        h, s_near = _RAY_PANEL / scale, _RAY_NEAR / scale
-        if not s_max >= s_near:
+        h, r_near = _RAY_PANEL / abs(k), _RAY_NEAR / abs(k)
+        if not r_max >= r_near:
             return None
-        panels = int((s_max - s_near) / h) + 1
+        panels = int((r_max - r_near) / h) + 1
         if (_RAY_DEGREE * panels + 1) * _RAY_MIN_SHARE > entries:
             return None
         u = np.append(np.add.outer(np.arange(panels), _CHEB_Y[:-1]).ravel(), panels)
-        values = f(n, ray.point(s_near + h * u))
+        values = f(n, k * (r_near + h * u))
         if not np.max(np.abs(values)) < _RAY_MAX_VALUE:
             return None
-        return cls(f, n, ray, values, h, s_near)
+        return cls(f, n, k, values, h, r_near)
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """f(n, z) for a one-dimensional array z of points on the ray."""
-        s = self.ray.split(z)[0]
-        u = (s - self.s_near) / self.h
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """f(n, k r) for a one-dimensional array r of distances."""
+        u = (r - self.r_near) / self.h
         np.maximum(u, 0.0, out=u)  # near entries: any panel, replaced below
         p = u.astype(np.intp)
         u -= p
         u *= 2.0
         u -= 1.0
         x = np.repeat(u, 2)  # for the real and the imaginary part of each value
-        out, c = np.empty(len(z), dtype=complex), np.empty(len(z), dtype=complex)
+        out, c = np.empty(len(r), dtype=complex), np.empty(len(r), dtype=complex)
         outf, cf = out.view(float), c.view(float)
         self.coef[-1].take(p, out=out, mode="clip")
         for a in self.coef[-2::-1]:
             outf *= x
             a.take(p, out=c, mode="clip")
             outf += cf
-        near = s < self.s_near
+        near = r < self.r_near
         if near.any():
-            out[near] = self.f(self.n, z[near])
+            out[near] = self.f(self.n, self.k * r[near])
         return out
 
 
 def _amos(f, n: int, z, dtype) -> np.ndarray:
     """f(n, z) entrywise as an array of dtype; raises _NotFinite unless every value is finite.
 
-    A complex kernel argument of order 0 or 1 with a ray is evaluated from
-    a ``_RayTable`` built first, on the caller's thread, when the table
-    pays.  An array is converted to dtype first.
+    A complex kernel argument of order 0 or 1 with at least
+    ``_pool.MIN_ENTRIES`` entries is evaluated from a ``_RayTable`` built
+    first, on the caller's thread, when the table pays.  An array is
+    converted to dtype first.
     """
     if not isinstance(z, KernelArgument):
         return _evaluate(functools.partial(f, n), np.asarray(z, dtype), dtype)
-    table = None if n > 1 or z.ray is None else _RayTable.build(f, n, z.ray, z.s_max, z.size)
-    return _evaluate(functools.partial(f, n) if table is None else table, z, dtype)
+    table = None
+    if n < 2 and z.dtype == complex and z.size >= _pool.MIN_ENTRIES:
+        table = _RayTable.build(f, n, z.k, z.r_max, z.size)
+    return _evaluate(_of_distances(functools.partial(f, n), z) if table is None else table, z, dtype)
 
 
 def _cephes_hankel1(n: int, x) -> np.ndarray:
@@ -375,7 +355,7 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
         if n < 2 and dtype == float and ext.abs_max <= _CEPHES_MAX:
             out = z._j.pop(n, None) if isinstance(z, KernelArgument) else None
             if out is None:
-                out = _evaluate(_CEPHES_J[n], z, float)
+                out = _evaluate(_of_distances(_CEPHES_J[n], z), z, float)
         else:
             out = _amos(_sp.jv, n, z, dtype)
     return out[()]
@@ -404,7 +384,7 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         raise ValueError("argument too close to the singular point z = 0")
     with _overflow_reported("hankel1", n, ext.abs_max):
         if np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
-            out = _evaluate(functools.partial(_cephes_hankel1, n), z, complex)
+            out = _evaluate(_of_distances(functools.partial(_cephes_hankel1, n), z), z, complex)
             if isinstance(z, KernelArgument):
                 z._j = {n: out.real.copy()}
         else:

@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
-from tscat2d import formulations
+from tscat2d import cli, formulations, specfun
 from tscat2d.cli import DEFAULT_CONFIG, main, validate_config
 from tscat2d.formulations import ConfigError
+from tscat2d.geometry import grid, make_curve
+from tscat2d.operators import boundary_operator_set
 from tscat2d.solver import MAX_DIRECT_UNKNOWNS
 
 # first zero of J_0: forces an interior Dirichlet pole at mode 0
@@ -403,6 +405,55 @@ def test_kernel_arguments_specfun_cannot_evaluate_are_refused_before_any_work(
         assert run([*args, "--out", out]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kernel_arguments_are_measured_on_the_fine_grid(tmp_path, capsys, monkeypatch):
+    # the kite's 6 coarse nodes are 2.795 apart at most, the 12 fine nodes its sets are built on
+    # 3.000: Im kappa diam = 735 there, past 700.92, where bessel_j(1, .) used to overflow in solve
+    _no_operator_sets(monkeypatch)
+    out = tmp_path / "out"
+    args = ["solve", "--config", _kite_config(tmp_path), "--N", 6, "--k1", 2, "--k2", 3]
+    assert run([*args, "--kappa-re", 2, "--kappa-im", 245, "--out", out]) == 2
+    assert "config error: kappa: Im kappa diam = 735: J_n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_the_refusals_diameter_is_the_largest_distance_of_the_kernel_argument(monkeypatch, n):
+    built = []
+    argument = specfun.KernelArgument
+
+    class Recorded(argument):
+        def __init__(self, k, points):
+            super().__init__(k, points)
+            built.append(self.r_max)
+
+    monkeypatch.setattr(specfun, "KernelArgument", Recorded)
+    kite = make_curve("kite")
+    boundary_operator_set(kite, grid(n), 2.0)
+    assert built == [cli._fine_diameter(kite, n)]  # the same roundings: equal to the bit
+
+
+@pytest.mark.parametrize(
+    "args,solver",
+    [
+        (["solve", "--N", 32], "gmres"),  # converges; the diagnostics' LU finds the matrix singular
+        (["solve", "--N", 32], "lu"),
+        (["convergence", "--N-list", "16,32"], "lu"),
+    ],
+    ids=["solve-diagnostics", "solve-lu", "convergence"],
+)
+def test_a_numerically_singular_system_ends_in_one_error_line(tmp_path, capsys, args, solver):
+    # nu = 1e15 makes the classical system singular to working precision: it used to end in a
+    # LinAlgError traceback, and solve with GMRES wrote farfield.csv first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"type": solver}}))
+    out = tmp_path / "out"
+    assert run([*args, "--config", cfg, "--nu", 1e15, "--formulation", "classical", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix numerically singular: reciprocal condition number")
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_a_classical_solve_builds_no_kappa_set_and_is_not_refused_for_kappa(tmp_path):

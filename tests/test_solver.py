@@ -483,6 +483,24 @@ def test_krylov_results_scale_exactly_with_the_matrix(exponent):
     assert sigma_min_estimate(scaled, seed=3) == np.ldexp(sigma_min_estimate(a, seed=3), exponent)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-im"])
+@pytest.mark.parametrize("layout", ["complex", "fortran", "real"])
+def test_krylov_processes_refuse_a_matrix_that_is_not_finite(bad, layout):
+    # the largest part that the scaling reduces is not finite: refused before any Krylov step,
+    # with no numpy warning on the way
+    a, b = _well_conditioned(12, 22)
+    a = a.real.copy() if layout == "real" else np.asfortranarray(a) if layout == "fortran" else a
+    if layout == "real" and isinstance(bad, complex):
+        bad = bad.imag
+    a[4, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            gmres(a, b)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            norm2_estimate(a, shift=1.0)
+
+
 @pytest.mark.parametrize("maxit", [15, 16, 17, 32, 33, 40])
 def test_gmres_growth_keeps_every_iterate(maxit):
     # a budget-limited run must reproduce the first steps of a longer run

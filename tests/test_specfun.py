@@ -227,18 +227,28 @@ def test_real_arguments_up_to_256_skip_amos(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kernel arguments: checked when built, evaluated on one triangle
+# kernel arguments: built from node positions, evaluated on one triangle
 # ---------------------------------------------------------------------------
+def on_a_line(u):
+    # nodes (u_i, 0): their distances are |u_i - u_j| exactly, as sqrt(d^2) = |d| in binary floating point
+    return np.column_stack((u, np.zeros_like(u)))
+
+
+def kernel_nodes(n=96):
+    # u_i from 1e-3 to 60: r = |u_i - u_j| spans the kernels' range
+    return np.geomspace(1e-3, 60.0, n)
+
+
 def kernel_distances(n=96):
-    # r = |u_i - u_j| spanning 1e-3 .. 60, the kernels' range; 1 on the diagonal
-    u = np.geomspace(1e-3, 60.0, n)
+    # the distances of the kernel argument on on_a_line(kernel_nodes(n)), 1 on the diagonal
+    u = kernel_nodes(n)
     r = np.abs(u[:, None] - u[None, :])
     np.fill_diagonal(r, 1.0)
     return r
 
 
 def symmetric_kernel_argument(n=96, k=1.0 + 0.5j):
-    return specfun.KernelArgument(k, kernel_distances(n))
+    return specfun.KernelArgument(k, on_a_line(kernel_nodes(n)))
 
 
 def values(z):
@@ -247,33 +257,45 @@ def values(z):
 
 
 def test_kernel_argument_holds_k_and_its_frozen_distances():
-    r = kernel_distances(40)
-    arg = specfun.KernelArgument(2 + 0j, r)
-    assert arg.r is r and not r.flags.writeable  # frozen, not copied
+    pts = on_a_line(kernel_nodes(40))
+    arg = specfun.KernelArgument(2 + 0j, pts)
+    assert same_bits(arg.r, kernel_distances(40)) and not arg.r.flags.writeable
+    assert arg.r_max == arg.r.max()
     assert arg.k == 2.0 and isinstance(arg.k, float) and arg.dtype == float
-    assert arg.shape == r.shape and arg.size == r.size
-    assert specfun.KernelArgument(2 + 1j, r.copy()).dtype == complex
+    assert arg.shape == arg.r.shape == (40, 40) and arg.size == 1600
+    assert specfun.KernelArgument(2 + 1j, pts).dtype == complex
+
+
+def test_kernel_argument_distances_are_symmetric_bit_for_bit(pool_workers):
+    # nodes off a line: the triangle is filled, the rest mirrored, as if every entry were its own
+    t = np.linspace(0.0, 2.0 * np.pi, BAND_N, endpoint=False)
+    pts = np.column_stack((np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)))
+    r = specfun.KernelArgument(1.0 + 0.5j, pts).r
+    dx, dy = pts[:, 0, None] - pts[None, :, 0], pts[:, 1, None] - pts[None, :, 1]
+    ref = np.sqrt(dx**2 + dy**2)
+    np.fill_diagonal(ref, 1.0)
+    assert same_bits(r, ref) and same_bits(r, r.T)
+
+
+LINE = on_a_line(kernel_nodes(40))
 
 
 @pytest.mark.parametrize(
-    "k,r,match",
+    "k,points,match",
     [
-        (1.0, kernel_distances(40) + np.triu(np.full((40, 40), 1e-3)), "transpose"),
-        (1.0, -kernel_distances(40), ">= 0"),
-        (1.0, np.where(np.eye(40) > 0, np.nan, kernel_distances(40)), ">= 0"),
-        (1.0, np.full((40, 40), np.inf), ">= 0"),
-        (1.0, kernel_distances(40)[:, :39], "square"),
-        (1.0, kernel_distances(40).astype(np.float32), "float"),
-        (1.0, np.empty((0, 0)), "non-empty"),
-        (1 - 1e-9j, kernel_distances(40), r"Im k >= 0"),
-        (complex(np.nan, 1.0), kernel_distances(40), "finite"),
+        (1.0, np.where(np.arange(40)[:, None] == 7, np.nan, LINE), "finite"),
+        (1.0, np.where(np.arange(40)[:, None] == 7, np.inf, LINE), "finite"),
+        (1.0, np.ones((40, 3)), r"shape \(m, 2\)"),
+        (1.0, LINE.astype(np.float32), "float"),
+        (1.0, np.empty((0, 2)), "non-empty"),
+        (1 - 1e-9j, LINE, r"Im k >= 0"),
+        (complex(np.nan, 1.0), LINE, "finite"),
     ],
-    ids=["asymmetric", "negative", "nan", "inf", "non-square", "float32", "empty", "im-k-negative",
-         "k-nan"],
+    ids=["nan", "inf", "non-square", "float32", "empty", "im-k-negative", "k-nan"],
 )
-def test_kernel_argument_rejects_what_is_not_a_kernel_argument(k, r, match):
+def test_kernel_argument_rejects_what_is_not_a_kernel_argument(k, points, match):
     with pytest.raises(ValueError, match=match):
-        specfun.KernelArgument(k, r)
+        specfun.KernelArgument(k, points)
 
 
 class AmosRecorder:
@@ -387,7 +409,7 @@ def test_banded_real_argument_bit_identical_to_entrywise_cephes(pool_workers, n)
     ref.real = entrywise(specfun._CEPHES_J[n], x)
     ref.imag = entrywise(specfun._CEPHES_Y[n], x)
     j_ref = entrywise(specfun._CEPHES_J[n], -x)
-    for h, j in ((x, -x), (specfun.KernelArgument(3.0, r), specfun.KernelArgument(-3.0, r))):
+    for h, j in ((x, -x), (symmetric_kernel_argument(BAND_N, 3.0), symmetric_kernel_argument(BAND_N, -3.0))):
         assert same_bits(specfun.hankel1(n, h), ref)
         assert same_bits(specfun.bessel_j(n, j), j_ref)
 
@@ -446,14 +468,12 @@ def test_banded_nonsymmetric_argument_evaluates_every_entry_once(monkeypatch, po
     "i,j", [(0, BAND_N - 1), (BAND_N - 1, 0), (BAND_N - 2, BAND_N - 1), (BAND_N // 2, BAND_N // 2 + 1)]
 )
 def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, j):
-    # the symmetry test of a kernel argument runs in blocks; a single unequal pair in any of them
-    # must be seen. An array with that pair is evaluated in one call, as every array is
+    # no symmetry is looked for in an array: one with a single unequal pair, anywhere, is evaluated
+    # entry by entry in one call, as every array is
     rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     r = kernel_distances(BAND_N)
     r[i, j] += 1e-12
-    with pytest.raises(ValueError, match="transpose"):
-        specfun.KernelArgument(1.0 + 0.5j, r)
     z = (1.0 + 0.5j) * r
     assert same_bits(specfun.hankel1(0, z), entrywise(special.hankel1, 0, z))
     assert rec.sizes == [z.size]
@@ -462,20 +482,23 @@ def test_one_asymmetric_pair_takes_the_plain_call(monkeypatch, pool_workers, i, 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
 def test_errors_in_a_band_reach_the_caller(pool_workers, symmetric):
     def planted(k, distance):
-        # one bad distance (and its mirror image) deep in the last block of a kernel argument, or
-        # near the end of an array that is not symmetric
+        # a kernel argument with its next-to-last node moved to distance from the first, which
+        # reaches that distance in the next-to-last row and column, so in every block; or one bad
+        # distance (and its mirror image) near the end of an array that is not symmetric
+        if symmetric:
+            u = kernel_nodes(BAND_N)
+            u[-2] = u[0] + distance
+            return specfun.KernelArgument(k, on_a_line(u))
         r = kernel_distances(BAND_N)
         r[-3, -2] = r[-2, -3] = distance
-        if symmetric:
-            return specfun.KernelArgument(k, r)
         return k * r + np.triu(np.full(r.shape, 1e-3j))
 
     with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed at \|z\| ~ 800"):
         specfun.bessel_j(0, planted(1j, 800.0))  # I_0(800) is past double range
-    # a kernel argument refuses a negative distance; an array's k r then has Im z < 0
-    refused = r"finite and >= 0" if symmetric else r"H_n\^\(1\) supported only for Im z >= 0"
+    # a kernel argument refuses a node that is not finite; an array's k r at a negative distance has Im z < 0
+    bad, refused = (np.nan, "finite") if symmetric else (-1.0, r"H_n\^\(1\) supported only for Im z >= 0")
     with pytest.raises(ValueError, match=refused):
-        specfun.hankel1(1, planted(5 + 1j, -1.0))
+        specfun.hankel1(1, planted(5 + 1j, bad))
     with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
         specfun.hankel1(0, planted(1 + 1e-4j, 2e4))
     with pytest.raises(ValueError, match=r"argument outside supported range \|z\| <= 1e4"):
@@ -514,7 +537,7 @@ def test_read_only_argument_is_scanned_once(scans, pool_workers, k):
     fresh = four_calls(z)
     assert len(scans) == 4  # an array is scanned on every call
     scans.clear()
-    arg = specfun.KernelArgument(k, kernel_distances(BAND_N))
+    arg = symmetric_kernel_argument(BAND_N, k)
     assert not arg.r.flags.writeable
     kept = four_calls(arg)
     assert len(scans) == 0
@@ -533,7 +556,7 @@ def test_real_read_only_argument_evaluates_j_once(monkeypatch, pool_workers):
     assert [sum(r.sizes) for r in rec] == [2 * z.size] * 2
     for r in rec:
         r.sizes.clear()
-    kept = four_calls(specfun.KernelArgument(3.0, kernel_distances(BAND_N)))
+    kept = four_calls(symmetric_kernel_argument(BAND_N, k=3.0))
     assert [sum(r.sizes) for r in rec] == [BAND_N * (BAND_N + 1) // 2] * 2  # one triangle each
     assert all(same_bits(a, b) for a, b in zip(kept, fresh))
 
@@ -614,21 +637,25 @@ def test_a_handed_on_j_reaches_one_caller():
 
 
 def test_argument_scan_temporaries_stay_in_blocks(monkeypatch):
-    # one worker checks a kernel argument's distances in blocks of rows on the caller's thread
+    # one worker fills a kernel argument's distances in blocks of rows on the caller's thread:
+    # beyond r itself, a block's temporaries. The last block computes its whole diagonal square,
+    # twice its share of the triangle, and numpy adds a fixed iteration buffer of 128 KiB, so the
+    # nodes are enough (17 blocks) that these stay well apart from one temporary the size of r
     monkeypatch.setattr(_pool, "workers", lambda: 1)
-    m = 512
-    r = kernel_distances(m)
-    z = (8 + 4j) * r
+    m = 1024
+    pts = on_a_line(kernel_nodes(m))
+    z = (8 + 4j) * kernel_distances(m)
     tracemalloc.start()
     try:
-        ext = specfun.KernelArgument(8 + 4j, r).extremes
+        arg = specfun.KernelArgument(8 + 4j, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the extremes of the kernel argument, from those of r, are the entries' own to the bit
+    ext = arg.extremes
     assert ext.abs_min == np.abs(z).min() and ext.abs_max == np.abs(z).max()
     assert ext.re_min == z.real.min() and ext.im_min == z.imag.min()
-    assert peak <= 0.15 * r.nbytes
+    assert peak - arg.r.nbytes <= 0.15 * arg.r.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +708,8 @@ def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
 def test_overflow_on_a_ray_is_reported():
     # J_0 passes double range at Im z = 713: the table is refused and AMOS reports the overflow
     u = np.linspace(0.0, 720.0 / abs(1 + 8j), 540)
-    r = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(r, 1.0)
     with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed"):
-        specfun.bessel_j(0, specfun.KernelArgument(1 + 8j, r))
+        specfun.bessel_j(0, specfun.KernelArgument(1 + 8j, on_a_line(u)))
 
 
 def test_higher_orders_stay_on_amos(monkeypatch):
@@ -695,7 +720,7 @@ def test_higher_orders_stay_on_amos(monkeypatch):
     assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
 
 
-RAYS = [8 + 4j, 20 + 10j, 1 + 0.5j, 30 + 0.05j, 1 + 8j]
+RAYS = [8 + 4j, 20 + 10j, 1 + 0.5j, 30 + 0.05j, 1 + 8j, -8 + 4j]
 
 
 def mpmath_values(n, pts):
@@ -712,10 +737,7 @@ def mpmath_values(n, pts):
 @pytest.mark.parametrize("k", RAYS, ids=str)
 def test_ray_table_matches_mpmath(k):
     # a kernel argument large enough for the table, |k r| from 0 to 70
-    u = np.linspace(0.0, 70.0 / abs(k), 220)
-    r = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(r, 1.0)
-    z = specfun.KernelArgument(k, r)
+    z = specfun.KernelArgument(k, on_a_line(np.linspace(0.0, 70.0 / abs(k), 220)))
     row = values(z)[0, 1:]
     pick = np.flatnonzero(np.abs(row) >= specfun._RAY_NEAR)
     pick = np.union1d(pick[:4], np.append(pick[::9], pick[-1]))  # the first panel and a spread to |z| = 70
@@ -736,9 +758,8 @@ assert RANDOM_RAY_N**2 >= _pool.MIN_ENTRIES
 
 @settings(max_examples=20, deadline=None)
 @given(
-    # a part of k r below the normal range is off every ray: Re k is 0 or large enough that Re k r,
-    # for r at least the spacing of doubles near the largest r, stays normal
-    re=st.one_of(st.just(0.0), st.floats(1e-290, 30.0)),
+    # the table is a function of r on the ray from 0 through k, anywhere in the closed upper half plane
+    re=st.floats(-30.0, 30.0),
     im=st.floats(0.01, 15.0),
     z_max=st.floats(10.0, 45.0),
     seed=st.integers(0, 2**32 - 1),
@@ -746,10 +767,7 @@ assert RANDOM_RAY_N**2 >= _pool.MIN_ENTRIES
 def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
     k = complex(re, im)
     m = RANDOM_RAY_N
-    u = np.random.default_rng(seed).uniform(0.0, z_max / abs(k), m)
-    r = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(r, 1.0)
-    z = specfun.KernelArgument(k, r)
+    z = specfun.KernelArgument(k, on_a_line(np.random.default_rng(seed).uniform(0.0, z_max / abs(k), m)))
     rec = AmosRecorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specfun, "_sp", rec)
