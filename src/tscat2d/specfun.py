@@ -7,9 +7,10 @@ recurrence identities F0' = -F1, Fn' = F_{n-1} - (n/z) Fn.
 
 Orders 0 and 1 at real arguments, which is every kernel value at a real
 wavenumber, use the real-argument Cephes routines j0, j1, y0 and y1:
-about twenty times faster than the complex AMOS routines and within
-1e-14 of them for 0 < x <= 256.  Complex arguments, negative reals in
-hankel1, arguments past 256 and all other orders go through AMOS.
+8-12 times faster than the complex AMOS routines (j0 about 40 ns an
+entry, AMOS 300-480 ns, one CPU) and within 1e-14 of them for
+0 < x <= 256.  Complex arguments, negative reals in hankel1, arguments
+past 256 and all other orders go through AMOS.
 
 hankel1 and bessel_j take a scalar or an array z, evaluated in one call
 after whole-array reductions that find the extremes of |z|, Re z and
@@ -21,21 +22,23 @@ kernel value depends on r alone, so each call evaluates the upper
 triangle of r and mirrors the values: half the points, bit-identical
 results.  At a complex k, orders 0 and 1 come from a table when the
 argument has at least ``_pool.MIN_ENTRIES`` entries: H_n(k r) or J_n(k r)
-as a function of r is interpolated at degree 12 on panels 0.5 / |k| wide
+as a function of r is interpolated at degree 9 on panels 0.25 / |k| wide
 in r, from AMOS values at the panels' Chebyshev points.  The table is
 built once per call on the caller's thread and used only when its points
-number at most 1/16 of the argument's entries.  Entries with |k r| < 2,
-where H_n is log- or 1/z-singular, stay on AMOS.  Against mpmath the
-table is within 4 eps (1 + |z|) max(|J_n|, |H_n|) for k = 8+4i, 20+10i,
-1+0.5i, 30+0.05i, 1+8i and -8+4i and 2 <= |k r| <= 70 (AMOS itself is
-within 0.6 eps (1 + |z|) at the first five), and a kernel call at N=256
-takes a third to a half of the time AMOS takes on the triangle.  Each
-entry's value depends on the entry and the table alone, so the results
-are bit-identical for any number of pool workers.
+number at most 1/10 of the argument's entries.  J_n, entire, is
+tabulated from r = 0; H_n from |k r| = 2, and its entries below that,
+where it is log- or 1/z-singular, stay on AMOS.  Against mpmath the
+table is within 1.7 eps (1 + |z|) max(|J_n|, |H_n|) for k = 8+4i,
+20+10i, 1+0.5i, 30+0.05i, 1+8i and -8+4i and |k r| <= 70 (AMOS itself
+is within 0.6 eps (1 + |z|) at the first five), and a kernel call at
+N=256 takes at most a fifth of the time AMOS takes on the triangle.
+Each entry's value depends on the entry and the table alone, so the
+results are bit-identical for any number of pool workers.
 
 At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
 next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
-again.  The module itself keeps no state between calls.
+again.  Besides the read-only indices that ``_triangle`` caches, the
+module keeps no state between calls.
 
 One loop, ``_evaluate``, fills every result.  An array takes one call,
 so a caller with much array work, such as a potential at many points,
@@ -44,8 +47,9 @@ blocks of rows holding equal numbers of its entries, about
 ``_pool.BAND_ENTRIES`` each, on the shared thread pool
 (``_pool.map_blocks``); each block forms k r from its distances and
 checks that its values are finite, so the temporaries stay that small.
-The AMOS and Cephes values are bit-identical to one whole-array call on
-k r.
+A block gathers and writes the triangle of its diagonal square through
+flat indices cached per block size (``_triangle``).  The AMOS and Cephes
+values are bit-identical to one whole-array call on k r.
 """
 
 from __future__ import annotations
@@ -74,10 +78,12 @@ _CEPHES_J = (_sp.j0, _sp.j1)
 _CEPHES_Y = (_sp.y0, _sp.y1)
 
 # complex kernel arguments: piecewise-Chebyshev tables in the distance r (see _RayTable)
-_RAY_DEGREE = 12
-_RAY_PANEL = 0.5  # panel width in |k r|
-_RAY_NEAR = 2.0  # |k r| below which the entries stay on AMOS
-_RAY_MIN_SHARE = 16  # a table has at most 1/16 as many points as the argument has entries
+_RAY_DEGREE = 9
+_RAY_PANEL = 0.25  # panel width in |k r|
+_RAY_NEAR = 2.0  # |k r| below which H_n's entries stay on AMOS; J_n, entire, is tabulated from 0
+# a table has at most 1/10 as many points as the argument has entries: at 36 points per unit of
+# |k r|, about the reach of 1/16 at degree 12 on panels 0.5 wide (24 per unit)
+_RAY_MIN_SHARE = 10
 _RAY_MAX_VALUE = 1.0e300  # largest table value; the interpolant stays below overflow
 
 
@@ -198,6 +204,19 @@ def _with_extremes(z) -> tuple[KernelArgument | np.ndarray, _Extremes]:
     return z, ext
 
 
+@functools.lru_cache(maxsize=64)
+def _triangle(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a b x b square of its upper triangle, row by row, and of each entry's mirror image.
+
+    Read-only and cached per block size: the calls on one kernel argument
+    cut its rows into the same blocks, so each size is built once.
+    """
+    i, j = np.triu_indices(b)
+    upper, lower = i * b + j, j * b + i
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def _evaluate(f, z, dtype) -> np.ndarray:
     """f at every entry of z, as an array of dtype; raises _NotFinite unless every value is finite.
 
@@ -216,12 +235,14 @@ def _evaluate(f, z, dtype) -> np.ndarray:
     out = np.empty(z.shape, dtype)
 
     def block(lo, hi):
-        upper = np.triu_indices(hi - lo)
+        b, (upper, lower) = hi - lo, _triangle(hi - lo)
         corner, right = slice(lo, hi), slice(hi, None)
-        values = _require_finite(f(np.concatenate((z.r[corner, corner][upper], z.r[corner, right].ravel()))))
-        t = len(upper[0])
-        out[corner, corner][upper] = out[corner, corner].T[upper] = values[:t]
-        out[corner, right] = values[t:].reshape(hi - lo, m - hi)
+        values = _require_finite(f(np.concatenate((z.r[corner, corner].take(upper), z.r[corner, right].ravel()))))
+        t = len(upper)
+        square = np.empty(b * b, dtype)
+        square[upper] = square[lower] = values[:t]
+        out[corner, corner] = square.reshape(b, b)
+        out[corner, right] = values[t:].reshape(b, m - hi)
         out[right, corner] = out[corner, right].T
 
     _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
@@ -256,14 +277,15 @@ _VALUES_TO_CHEB, _CHEB_TO_MONO = _interpolation_matrices(_RAY_DEGREE)
 
 
 class _RayTable:
-    """f(n, k r) as a function of r >= 0: piecewise polynomial, AMOS near 0.
+    """f(n, k r) as a function of r >= 0: piecewise polynomial, for H_n AMOS near 0.
 
-    Panels _RAY_PANEL / |k| wide cover _RAY_NEAR <= |k r| up to the largest
-    entry.  On each, f is interpolated at degree _RAY_DEGREE in its values
-    at the panel's Chebyshev points, neighbours sharing their ends, and the
-    interpolant is evaluated by Horner's rule in x in [-1, 1] across the
-    panel.  Entries with |k r| below _RAY_NEAR, where H_n is log- or
-    1/z-singular, are passed to f itself.
+    Panels _RAY_PANEL / |k| wide cover r from r_near up to the largest
+    entry: from 0 for the entire J_n, and from |k r| = _RAY_NEAR for H_n,
+    whose entries below it, where H_n is log- or 1/z-singular, are passed
+    to f itself.  On each panel f is interpolated at degree _RAY_DEGREE in
+    its values at the panel's Chebyshev points, neighbours sharing their
+    ends, and the interpolant is evaluated by Horner's rule in x in
+    [-1, 1] across the panel.
     """
 
     def __init__(self, f, n: int, k: complex, values: np.ndarray, h: float, r_near: float):
@@ -276,15 +298,17 @@ class _RayTable:
         self.coef = np.einsum("jk,kp->jp", _CHEB_TO_MONO, cheb)
 
     @classmethod
-    def build(cls, f, n: int, k: complex, r_max: float, entries: int) -> _RayTable | None:
+    def build(cls, f, n: int, k: complex, r_max: float, entries: int, entire: bool) -> _RayTable | None:
         """The table for distances up to r_max, or None where AMOS on the entries is the better call.
 
-        That is when every entry is near 0, when the table would need more
-        than 1/_RAY_MIN_SHARE of the entries' points, and when a value at the
-        table's points is not finite or so large that the interpolant could
-        overflow (there AMOS gives each entry its own value or overflow).
+        An entire f (J_n) is tabulated from r = 0, any other from |k r| =
+        _RAY_NEAR.  None is returned when every entry is near 0, when the
+        table would need more than 1/_RAY_MIN_SHARE of the entries' points,
+        and when a value at the table's points is not finite or so large
+        that the interpolant could overflow (there AMOS gives each entry its
+        own value or overflow).
         """
-        h, r_near = _RAY_PANEL / abs(k), _RAY_NEAR / abs(k)
+        h, r_near = _RAY_PANEL / abs(k), 0.0 if entire else _RAY_NEAR / abs(k)
         if not r_max >= r_near:
             return None
         panels = int((r_max - r_near) / h) + 1
@@ -299,7 +323,7 @@ class _RayTable:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """f(n, k r) for a one-dimensional array r of distances."""
         u = (r - self.r_near) / self.h
-        np.maximum(u, 0.0, out=u)  # near entries: any panel, replaced below
+        np.maximum(u, 0.0, out=u)  # H_n's near entries: any panel, replaced below
         p = u.astype(np.intp)
         u -= p
         u *= 2.0
@@ -312,25 +336,26 @@ class _RayTable:
             outf *= x
             a.take(p, out=c, mode="clip")
             outf += cf
-        near = r < self.r_near
-        if near.any():
-            out[near] = self.f(self.n, self.k * r[near])
+        if self.r_near:  # H_n's table: its near entries go to f
+            near = r < self.r_near
+            if near.any():
+                out[near] = self.f(self.n, self.k * r[near])
         return out
 
 
-def _amos(f, n: int, z, dtype) -> np.ndarray:
+def _amos(f, n: int, z, dtype, entire: bool) -> np.ndarray:
     """f(n, z) entrywise as an array of dtype; raises _NotFinite unless every value is finite.
 
     A complex kernel argument of order 0 or 1 with at least
     ``_pool.MIN_ENTRIES`` entries is evaluated from a ``_RayTable`` built
-    first, on the caller's thread, when the table pays.  An array is
-    converted to dtype first.
+    first, on the caller's thread, when the table pays; an entire f (J_n)
+    is tabulated from r = 0.  An array is converted to dtype first.
     """
     if not isinstance(z, KernelArgument):
         return _evaluate(functools.partial(f, n), np.asarray(z, dtype), dtype)
     table = None
     if n < 2 and z.dtype == complex and z.size >= _pool.MIN_ENTRIES:
-        table = _RayTable.build(f, n, z.k, z.r_max, z.size)
+        table = _RayTable.build(f, n, z.k, z.r_max, z.size, entire)
     return _evaluate(_of_distances(functools.partial(f, n), z) if table is None else table, z, dtype)
 
 
@@ -357,7 +382,7 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
             if out is None:
                 out = _evaluate(_of_distances(_CEPHES_J[n], z), z, float)
         else:
-            out = _amos(_sp.jv, n, z, dtype)
+            out = _amos(_sp.jv, n, z, dtype, entire=True)
     return out[()]
 
 
@@ -390,7 +415,7 @@ def hankel1(n: int, z) -> np.ndarray | complex:
         else:
             if ext.im_min < 0:
                 raise ValueError("H_n^(1) supported only for Im z >= 0")
-            out = _amos(_sp.hankel1, n, z, complex)
+            out = _amos(_sp.hankel1, n, z, complex, entire=False)
     return out[()]
 
 

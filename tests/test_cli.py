@@ -101,12 +101,6 @@ def test_solve_warns_below_eight_points_per_wavelength(tmp_path, capsys):
         assert ("points per wavelength" in capsys.readouterr().err) is warned
 
 
-def _kite_config(tmp_path):
-    cfg = tmp_path / "kite.json"
-    cfg.write_text(json.dumps({"curve": {"kind": "kite"}, "farfield_angles": 8}))
-    return cfg
-
-
 def test_solve_null_contrast(tmp_path):
     out = tmp_path / "null"
     code = run([

@@ -380,7 +380,7 @@ def entrywise(f, *args):
 
 
 def off_table_kernel_argument(n=BAND_N):
-    # |k r| up to 2,400: a ray table would need more points than 1/16 of the entries, so AMOS
+    # |k r| up to 2,400: a ray table would need more points than 1/_RAY_MIN_SHARE of the entries, so AMOS
     # evaluates every entry of one triangle
     return symmetric_kernel_argument(n, k=40.0 + 1.0j)
 
@@ -681,23 +681,50 @@ def test_ray_argument_bit_identical_for_any_worker_count(monkeypatch, n):
 
 
 def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_workers):
+    # H_n's table starts at |k r| = _RAY_NEAR and AMOS evaluates the entries below it; J_n, entire,
+    # is tabulated from r = 0, so AMOS sees its table's points and nothing else
     rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N)
-    panels = int((np.abs(values(z)).max() - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1
-    nodes = specfun._RAY_DEGREE * panels + 1
+    z_max = np.abs(values(z)).max()
+    h_nodes = specfun._RAY_DEGREE * (int((z_max - specfun._RAY_NEAR) / specfun._RAY_PANEL) + 1) + 1
+    j_nodes = specfun._RAY_DEGREE * (int(z_max / specfun._RAY_PANEL) + 1) + 1
     near = np.count_nonzero(np.triu(np.abs(values(z)) < specfun._RAY_NEAR))
-    assert 0 < near and nodes * specfun._RAY_MIN_SHARE <= z.size
+    assert 0 < near and j_nodes * specfun._RAY_MIN_SHARE <= z.size
     specfun.hankel1(0, z)
-    assert rec.sizes[0] == nodes  # the table, built first
-    assert sum(rec.sizes) == nodes + near
+    assert rec.sizes[0] == h_nodes  # the table, built first
+    assert sum(rec.sizes) == h_nodes + near
     rec.sizes.clear()
     specfun.bessel_j(1, z)
-    assert sum(rec.sizes) == nodes + near
+    assert rec.sizes == [j_nodes]
+
+
+def test_triangle_indices_are_cached_read_only():
+    for b in (1, 2, 7, 300):
+        upper, lower = specfun._triangle(b)
+        assert specfun._triangle(b)[0] is upper
+        assert np.array_equal(upper, np.ravel_multi_index(np.triu_indices(b), (b, b)))
+        assert np.array_equal(lower, np.ravel_multi_index(np.triu_indices(b)[::-1], (b, b)))
+        for index in (upper, lower):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
+
+DIAGONAL_BLOCK_ARGUMENTS = [symmetric_kernel_argument(m, k=0.5) for m in range(1, 301)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_diagonal_blocks_of_1_to_300_rows_give_the_entrywise_bits(monkeypatch, workers):
+    # blocks large enough that one worker takes an argument's m rows as one block, whose diagonal
+    # square goes through the cached indices of its triangle; more workers cut the larger ones
+    monkeypatch.setattr(_pool, "workers", lambda: workers)
+    monkeypatch.setattr(_pool, "BAND_ENTRIES", 1 << 20)
+    for z in DIAGONAL_BLOCK_ARGUMENTS:
+        assert same_bits(specfun.bessel_j(0, z), entrywise(specfun._CEPHES_J[0], z))
 
 
 def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
-    # a table for |z| up to 2000 would need more points than the array has entries over 16
+    # a table for |z| up to 2000 would need more points than the array has entries over _RAY_MIN_SHARE
     rec = AmosRecorder()
     monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N, k=30.0 + 15.0j)
@@ -736,13 +763,16 @@ def mpmath_values(n, pts):
 
 @pytest.mark.parametrize("k", RAYS, ids=str)
 def test_ray_table_matches_mpmath(k):
-    # a kernel argument large enough for the table, |k r| from 0 to 70
+    # a kernel argument large enough for the table, |k r| from 0 to 70: J_n is tabulated from 0,
+    # H_n from _RAY_NEAR, below which its entries are AMOS's
     z = specfun.KernelArgument(k, on_a_line(np.linspace(0.0, 70.0 / abs(k), 220)))
     row = values(z)[0, 1:]
+    near = np.flatnonzero(np.abs(row) < specfun._RAY_NEAR)
     pick = np.flatnonzero(np.abs(row) >= specfun._RAY_NEAR)
     pick = np.union1d(pick[:4], np.append(pick[::9], pick[-1]))  # the first panel and a spread to |z| = 70
+    pick = np.union1d(near, pick)
     pts = row[pick]
-    assert abs(pts[-1]) > 69
+    assert len(near) >= 6 and abs(pts[-1]) > 69
     for n in (0, 1):
         h_ref, j_ref = mpmath_values(n, pts)
         bound = 4 * EPS * (1 + np.abs(pts)) * np.maximum(np.abs(h_ref), np.abs(j_ref))
