@@ -699,7 +699,11 @@ def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_w
     assert rec.sizes == [j_nodes]
 
 
-def test_triangle_indices_are_cached_read_only():
+DIAGONAL_BLOCK_ARGUMENTS = [symmetric_kernel_argument(m, k=0.5) for m in range(1, 301)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_cached_triangle_indices_are_read_only_and_give_the_entrywise_bits(monkeypatch, workers):
     for b in (1, 2, 7, 300):
         upper, lower = specfun._triangle(b)
         assert specfun._triangle(b)[0] is upper
@@ -708,13 +712,6 @@ def test_triangle_indices_are_cached_read_only():
         for index in (upper, lower):
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 1
-
-
-DIAGONAL_BLOCK_ARGUMENTS = [symmetric_kernel_argument(m, k=0.5) for m in range(1, 301)]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_diagonal_blocks_of_1_to_300_rows_give_the_entrywise_bits(monkeypatch, workers):
     # blocks large enough that one worker takes an argument's m rows as one block, whose diagonal
     # square goes through the cached indices of its triangle; more workers cut the larger ones
     monkeypatch.setattr(_pool, "workers", lambda: workers)
