@@ -5,12 +5,16 @@ arguments, explicit domain checks, and overflow reported as an error
 instead of silently propagating inf/nan.  Derivatives come from the
 recurrence identities F0' = -F1, Fn' = F_{n-1} - (n/z) Fn.
 
-Orders 0 and 1 at real arguments, which is every kernel value at a real
-wavenumber, use the real-argument Cephes routines j0, j1, y0 and y1:
-8-12 times faster than the complex AMOS routines (j0 about 40 ns an
-entry, AMOS 300-480 ns, one CPU) and within 1e-14 of them for
-0 < x <= 256.  Complex arguments, negative reals in hankel1, arguments
-past 256 and all other orders go through AMOS.
+Orders 0 and 1 at plain real arrays use the real-argument Cephes
+routines j0, j1, y0 and y1: 8-12 times faster than the complex AMOS
+routines (j0 about 40 ns an entry, AMOS 300-480 ns, one CPU) and within
+1e-14 of them for 0 < x <= 256.  Complex arrays, negative reals in
+hankel1, arrays past 256 and all other orders go through AMOS, and so
+does every kernel argument (below), at a real wavenumber too.  A
+potential's blocks of points are plain arrays and keep Cephes: a table
+per block measured slower there (single- plus double-layer potential of
+the kite at k = 8, N=256, on 2,000 points: medians of 57-71 ms with
+Cephes, 65-84 ms with tables, 2 vCPU).
 
 hankel1 and bessel_j take a scalar or an array z, evaluated in one call
 after whole-array reductions that find the extremes of |z|, Re z and
@@ -20,25 +24,29 @@ positions, whose distance matrix r = |x(t) - x(tau)| it builds once on
 its upper triangle and mirrors.  No complex k r matrix is stored; every
 kernel value depends on r alone, so each call evaluates the upper
 triangle of r and mirrors the values: half the points, bit-identical
-results.  At a complex k, orders 0 and 1 come from a table when the
-argument has at least ``_pool.MIN_ENTRIES`` entries: H_n(k r) or J_n(k r)
-as a function of r is interpolated at degree 9 on panels 0.25 / |k| wide
-in r, from AMOS values at the panels' Chebyshev points.  The table is
-built once per call on the caller's thread and used only when its points
-number at most 1/10 of the argument's entries.  J_n, entire, is
-tabulated from r = 0; H_n from |k r| = 2, and its entries below that,
-where it is log- or 1/z-singular, stay on AMOS.  Against mpmath the
-table is within 1.7 eps (1 + |z|) max(|J_n|, |H_n|) for k = 8+4i,
-20+10i, 1+0.5i, 30+0.05i, 1+8i and -8+4i and |k r| <= 70 (AMOS itself
-is within 0.6 eps (1 + |z|) at the first five), and a kernel call at
-N=256 takes at most a fifth of the time AMOS takes on the triangle.
+results.  At any k, real or complex, orders 0 and 1 come from a table
+when the argument has at least ``_pool.MIN_ENTRIES`` entries: H_n(k r)
+or J_n(k r) as a function of r is interpolated at degree 9 on panels
+0.25 / |k| wide in r, from AMOS values at the panels' Chebyshev points.
+The table is built once per call on the caller's thread and used only
+when its points number at most 1/10 of the argument's entries; otherwise
+AMOS evaluates every entry of the triangle.  J_n, entire, is tabulated
+from r = 0; H_n from |k r| = 2, and its entries below that, where it is
+log- or 1/z-singular, stay on AMOS.  Against mpmath the table is within
+3 eps (1 + |z|) max(|J_n|, |H_n|) for k = 8+4i, 20+10i, 1+0.5i,
+30+0.05i, 1+8i, -8+4i, 8, 30 and -8 and |k r| <= 70 (AMOS itself is
+within 0.6 eps (1 + |z|) at the first five), and a complex-k kernel call
+at N=256 takes at most a fifth of the time AMOS takes on the triangle.
 Each entry's value depends on the entry and the table alone, so the
 results are bit-identical for any number of pool workers.
 
-At a real k, hankel1(n, arg) leaves a copy of its J_n on arg, and the
-next bessel_j(n, arg) returns it to one caller instead of evaluating J_n
-again.  Besides the read-only indices that ``_triangle`` caches, the
-module keeps no state between calls.
+At a real k > 0, J_n(k r) = Re H_n(k r): bessel_j(n, arg) returns the
+real part of hankel1's route, and hankel1(n, arg) leaves a copy of it on
+arg, which the next bessel_j(n, arg) returns to one caller instead of
+evaluating H_n again, with the same bits.  At a real k < 0, where
+Re H_n(k r) = -J_n(k r), and at a complex k, J_n has its own route.
+Besides the read-only indices that ``_triangle`` caches, the module
+keeps no state between calls.
 
 One loop, ``_evaluate``, fills every result.  An array takes one call,
 so a caller with much array work, such as a potential at many points,
@@ -48,8 +56,8 @@ blocks of rows holding equal numbers of its entries, about
 (``_pool.map_blocks``); each block forms k r from its distances and
 checks that its values are finite, so the temporaries stay that small.
 A block gathers and writes the triangle of its diagonal square through
-flat indices cached per block size (``_triangle``).  The AMOS and Cephes
-values are bit-identical to one whole-array call on k r.
+flat indices cached per block size (``_triangle``).  A kernel argument's
+AMOS values are bit-identical to one whole-array call on k r.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ EULER_GAMMA = 0.5772156649015329
 
 _MAX_ORDER = 200
 _MAX_ABS = 1.0e4  # largest supported |z|
+_MIN_ABS_H = 1.0e-14  # smallest |z| of H_n^(1), singular at 0
 _MAX_IM_J = 700.92  # AMOS's exponent limit: J_n(z) at complex z overflows past this Im z
 
 # past x = 256 Cephes differs by more than 1e-14 from AMOS, which matches mpmath there
@@ -193,6 +202,8 @@ class KernelArgument:
         ends = self.k * np.array([r_min, r_max])
         mags = np.abs(ends)
         self.extremes = _Extremes(mags[0], mags[1], ends.real.min(), ends.imag.min())
+        # J_n = Re H_n at a real k > 0 (not at k < 0: Re H_n(k r) = -J_n(k r)) that hankel1 accepts
+        self._j_from_h = self.dtype == float and self.k > 0 and mags[0] >= _MIN_ABS_H
         self._j = {}  # n -> the J_n that hankel1(n, self) left for bessel_j(n, self)
 
 
@@ -249,11 +260,6 @@ def _evaluate(f, z, dtype) -> np.ndarray:
     return out
 
 
-def _of_distances(g, z):
-    """g as _evaluate's f on z: g itself for an array, r -> g(k r) for a ``KernelArgument``."""
-    return (lambda r: g(z.k * r)) if isinstance(z, KernelArgument) else g
-
-
 def _interpolation_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """From values at the Chebyshev points 2 y_k - 1 to the monomial coefficients of their interpolant.
 
@@ -285,7 +291,8 @@ class _RayTable:
     to f itself.  On each panel f is interpolated at degree _RAY_DEGREE in
     its values at the panel's Chebyshev points, neighbours sharing their
     ends, and the interpolant is evaluated by Horner's rule in x in
-    [-1, 1] across the panel.
+    [-1, 1] across the panel.  Its values are complex, or real where f's
+    are (J_n at a real k).
     """
 
     def __init__(self, f, n: int, k: complex, values: np.ndarray, h: float, r_near: float):
@@ -328,8 +335,8 @@ class _RayTable:
         u -= p
         u *= 2.0
         u -= 1.0
-        x = np.repeat(u, 2)  # for the real and the imaginary part of each value
-        out, c = np.empty(len(r), dtype=complex), np.empty(len(r), dtype=complex)
+        x = np.repeat(u, self.coef.itemsize // u.itemsize)  # once per float of a value: twice if complex
+        out, c = np.empty(len(r), self.coef.dtype), np.empty(len(r), self.coef.dtype)
         outf, cf = out.view(float), c.view(float)
         self.coef[-1].take(p, out=out, mode="clip")
         for a in self.coef[-2::-1]:
@@ -346,17 +353,16 @@ class _RayTable:
 def _amos(f, n: int, z, dtype, entire: bool) -> np.ndarray:
     """f(n, z) entrywise as an array of dtype; raises _NotFinite unless every value is finite.
 
-    A complex kernel argument of order 0 or 1 with at least
-    ``_pool.MIN_ENTRIES`` entries is evaluated from a ``_RayTable`` built
-    first, on the caller's thread, when the table pays; an entire f (J_n)
-    is tabulated from r = 0.  An array is converted to dtype first.
+    A kernel argument of order 0 or 1 with at least ``_pool.MIN_ENTRIES``
+    entries, at a real or a complex k, is evaluated from a ``_RayTable``
+    built first, on the caller's thread, when the table pays, and on AMOS
+    at every entry of its triangle otherwise; an entire f (J_n) is
+    tabulated from r = 0.  An array is converted to dtype first.
     """
     if not isinstance(z, KernelArgument):
         return _evaluate(functools.partial(f, n), np.asarray(z, dtype), dtype)
-    table = None
-    if n < 2 and z.dtype == complex and z.size >= _pool.MIN_ENTRIES:
-        table = _RayTable.build(f, n, z.k, z.r_max, z.size, entire)
-    return _evaluate(_of_distances(functools.partial(f, n), z) if table is None else table, z, dtype)
+    table = _RayTable.build(f, n, z.k, z.r_max, z.size, entire) if n < 2 and z.size >= _pool.MIN_ENTRIES else None
+    return _evaluate((lambda r: f(n, z.k * r)) if table is None else table, z, dtype)
 
 
 def _cephes_hankel1(n: int, x) -> np.ndarray:
@@ -370,17 +376,19 @@ def _cephes_hankel1(n: int, x) -> np.ndarray:
 def bessel_j(n: int, z) -> np.ndarray | complex:
     """J_n(z) for integer n >= 0 and real or complex z (scalar, array or ``KernelArgument``).
 
-    At a real kernel argument this is the J_n that hankel1(n, z) left on it
-    just before, if it did.
+    At a kernel argument of a real k > 0, orders 0 and 1 are Re H_n(z) by
+    hankel1's route: the J_n that hankel1(n, z) left on it just before, if
+    it did, and otherwise evaluated so, with the same bits.
     """
     _check_order(n)
     z, ext = _with_extremes(z)
     dtype = complex if np.iscomplexobj(z) else float
     with _overflow_reported("bessel_j", n, ext.abs_max):
-        if n < 2 and dtype == float and ext.abs_max <= _CEPHES_MAX:
-            out = z._j.pop(n, None) if isinstance(z, KernelArgument) else None
-            if out is None:
-                out = _evaluate(_of_distances(_CEPHES_J[n], z), z, float)
+        if n < 2 and isinstance(z, KernelArgument) and z._j_from_h:
+            if (out := z._j.pop(n, None)) is None:  # the real part of hankel1's route
+                out = _amos(_sp.hankel1, n, z, complex, entire=False).real.copy()
+        elif n < 2 and not isinstance(z, KernelArgument) and dtype == float and ext.abs_max <= _CEPHES_MAX:
+            out = _evaluate(_CEPHES_J[n], z, float)
         else:
             out = _amos(_sp.jv, n, z, dtype, entire=True)
     return out[()]
@@ -400,22 +408,24 @@ def hankel1(n: int, z) -> np.ndarray | complex:
     """H_n^(1)(z) for n in {0, 1} on the closed upper half plane (scalar, array or ``KernelArgument``).
 
     The log-split kernels only ever need orders 0 and 1; higher orders go
-    through hankel1_seq.  At a real kernel argument in the Cephes range, a
-    copy of J_n is left on it for the next bessel_j(n, z).
+    through hankel1_seq.  A real scalar or array in (0, 256] takes Cephes; a
+    kernel argument, at any k, takes the ray table or AMOS.  At a kernel
+    argument of a real k > 0, a copy of J_n = Re H_n is left on it for the
+    next bessel_j(n, z).
     """
     _check_order(n, top=1)
     z, ext = _with_extremes(z)
-    if ext.abs_min < 1.0e-14:
+    if ext.abs_min < _MIN_ABS_H:
         raise ValueError("argument too close to the singular point z = 0")
+    if ext.im_min < 0:
+        raise ValueError("H_n^(1) supported only for Im z >= 0")
     with _overflow_reported("hankel1", n, ext.abs_max):
-        if np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
-            out = _evaluate(_of_distances(functools.partial(_cephes_hankel1, n), z), z, complex)
-            if isinstance(z, KernelArgument):
-                z._j = {n: out.real.copy()}
+        if not isinstance(z, KernelArgument) and np.isrealobj(z) and ext.re_min > 0 and ext.abs_max <= _CEPHES_MAX:
+            out = _evaluate(functools.partial(_cephes_hankel1, n), z, complex)
         else:
-            if ext.im_min < 0:
-                raise ValueError("H_n^(1) supported only for Im z >= 0")
             out = _amos(_sp.hankel1, n, z, complex, entire=False)
+            if isinstance(z, KernelArgument) and z._j_from_h:
+                z._j = {n: out.real.copy()}
     return out[()]
 
 
@@ -427,7 +437,7 @@ def hankel1_seq(n_max: int, z: complex) -> np.ndarray:
     """
     _check_order(n_max, name="n_max")
     z = complex(z)
-    if not 1.0e-14 <= abs(z) <= _MAX_ABS:
+    if not _MIN_ABS_H <= abs(z) <= _MAX_ABS:
         raise ValueError("argument outside supported range 1e-14 <= |z| <= 1e4")
     if z.imag < 0:
         raise ValueError("H_n^(1) supported only for Im z >= 0")

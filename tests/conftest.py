@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from tscat2d.geometry import grid, make_circle, make_kite
 from tscat2d.operators import boundary_operator_set, fourier_modes
@@ -49,3 +50,18 @@ class CephesRecorder:
     def __call__(self, x, out=None):
         self.sizes.append(np.size(x))
         return self.f(x, out=out)
+
+
+class AmosRecorder:
+    """Stands in for scipy.special and records the size of each AMOS argument."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def hankel1(self, n, z):
+        self.sizes.append(np.size(z))
+        return special.hankel1(n, z)
+
+    def jv(self, n, z):
+        self.sizes.append(np.size(z))
+        return special.jv(n, z)

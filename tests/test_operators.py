@@ -27,7 +27,7 @@ from tscat2d.operators import (
     spectral_derivative,
     spectral_derivative_matrix,
 )
-from conftest import CephesRecorder, band_limited_density
+from conftest import AmosRecorder, band_limited_density
 
 # mpmath, dps=50, unit circle
 S0_K1 = -0.10608219815307811436 + 0.91974444547346406613j
@@ -212,14 +212,26 @@ def test_kt_matches_target_normal_kernel_on_kite(k, tol, oversample):
     assert np.abs(kt - ref).max() <= tol * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("oversample", [1, 2])
-def test_real_wavenumber_set_matches_amos_kernels(monkeypatch, oversample):
-    # real k takes the Cephes path for every kernel value; AMOS on complex arguments is the oracle
-    kite, g = make_kite(), grid(64)
-    fast = boundary_operator_set(kite, g, 8.0, oversample=oversample)
+@pytest.mark.parametrize(
+    "n,k,oversample,table",
+    [
+        pytest.param(64, 8.0, 1, False, id="1"),  # 4,096 entries, under _pool.MIN_ENTRIES
+        pytest.param(64, 8.0, 2, True, id="2"),
+        pytest.param(256, 90.0, 2, True, id="kite-256-90"),  # |k r| up to about 280
+    ],
+)
+def test_real_wavenumber_set_matches_amos_kernels(monkeypatch, n, k, oversample, table):
+    # real k takes AMOS, through the ray table where it pays, as complex k does; AMOS on complex
+    # arguments at every entry is the oracle
+    kite, g, rec = make_kite(), grid(n), AmosRecorder()
+    with monkeypatch.context() as patch:
+        patch.setattr(specfun, "_sp", rec)
+        fast = boundary_operator_set(kite, g, k, oversample=oversample)
+    m = oversample * n  # each order's H_m on one triangle, or on a table and the entries near 0
+    assert rec.sizes and (sum(rec.sizes) < 2 * m * (m + 1) // 2) == table
     monkeypatch.setattr(specfun, "hankel1", lambda n, arg: special.hankel1(n, arg.k * arg.r + 0j))
     monkeypatch.setattr(specfun, "bessel_j", lambda n, arg: special.jv(n, arg.k * arg.r + 0j))
-    ref = boundary_operator_set(kite, g, 8.0, oversample=oversample)
+    ref = boundary_operator_set(kite, g, k, oversample=oversample)
     for tag, op, op_ref in zip(("s", "k", "kt", "n"), fast, ref):
         assert np.abs(op - op_ref).max() <= 1e-13 * np.abs(op_ref).max(), tag
 
@@ -366,13 +378,39 @@ def test_one_argument_scan_per_set(monkeypatch, k):
     assert built == [(128, 128)] and scans == []
 
 
-def test_real_set_evaluates_each_cephes_function_once_per_order(monkeypatch):
-    # J_m of k r comes from hankel1(m, .), and bessel_j(m, .) takes it over
-    j, y = ([CephesRecorder(f) for f in fs] for fs in (specfun._CEPHES_J, specfun._CEPHES_Y))
-    monkeypatch.setattr(specfun, "_CEPHES_J", tuple(j))
-    monkeypatch.setattr(specfun, "_CEPHES_Y", tuple(y))
+def test_real_set_evaluates_each_order_once(monkeypatch):
+    # J_m = Re H_m of k r comes from hankel1(m, .), and bessel_j(m, .) takes it over: AMOS sees each
+    # order's table points, first, and the triangle's entries with |k r| < _RAY_NEAR, once per set
+    built, rec = [], AmosRecorder()
+    argument = specfun.KernelArgument
+
+    class Recorded(argument):
+        def __init__(self, k, points):
+            super().__init__(k, points)
+            built.append(self)
+
+    monkeypatch.setattr(specfun, "KernelArgument", Recorded)
+    monkeypatch.setattr(specfun, "_sp", rec)
     boundary_operator_set(make_kite(), grid(128), 8.0)
-    assert [sum(r.sizes) for r in j + y] == [256 * 257 // 2] * 4  # one triangle each
+    (z,) = built
+    h, r_near = specfun._RAY_PANEL / z.k, specfun._RAY_NEAR / z.k
+    points = specfun._RAY_DEGREE * (int((z.r_max - r_near) / h) + 1) + 1
+    near = np.count_nonzero(np.triu(z.r < r_near))
+    assert rec.sizes[0] == points and sum(rec.sizes) == 2 * (points + near) < 256 * 257 // 2
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_real_sets_never_reach_cephes(monkeypatch, n):
+    # Cephes serves plain real arrays only; a real set at k = 8, where every |k r| is within its range,
+    # takes AMOS and the ray table as a complex set does
+    def cephes(*args, **kwargs):
+        raise AssertionError("a kernel argument reached Cephes")
+
+    monkeypatch.setattr(specfun, "_CEPHES_J", (cephes, cephes))
+    monkeypatch.setattr(specfun, "_CEPHES_Y", (cephes, cephes))
+    monkeypatch.setattr(specfun, "_cephes_hankel1", cephes)
+    for curve in (make_kite(), make_circle(1.0)):
+        boundary_operator_set(curve, grid(n), 8.0)
 
 
 def test_concurrent_sets_from_user_threads(monkeypatch):

@@ -13,12 +13,12 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from tscat2d import _pool, specfun
 from tscat2d._memo import freeze
-from conftest import CephesRecorder
+from conftest import AmosRecorder, CephesRecorder
 
 # mpmath, dps=50
 J0_1 = 0.76519768655796655145
@@ -40,6 +40,11 @@ def test_bessel_j_reference_values():
 def test_bessel_j_trivial():
     assert specfun.bessel_j(0, 0.0) == pytest.approx(1.0)
     assert specfun.bessel_j(1, 0.0) == pytest.approx(0.0)
+    # and at a real-k kernel argument whose first two nodes coincide, which hankel1 refuses
+    z = specfun.KernelArgument(3.0, on_a_line(np.array([0.0, 0.0, 1.0])))
+    with pytest.raises(ValueError, match="singular point"):
+        specfun.hankel1(0, z)
+    assert specfun.bessel_j(0, z)[0, 1] == 1.0 and specfun.bessel_j(1, z)[0, 1] == 0.0
 
 
 def test_bessel_y_reference_value():
@@ -298,21 +303,6 @@ def test_kernel_argument_rejects_what_is_not_a_kernel_argument(k, points, match)
         specfun.KernelArgument(k, points)
 
 
-class AmosRecorder:
-    """Stands in for scipy.special and records the size of each AMOS argument."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def hankel1(self, n, z):
-        self.sizes.append(np.size(z))
-        return special.hankel1(n, z)
-
-    def jv(self, n, z):
-        self.sizes.append(np.size(z))
-        return special.jv(n, z)
-
-
 @pytest.mark.parametrize("n", [0, 1])
 def test_symmetric_argument_bit_identical_to_entrywise_amos(n):
     z = symmetric_kernel_argument()
@@ -402,16 +392,19 @@ def test_banded_nonsymmetric_argument_bit_identical_to_entrywise_amos(pool_worke
 
 
 @pytest.mark.parametrize("n", [0, 1])
-def test_banded_real_argument_bit_identical_to_entrywise_cephes(pool_workers, n):
-    r = kernel_distances(BAND_N)
-    x = 3.0 * r
+def test_banded_real_argument_bit_identical_to_entrywise_cephes(monkeypatch, pool_workers, n):
+    # a plain real array takes Cephes; a kernel argument at a real k, with its table refused, AMOS on
+    # every entry of one triangle: H_n at k = 3, and at k = -3 J_n, which is not Re H_n there
+    x = 3.0 * kernel_distances(BAND_N)
     ref = np.empty(x.shape, dtype=complex)
     ref.real = entrywise(specfun._CEPHES_J[n], x)
     ref.imag = entrywise(specfun._CEPHES_Y[n], x)
-    j_ref = entrywise(specfun._CEPHES_J[n], -x)
-    for h, j in ((x, -x), (symmetric_kernel_argument(BAND_N, 3.0), symmetric_kernel_argument(BAND_N, -3.0))):
-        assert same_bits(specfun.hankel1(n, h), ref)
-        assert same_bits(specfun.bessel_j(n, j), j_ref)
+    assert same_bits(specfun.hankel1(n, x), ref)
+    assert same_bits(specfun.bessel_j(n, -x), entrywise(specfun._CEPHES_J[n], -x))
+    monkeypatch.setattr(specfun, "_RAY_MIN_SHARE", 1 << 60)
+    h, j = symmetric_kernel_argument(BAND_N, 3.0), symmetric_kernel_argument(BAND_N, -3.0)
+    assert same_bits(specfun.hankel1(n, h), entrywise(special.hankel1, n, h))
+    assert same_bits(specfun.bessel_j(n, j), entrywise(special.jv, n, j))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -541,29 +534,31 @@ def test_read_only_argument_is_scanned_once(scans, pool_workers, k):
     assert not arg.r.flags.writeable
     kept = four_calls(arg)
     assert len(scans) == 0
-    if k.imag == 0:
-        assert all(same_bits(a, b) for a, b in zip(kept, fresh))
-    else:  # the kernel argument takes the ray table, the array AMOS on every entry
-        for n, got, ref in zip((1, 1, 0, 0), kept, fresh):
-            assert np.all(np.abs(got - ref) <= 8 * EPS * (1 + np.abs(z)) * envelope(n, z))
+    # the kernel argument takes AMOS at real k (a table would need too many points) and the ray table at
+    # complex k, the array Cephes at real k and AMOS at complex k
+    for n, got, ref in zip((1, 1, 0, 0), kept, fresh):
+        assert np.all(np.abs(got - ref) <= 8 * EPS * (1 + np.abs(z)) * envelope(n, z))
 
 
 def test_real_read_only_argument_evaluates_j_once(monkeypatch, pool_workers):
-    rec = [CephesRecorder(f) for f in specfun._CEPHES_J]
-    monkeypatch.setattr(specfun, "_CEPHES_J", tuple(rec))
-    z = 3.0 * kernel_distances(BAND_N)
-    fresh = four_calls(z)
-    assert [sum(r.sizes) for r in rec] == [2 * z.size] * 2
-    for r in rec:
-        r.sizes.clear()
-    kept = four_calls(symmetric_kernel_argument(BAND_N, k=3.0))
-    assert [sum(r.sizes) for r in rec] == [BAND_N * (BAND_N + 1) // 2] * 2  # one triangle each
-    assert all(same_bits(a, b) for a, b in zip(kept, fresh))
-
-
-def test_bessel_j_on_a_read_only_real_argument_gives_the_same_bits():
+    # at a real k > 0, bessel_j(n, .) takes the J_n = Re H_n that hankel1(n, .) left: with the table
+    # refused, AMOS sees one triangle per order, all of it from hankel1
+    monkeypatch.setattr(specfun, "_RAY_MIN_SHARE", 1 << 60)
+    rec = AmosRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
     z = symmetric_kernel_argument(BAND_N, k=3.0)
-    ref = [entrywise(specfun._CEPHES_J[n], z) for n in (0, 1)]
+    kept = four_calls(z)
+    assert sum(rec.sizes) == 2 * BAND_N * (BAND_N + 1) // 2
+    for n, h, j in zip((1, 0), kept[::2], kept[1::2]):
+        ref = entrywise(special.hankel1, n, z)
+        assert same_bits(h, ref) and same_bits(j, ref.real)
+
+
+def test_bessel_j_on_a_read_only_real_argument_gives_the_same_bits(monkeypatch):
+    # with or without the J_n that hankel1 left, the real part of AMOS's H_n on every entry (table refused)
+    monkeypatch.setattr(specfun, "_RAY_MIN_SHARE", 1 << 60)
+    z = symmetric_kernel_argument(BAND_N, k=3.0)
+    ref = [entrywise(special.hankel1, n, z).real for n in (0, 1)]
     for n in (0, 1):  # no hankel1 before
         assert same_bits(specfun.bessel_j(n, z), ref[n])
     specfun.hankel1(1, z)
@@ -611,8 +606,8 @@ def test_refrozen_argument_gets_fresh_checks():
 
 def test_a_handed_on_j_reaches_one_caller():
     # four threads ask for the J_0 that one hankel1 left: one gets it, the others evaluate their own
-    z = symmetric_kernel_argument(60, k=3.0)
-    ref = entrywise(specfun._CEPHES_J[0], z)
+    z = symmetric_kernel_argument(60, k=3.0)  # under _pool.MIN_ENTRIES: AMOS on every entry
+    ref = entrywise(special.hankel1, 0, z).real
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -713,11 +708,13 @@ def test_cached_triangle_indices_are_read_only_and_give_the_entrywise_bits(monke
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 1
     # blocks large enough that one worker takes an argument's m rows as one block, whose diagonal
-    # square goes through the cached indices of its triangle; more workers cut the larger ones
+    # square goes through the cached indices of its triangle; more workers cut the larger ones. J_0 at
+    # a real k is the real part of AMOS's H_0 on every entry, the table refused
     monkeypatch.setattr(_pool, "workers", lambda: workers)
     monkeypatch.setattr(_pool, "BAND_ENTRIES", 1 << 20)
+    monkeypatch.setattr(specfun, "_RAY_MIN_SHARE", 1 << 60)
     for z in DIAGONAL_BLOCK_ARGUMENTS:
-        assert same_bits(specfun.bessel_j(0, z), entrywise(specfun._CEPHES_J[0], z))
+        assert same_bits(specfun.bessel_j(0, z), entrywise(special.hankel1, 0, z).real)
 
 
 def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
@@ -744,7 +741,7 @@ def test_higher_orders_stay_on_amos(monkeypatch):
     assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
 
 
-RAYS = [8 + 4j, 20 + 10j, 1 + 0.5j, 30 + 0.05j, 1 + 8j, -8 + 4j]
+RAYS = [8 + 4j, 20 + 10j, 1 + 0.5j, 30 + 0.05j, 1 + 8j, -8 + 4j, 8.0, 30.0, -8.0]
 
 
 def mpmath_values(n, pts):
@@ -785,13 +782,15 @@ assert RANDOM_RAY_N**2 >= _pool.MIN_ENTRIES
 
 @settings(max_examples=20, deadline=None)
 @given(
-    # the table is a function of r on the ray from 0 through k, anywhere in the closed upper half plane
+    # the table is a function of r on the ray from 0 through k, anywhere in the closed upper half plane,
+    # the real axis too (where |k| >= 0.5: the nodes are spread over z_max / |k|)
     re=st.floats(-30.0, 30.0),
-    im=st.floats(0.01, 15.0),
+    im=st.one_of(st.just(0.0), st.floats(0.01, 15.0)),
     z_max=st.floats(10.0, 45.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_random_ray_argument_matches_entrywise_amos(re, im, z_max, seed):
+    assume(im > 0 or abs(re) >= 0.5)
     k = complex(re, im)
     m = RANDOM_RAY_N
     z = specfun.KernelArgument(k, on_a_line(np.random.default_rng(seed).uniform(0.0, z_max / abs(k), m)))
