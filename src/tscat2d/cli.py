@@ -169,20 +169,9 @@ def points_per_wavelength(tcfg: TransmissionConfig, g, formulation: str) -> floa
     return g.n * 2.0 * np.pi / (k * perimeter)
 
 
-def _fine_diameter(curve, n: int) -> float:
-    """The largest distance between two nodes of the grid that the operator sets on n nodes are built on.
-
-    It is the square root of the largest dx^2 + dy^2, from the offsets of 64
-    nodes at a time: a kernel argument's largest r, rounded alike.
-    """
-    x, y = curve.x(grid(DEFAULT_OVERSAMPLE * n).nodes).T
-    blocks = (((x[i : i + 64, None] - x) ** 2 + (y[i : i + 64, None] - y) ** 2).max() for i in range(0, len(x), 64))
-    return float(np.sqrt(max(blocks)))
-
-
 def _check_kernel_arguments(tcfg: TransmissionConfig, g, kappa_set: bool = True) -> None:
-    """Refuses kernel arguments k r, r up to the fine grid's diameter, that specfun cannot evaluate."""
-    diam = _fine_diameter(tcfg.curve, g.n)
+    """Refuses kernel arguments k r that specfun cannot evaluate, r up to the diameter of the sets' fine nodes."""
+    diam = specfun.KernelArgument(1.0, tcfg.curve.x(grid(DEFAULT_OVERSAMPLE * g.n).nodes)).r_max
     ks = {"k1": tcfg.k1, "k2": tcfg.k2, "kappa": abs(tcfg.kappa) if kappa_set else 0.0}
     name = max(ks, key=ks.get)
     if ks[name] * diam > specfun._MAX_ABS:

@@ -126,20 +126,11 @@ def kress_log_weights(n: int) -> np.ndarray:
     return -(2.0 * np.pi / n) * sums - (np.pi / n**2) * (-1.0) ** np.arange(2 * n)
 
 
-def _check_wavenumber(k: complex) -> complex:
-    k = complex(k)
-    if k == 0:
-        raise ValueError("wavenumber must be nonzero (Laplace limit not supported)")
-    if k.imag < 0:
-        raise ValueError("wavenumber must satisfy Im k >= 0")
-    return k
-
-
 class _Nodes:
     """Node geometry of the fine grid, shared by all kernels."""
 
-    def __init__(self, curve: Curve, grid: NodeGrid, k: complex):
-        self.n, self.k = grid.n, k
+    def __init__(self, curve: Curve, grid: NodeGrid):
+        self.n = grid.n
         t = grid.nodes
         self.points = curve.x(t)
         self.x, self.y = np.ascontiguousarray(self.points.T)
@@ -153,11 +144,11 @@ class _Nodes:
         """The parts of x(t) - x(tau) on the given rows."""
         return self.x[rows, None] - self.x[None, :], self.y[rows, None] - self.y[None, :]
 
-    def double_layer(self, rows: slice, r: np.ndarray) -> np.ndarray:
+    def double_layer(self, rows: slice, k: complex, r: np.ndarray) -> np.ndarray:
         """k (x(t) - x(tau)) . nu(tau) / r on the given rows of r, nu = n |x'| (K's factor of (i/4) H_1)."""
         dx, dy = self.differences(rows)
         dot = dx * self.d[None, :, 1] - dy * self.d[None, :, 0]
-        return self.k * dot / r[rows]
+        return k * dot / r[rows]
 
     def normal_products(self, rows: slice) -> np.ndarray:
         """n(t) . n(tau) |x'(tau)| on the given rows (B's factor of (i/4) H_0).
@@ -352,20 +343,22 @@ def boundary_operator_set(
     and A are compressed.  Each fine-grid matrix is compressed to its every
     oversample-th row times the trigonometric prolongation.
     """
-    k = _check_wavenumber(k)
     if not (is_integer(oversample) and oversample >= 1):
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
-    nodes = _Nodes(curve, make_grid(oversample * grid.n), k)
+    nodes = _Nodes(curve, make_grid(oversample * grid.n))
+    z = specfun.KernelArgument(k, nodes.points)  # refuses a k that is not finite or has Im k < 0
+    k = complex(k)
+    if k == 0:
+        raise ValueError("wavenumber must be nonzero (Laplace limit not supported)")
     n, w, jac = grid.n, nodes.trapz, nodes.jac
     # at complex k, D is windowed to parameter distances below b, where Im k r <= L
     cutoff = min(np.pi, _LOG_SPLIT_GROWTH / (k.imag * jac.max())) if k.imag else None
     table = _log_split_table(nodes.n, cutoff)
-    z = specfun.KernelArgument(k, nodes.points)
 
     # order 1: the double layer, smooth diagonal limit (x1'' x2' - x2'' x1') / (4 pi |x'|^2)
     d, dd = nodes.d, nodes.dd
     k_diag = w * (dd[:, 0] * d[:, 1] - dd[:, 1] * d[:, 0]) * _INV_4PI / jac**2
-    factor = functools.partial(nodes.double_layer, r=z.r)  # dropped before z, so r is freed with it
+    factor = functools.partial(nodes.double_layer, k=k, r=z.r)  # dropped before z, so r is freed with it
     k_fine = _log_split(specfun.hankel1(1, z), specfun.bessel_j(1, z), w, table, k_diag, factor)
     del factor
     k_mat = _compress(k_fine, n, oversample)

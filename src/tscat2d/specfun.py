@@ -154,13 +154,16 @@ class KernelArgument:
     array of the m node positions, one row (x, y) each; anything else
     raises ``ValueError``.  One pass over r's upper triangle, in blocks of
     rows holding equal numbers of its entries on the shared pool, fills
-    r = sqrt(dx^2 + dy^2), mirrors it, writes 1 on the diagonal (a
-    placeholder: every kernel's diagonal is set to its limit) and takes
-    r's extremes.  r is symmetric bit for bit and frozen (see ``_memo``).
+    r = sqrt(dx^2 + dy^2), mirrors it and takes its extremes over pairs of
+    distinct nodes.  The diagonal holds r's largest distance, a placeholder
+    that every kernel evaluates where it is defined and that operators
+    overwrite with the kernel's limit; an argument of one node holds 1.  r
+    is symmetric bit for bit and frozen (see ``_memo``).
 
     ``k`` is a float at a real wavenumber (Im k = 0), and the argument is
     then real.  ``shape`` and ``size`` are r's, ``r_max`` its largest
-    entry, and ``extremes`` holds the extremes of |k r|, Re k r and Im k r.
+    entry (the nodes' diameter), and ``extremes`` holds the extremes of
+    |k r|, Re k r and Im k r.
     """
 
     def __init__(self, k, points):
@@ -188,12 +191,14 @@ class KernelArgument:
             rows += dy
             del dy  # before the mirror's copy: one temporary of the block's size at a time
             np.sqrt(rows, out=rows)
-            rows[np.arange(hi - lo), np.arange(hi - lo)] = 1.0
+            largest = rows.max()  # the diagonal is 0
+            rows[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
             r[hi:, lo:hi] = rows[:, hi - lo :].T
-            found.append((rows.min(), rows.max()))
+            found.append((rows.min(), largest))
 
         _pool.map_blocks(block, m, m, np.arange(m, 0, -1))
-        r_min, r_max = np.min(found, axis=0)[0], np.max(found, axis=0)[1]
+        r_min, r_max = (np.min(found, axis=0)[0], np.max(found, axis=0)[1]) if m > 1 else (1.0, 1.0)
+        np.fill_diagonal(r, r_max)
 
         self.k = k.real if k.imag == 0 else k
         self.r, self.r_max = freeze(r), r_max
@@ -378,12 +383,16 @@ def bessel_j(n: int, z) -> np.ndarray | complex:
 
     At a kernel argument of a real k > 0, orders 0 and 1 are Re H_n(z) by
     hankel1's route: the J_n that hankel1(n, z) left on it just before, if
-    it did, and otherwise evaluated so, with the same bits.
+    it did, and otherwise evaluated so, with the same bits.  A kernel
+    argument whose Im k r_max passes 700.92, where AMOS's J_n overflows, is
+    reported as an overflow before anything is evaluated.
     """
     _check_order(n)
     z, ext = _with_extremes(z)
     dtype = complex if np.iscomplexobj(z) else float
     with _overflow_reported("bessel_j", n, ext.abs_max):
+        if isinstance(z, KernelArgument) and z.k.imag * z.r_max > _MAX_IM_J:
+            raise _NotFinite  # before any table or AMOS call: every route overflows there
         if n < 2 and isinstance(z, KernelArgument) and z._j_from_h:
             if (out := z._j.pop(n, None)) is None:  # the real part of hankel1's route
                 out = _amos(_sp.hankel1, n, z, complex, entire=False).real.copy()

@@ -3,6 +3,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from tscat2d import cli, formulations, specfun
@@ -424,8 +425,33 @@ def test_the_refusals_diameter_is_the_largest_distance_of_the_kernel_argument(mo
 
     monkeypatch.setattr(specfun, "KernelArgument", Recorded)
     kite = make_curve("kite")
+    cli._check_kernel_arguments(validate_config(DEFAULT_CONFIG | {"curve": {"kind": "kite"}, "N": n}), grid(n))
     boundary_operator_set(kite, grid(n), 2.0)
-    assert built == [cli._fine_diameter(kite, n)]  # the same roundings: equal to the bit
+    # both on the 2n fine nodes: their diameter, rounded as sqrt(dx^2 + dy^2), equal to the bit
+    x = kite.x(grid(2 * n).nodes)
+    assert built == [np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1)).max()] * 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--formulation", "classical", "--k1", 8000, "--k2", 12000, "--N", 64],  # |k2| diam = 2,400
+        ["--k1", 2, "--k2", 3, "--kappa-re", 1, "--kappa-im", 2000, "--N", 32],  # Im kappa diam = 400
+    ],
+    ids=["classical-k-range", "gcsie-im-kappa"],
+)
+def test_a_scatterer_narrower_than_1_ends_through_the_clis_own_exits(tmp_path, capsys, args):
+    # an ellipse of diameter 0.2: the placeholder r = 1 on the kernel argument's diagonal used to put
+    # |k2| r past 1e4 and Im kappa r past 700.92, and both runs ended in a traceback
+    cfg = tmp_path / "ellipse.json"
+    cfg.write_text(json.dumps({"curve": {"kind": "ellipse", "a": 0.1, "b": 0.05}}))
+    out = tmp_path / "out"
+    code = run(["solve", "--config", cfg, *args, "--out", out])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1 and not out.exists()
+    else:
+        assert code in (0, 1) and json.loads((out / "report.json").read_text())["status"]
 
 
 @pytest.mark.parametrize(

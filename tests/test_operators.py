@@ -560,10 +560,13 @@ def test_rotation_invariance_off_mode_leakage(op_cache):
 def test_wavenumber_validation():
     c = make_circle(1.0)
     g = grid(16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Laplace"):
         boundary_operator_set(c, g, 0.0)
-    with pytest.raises(ValueError):
+    # the kernel argument refuses the rest
+    with pytest.raises(ValueError, match=r"Im k >= 0"):
         boundary_operator_set(c, g, 1 - 1j)
+    with pytest.raises(ValueError, match="finite"):
+        boundary_operator_set(c, g, complex(np.inf, 1.0))
     for bad in (0, 1.5, 2.0):
         with pytest.raises(ValueError, match="oversample"):
             boundary_operator_set(c, g, 1.0, oversample=bad)

@@ -245,10 +245,10 @@ def kernel_nodes(n=96):
 
 
 def kernel_distances(n=96):
-    # the distances of the kernel argument on on_a_line(kernel_nodes(n)), 1 on the diagonal
+    # the distances of the kernel argument on on_a_line(kernel_nodes(n)), the largest on the diagonal
     u = kernel_nodes(n)
     r = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(r, 1.0)
+    np.fill_diagonal(r, r.max())
     return r
 
 
@@ -278,8 +278,23 @@ def test_kernel_argument_distances_are_symmetric_bit_for_bit(pool_workers):
     r = specfun.KernelArgument(1.0 + 0.5j, pts).r
     dx, dy = pts[:, 0, None] - pts[None, :, 0], pts[:, 1, None] - pts[None, :, 1]
     ref = np.sqrt(dx**2 + dy**2)
-    np.fill_diagonal(ref, 1.0)
+    np.fill_diagonal(ref, ref.max())
     assert same_bits(r, ref) and same_bits(r, r.T)
+
+
+@pytest.mark.parametrize("k", [3.0, 2000.0 + 800.0j], ids=["real", "complex"])
+def test_kernel_argument_counts_only_distances_between_distinct_nodes(k):
+    # nodes less than 1 apart: r_max is their largest distance, not the placeholder 1 on the diagonal
+    t = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    pts = np.column_stack((0.1 * np.cos(t), 0.05 * np.sin(t)))
+    z = specfun.KernelArgument(k, pts)
+    dx, dy = pts[:, 0, None] - pts[None, :, 0], pts[:, 1, None] - pts[None, :, 1]
+    off = ~np.eye(50, dtype=bool)
+    r = np.sqrt(dx**2 + dy**2)[off]
+    assert z.r_max == r.max() < 1 and np.all(np.diag(z.r) == z.r_max)
+    assert z.extremes.abs_max == abs(k * z.r_max) and z.extremes.abs_min == abs(k * r.min())
+    specfun.hankel1(1, z)  # |k| times the placeholder 1 would pass |z| = 1e4
+    assert specfun.KernelArgument(k, pts[:1]).r_max == 1.0  # one node keeps 1
 
 
 LINE = on_a_line(kernel_nodes(40))
@@ -694,11 +709,17 @@ def test_ray_argument_amos_sees_table_nodes_and_near_entries(monkeypatch, pool_w
     assert rec.sizes == [j_nodes]
 
 
-DIAGONAL_BLOCK_ARGUMENTS = [symmetric_kernel_argument(m, k=0.5) for m in range(1, 301)]
+@pytest.fixture(scope="module")
+def diagonal_block_arguments():
+    """Kernel arguments of 1 to 300 nodes at k = 0.5, each with its J_0 as the real part of entrywise AMOS H_0."""
+    arguments = [symmetric_kernel_argument(m, k=0.5) for m in range(1, 301)]
+    return [(z, entrywise(special.hankel1, 0, z).real) for z in arguments]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_cached_triangle_indices_are_read_only_and_give_the_entrywise_bits(monkeypatch, workers):
+def test_cached_triangle_indices_are_read_only_and_give_the_entrywise_bits(
+    monkeypatch, workers, diagonal_block_arguments
+):
     for b in (1, 2, 7, 300):
         upper, lower = specfun._triangle(b)
         assert specfun._triangle(b)[0] is upper
@@ -713,8 +734,8 @@ def test_cached_triangle_indices_are_read_only_and_give_the_entrywise_bits(monke
     monkeypatch.setattr(_pool, "workers", lambda: workers)
     monkeypatch.setattr(_pool, "BAND_ENTRIES", 1 << 20)
     monkeypatch.setattr(specfun, "_RAY_MIN_SHARE", 1 << 60)
-    for z in DIAGONAL_BLOCK_ARGUMENTS:
-        assert same_bits(specfun.bessel_j(0, z), entrywise(special.hankel1, 0, z).real)
+    for z, ref in diagonal_block_arguments:
+        assert same_bits(specfun.bessel_j(0, z), ref)
 
 
 def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
@@ -726,11 +747,14 @@ def test_large_arguments_on_a_small_array_stay_on_amos(monkeypatch):
     assert sum(rec.sizes) == BAND_N * (BAND_N + 1) // 2
 
 
-def test_overflow_on_a_ray_is_reported():
-    # J_0 passes double range at Im z = 713: the table is refused and AMOS reports the overflow
+def test_overflow_on_a_ray_is_reported(monkeypatch):
+    # Im k r reaches 715, past AMOS's 700.92, where J_n overflows: reported before any table or AMOS call
+    rec = AmosRecorder()
+    monkeypatch.setattr(specfun, "_sp", rec)
     u = np.linspace(0.0, 720.0 / abs(1 + 8j), 540)
     with pytest.raises(specfun.SpecialFunctionError, match=r"bessel_j\(n=0\) overflowed"):
         specfun.bessel_j(0, specfun.KernelArgument(1 + 8j, on_a_line(u)))
+    assert rec.sizes == []
 
 
 def test_higher_orders_stay_on_amos(monkeypatch):
